@@ -220,12 +220,24 @@ def cmd_completion(args) -> int:
     return EXIT_OK if outcome.ok else EXIT_FAIL
 
 
+def _cap(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cap must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"cap must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsemicat",
         description="Validate, enumerate and compare quantaloid-enriched semicategories.",
     )
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration/search bound")
+    parser.add_argument(
+        "--cap", type=_cap, default=DEFAULT_CAP, help="enumeration/search bound (at least 1)"
+    )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=0, help="reserved; no randomized behavior")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,14 +283,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationCapExceeded, SearchCapExceeded) as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return EXIT_CAP
-    except NotRegular as exc:
-        sys.stderr.write(f"NotRegular: {exc}\n")
-        return EXIT_NOT_REGULAR
     except QsError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+        line = f"{type(exc).__name__}: {exc}"
+        if exc.witness is not None:
+            line += f" (witness: {exc.witness!r})"
+        sys.stderr.write(line + "\n")
+        if isinstance(exc, (EnumerationCapExceeded, SearchCapExceeded)):
+            return EXIT_CAP
+        if isinstance(exc, NotRegular):
+            return EXIT_NOT_REGULAR
         return EXIT_FAIL
 
 

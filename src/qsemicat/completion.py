@@ -19,7 +19,8 @@ from .quantaloid import QArrow, Quantaloid, validate_quantaloid
 from .semicat import (
     SemiCategory,
     SemiDistributor,
-    _compose_mat,
+    _product,
+    _sparse,
     identity_semidist,
     is_regular_semicat,
     is_regular_semidist,
@@ -240,12 +241,10 @@ def verify_rsdist_is_idm_matr(
         regular, compatible = [], []
         for mat in gen:
             cand = SemiDistributor(dom, cod, mat)
+            flat = tuple(mat.values())
             if is_regular_semidist(cand):
                 regular.append(mat)
-            if (
-                _compose_mat(cand, id_dom) == mat
-                and _compose_mat(id_cod, cand) == mat
-            ):
+            if _product(cand, id_dom) == flat and _product(id_cod, cand) == flat:
                 compatible.append(mat)
         return regular, compatible
 
@@ -257,11 +256,12 @@ def verify_rsdist_is_idm_matr(
     regular_ba, _ = fixed_matrices(B, A, idb, ida)
     for mat in regular_ab:
         phi = validate_semidistributor(A, B, mat)
-        if _compose_mat(phi, ida) != mat or _compose_mat(idb, phi) != mat:
+        flat = tuple(mat.values())
+        if _product(phi, ida) != flat or _product(idb, phi) != flat:
             return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "unit law fails")
         for mat_ba in regular_ba:
             psi = validate_semidistributor(B, A, mat_ba)
-            comp = SemiDistributor(A, A, _compose_mat(psi, phi))
+            comp = SemiDistributor(A, A, _sparse(A, A, _product(psi, phi)))
             if not is_regular_semidist(comp):
                 return RsdistIdmReport(
                     False, len(regular_ab), len(compatible_ab), "composite leaves the hom"

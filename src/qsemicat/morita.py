@@ -27,9 +27,9 @@ from .presheaf import (
 from .semicat import (
     SemiCategory,
     SemiDistributor,
-    _compose_mat,
+    _dense,
+    _mat_compose,
     enumerate_regular_semidists,
-    identity_semidist,
     is_regular_semicat,
     is_regular_semidist,
     lifting_dist,
@@ -167,11 +167,15 @@ def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAU
             witness=(n_ab, n_ba),
         )
     phis = enumerate_regular_semidists(A, B, cap)
-    psis = enumerate_regular_semidists(B, A, cap)
-    ida, idb = identity_semidist(A), identity_semidist(B)
+    psis = [(psi, _dense(psi)) for psi in enumerate_regular_semidists(B, A, cap)]
+    q, ta, tb = A.base, A.types, B.types
     for phi in phis:
-        for psi in psis:
-            if _compose_mat(psi, phi) == ida.mat and _compose_mat(phi, psi) == idb.mat:
+        fphi = _dense(phi)
+        for psi, fpsi in psis:
+            if (
+                _mat_compose(q, ta, tb, ta, fpsi, fphi) == A.dense
+                and _mat_compose(q, tb, ta, tb, fphi, fpsi) == B.dense
+            ):
                 return phi, psi
     return None
 
@@ -252,18 +256,8 @@ class InducedFunctor:
         A, B = self.phi.dom, self.phi.cod
         if theta.carrier != A or theta.variance != CONTRA:
             raise TypeMismatch("presheaf does not live on the domain carrier")
-        q = A.base
         x = theta.qtype
-        values = []
-        for b in B.names:
-            tb = B.type_of(b)
-            lat = q.hom_lat(x, tb)
-            values.append(
-                lat.join(
-                    q.compose_elems(x, A.type_of(a), tb, self.phi.mat[(b, a)], theta.value(a))
-                    for a in A.names
-                )
-            )
+        values = _mat_compose(A.base, B.types, A.types, (x,), _dense(self.phi), theta.values)
         return Presheaf(B, x, CONTRA, values)
 
     def right(self, psi: Presheaf) -> Presheaf:

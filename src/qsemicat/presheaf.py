@@ -12,6 +12,7 @@ maps j and k plus weighted colimits computed without units.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     ActionFailure,
@@ -25,6 +26,9 @@ from .semicat import (
     SemiCategory,
     SemiDistributor,
     SemiFunctor,
+    _dense,
+    _mat_compose,
+    _mat_lift,
     is_regular_semicat,
     validate_semicategory,
     validate_semidistributor,
@@ -94,6 +98,20 @@ class Presheaf:
         return f"Presheaf({self.variance} {self.qtype}: {vals})"
 
 
+def _contra(A: SemiCategory, variance: str) -> SemiCategory:
+    """The carrier on which presheaves of this variance are contravariant.
+
+    A covariant presheaf on A over Q is a contravariant presheaf on A^op
+    over Q^op with the same values, so every computation below is written
+    once, contravariantly, on the carrier this returns.
+    """
+    if variance == CONTRA:
+        return A
+    if variance == CO:
+        return A.op()
+    raise TypeMismatch(f"unknown variance {variance!r}")
+
+
 def enumerate_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = DEFAULT_CAP):
     """All presheaves of type x on A, in lexicographic value order.
 
@@ -104,45 +122,29 @@ def enumerate_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = 
     q = A.base
     if x not in q.objects:
         raise TypeMismatch(f"{x!r} is not an object of the base", witness=x)
-    names = A.names
-    if variance == CONTRA:
-        sizes = [q.hom_lat(x, A.type_of(a)).size for a in names]
-    elif variance == CO:
-        sizes = [q.hom_lat(A.type_of(a), x).size for a in names]
-    else:
-        raise TypeMismatch(f"unknown variance {variance!r}")
-    total = 1
-    for s in sizes:
-        total *= s
+    C = _contra(A, variance)
+    sizes = [C.base.hom_lat(x, t).size for t in C.types]
+    total = math.prod(sizes)
     if total > cap:
         raise EnumerationCapExceeded(
             f"presheaf space of size {total} exceeds cap {cap}", witness=total
         )
+    return [
+        Presheaf(A, x, variance, combo)
+        for combo in itertools.product(*map(range, sizes))
+        if _presheaf_ok(C, x, combo)
+    ]
 
-    out = []
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        if _presheaf_ok(A, x, variance, combo):
-            out.append(Presheaf(A, x, variance, combo))
-    return out
 
-
-def _presheaf_ok(A, x, variance, values) -> bool:
-    q = A.base
-    names = A.names
-    for i1, a1 in enumerate(names):
-        t1 = A.type_of(a1)
-        for i0, a0 in enumerate(names):
-            t0 = A.type_of(a0)
-            if variance == CONTRA:
-                # A(a0,a1)∘φ(a1) <= φ(a0)
-                comp = q.compose_elems(x, t1, t0, A.hom[(a0, a1)], values[i1])
-                if not q.hom_lat(x, t0).le(comp, values[i0]):
-                    return False
-            else:
-                # φ(a1)∘A(a1,a0) <= φ(a0)
-                comp = q.compose_elems(t0, t1, x, values[i1], A.hom[(a1, a0)])
-                if not q.hom_lat(t0, x).le(comp, values[i0]):
-                    return False
+def _presheaf_ok(C, x, values) -> bool:
+    """The action inequalities C(a0,a1)∘φ(a1) <= φ(a0) of a contravariant φ."""
+    q = C.base
+    n = len(values)
+    for i1, t1 in enumerate(C.types):
+        for i0, t0 in enumerate(C.types):
+            comp = q.compose_elems(x, t1, t0, C.dense[i0 * n + i1], values[i1])
+            if not q.hom_lat(x, t0).le(comp, values[i0]):
+                return False
     return True
 
 
@@ -160,18 +162,11 @@ def presheaf_hom_elem(psi: Presheaf, phi: Presheaf) -> int:
     """The element of the presheaf-category hom from phi to psi."""
     if psi.carrier != phi.carrier or psi.variance != phi.variance:
         raise TypeMismatch("presheaves live in different presheaf categories")
-    A = phi.carrier
-    q = A.base
-    x, y = phi.qtype, psi.qtype
-    lat = q.hom_lat(x, y)
-    acc = lat.top
-    contra = phi.variance == CONTRA
-    for i, (a, ta) in enumerate(A.objects.elements):
-        if contra:
-            acc = lat.meet2(acc, q.lifting_elem(x, y, ta, psi.values[i], phi.values[i]))
-        else:
-            acc = lat.meet2(acc, q.extension_elem(ta, x, y, phi.values[i], psi.values[i]))
-    return acc
+    C = _contra(phi.carrier, phi.variance)
+    if phi.variance == CO:
+        # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
+        psi, phi = phi, psi
+    return _mat_lift(C.base, (psi.qtype,), C.types, (phi.qtype,), psi.values, phi.values)[0]
 
 
 def presheaf_hom(psi: Presheaf, phi: Presheaf) -> QArrow:
@@ -190,44 +185,20 @@ def is_regular_presheaf(phi: Presheaf) -> bool:
 
 def _act(phi: Presheaf):
     """The values of A⊗φ (contravariant) or φ⊗A (covariant)."""
-    A = phi.carrier
-    q = A.base
-    x = phi.qtype
-    names = A.names
-    out = []
-    for a in names:
-        ta = A.type_of(a)
-        if phi.variance == CONTRA:
-            lat = q.hom_lat(x, ta)
-            out.append(
-                lat.join(
-                    q.compose_elems(x, A.type_of(b), ta, A.hom[(a, b)], phi.values[i])
-                    for i, b in enumerate(names)
-                )
-            )
-        else:
-            lat = q.hom_lat(ta, x)
-            out.append(
-                lat.join(
-                    q.compose_elems(ta, A.type_of(b), x, phi.values[i], A.hom[(b, a)])
-                    for i, b in enumerate(names)
-                )
-            )
-    return tuple(out)
+    C = _contra(phi.carrier, phi.variance)
+    return _mat_compose(C.base, C.types, C.types, (phi.qtype,), C.dense, phi.values)
+
+
+def _residual(phi: Presheaf):
+    """The values of the residual of the carrier by phi: at a, the meet over b
+    of the lifting of A(b, a) into φ(b), which is the hom from A(-, a) to φ."""
+    C = _contra(phi.carrier, phi.variance)
+    return _mat_lift(C.base, C.types, C.types, (phi.qtype,), C.dense, phi.values)
 
 
 def is_yoneda_presheaf(phi: Presheaf) -> bool:
     """True iff homming with every representable recovers the values of phi."""
-    A = phi.carrier
-    reps = yoneda if phi.variance == CONTRA else yoneda_covariant
-    for i, a in enumerate(A.names):
-        if phi.variance == CONTRA:
-            expected = presheaf_hom_elem(reps(A, a), phi)
-        else:
-            expected = presheaf_hom_elem(phi, reps(A, a))
-        if phi.values[i] != expected:
-            return False
-    return True
+    return phi.values == _residual(phi)
 
 
 def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None) -> bool:
@@ -240,37 +211,20 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
     sweeping one instance enumerate the presheaves once).
     """
     A = phi.carrier
-    q = A.base
-    reps = yoneda if phi.variance == CONTRA else yoneda_covariant
-    rep_cache = [reps(A, a) for a in A.names]
     if against is None:
         against = [
             psi
-            for x in q.objects
+            for x in A.base.objects
             for psi in enumerate_presheaves(A, x, phi.variance, cap)
         ]
+    C = _contra(A, phi.variance)
+    q, t, x = C.base, C.types, (phi.qtype,)
     for psi in against:
-        if phi.variance == CONTRA:
-            lhs = presheaf_hom_elem(phi, psi)
-            lat = q.hom_lat(psi.qtype, phi.qtype)
-            acc = lat.top
-            for i, (a, ta) in enumerate(A.objects.elements):
-                inner = presheaf_hom_elem(rep_cache[i], psi)
-                acc = lat.meet2(
-                    acc,
-                    q.lifting_elem(psi.qtype, phi.qtype, ta, phi.values[i], inner),
-                )
-        else:
-            lhs = presheaf_hom_elem(psi, phi)
-            lat = q.hom_lat(phi.qtype, psi.qtype)
-            acc = lat.top
-            for i, (a, ta) in enumerate(A.objects.elements):
-                inner = presheaf_hom_elem(psi, rep_cache[i])
-                acc = lat.meet2(
-                    acc,
-                    q.extension_elem(ta, phi.qtype, psi.qtype, phi.values[i], inner),
-                )
-        if lhs != acc:
+        # the hom from psi to phi, directly and through the representables
+        y = (psi.qtype,)
+        if _mat_lift(q, x, t, y, phi.values, psi.values) != _mat_lift(
+            q, x, t, y, phi.values, _residual(psi)
+        ):
             return False
     return True
 
@@ -416,28 +370,7 @@ def map_k(A: SemiCategory, theta: Presheaf) -> Presheaf:
         raise TypeMismatch("presheaf does not live on the given carrier")
     if not is_regular_presheaf(theta):
         raise NotRegular("k is defined on regular presheaves", witness=theta)
-    q = A.base
-    x = theta.qtype
-    names = A.names
-    out = []
-    for a in names:
-        ta = A.type_of(a)
-        if theta.variance == CONTRA:
-            lat = q.hom_lat(x, ta)
-            acc = lat.top
-            for i, b in enumerate(names):
-                acc = lat.meet2(
-                    acc, q.lifting_elem(x, ta, A.type_of(b), A.hom[(b, a)], theta.values[i])
-                )
-        else:
-            lat = q.hom_lat(ta, x)
-            acc = lat.top
-            for i, b in enumerate(names):
-                acc = lat.meet2(
-                    acc, q.extension_elem(A.type_of(b), ta, x, A.hom[(a, b)], theta.values[i])
-                )
-        out.append(acc)
-    return Presheaf(A, x, theta.variance, out)
+    return Presheaf(A, theta.qtype, theta.variance, _residual(theta))
 
 
 # -- weighted colimits without units -----------------------------------------
@@ -484,22 +417,12 @@ def weighted_colimit_RA(theta: SemiDistributor, fmap) -> dict:
                         witness=(a, c1, c0),
                     )
 
-    out = {}
-    for d in D.names:
-        td = D.type_of(d)
-        values = []
-        for a in carrier.names:
-            ta = carrier.type_of(a)
-            lat = q.hom_lat(td, ta)
-            values.append(
-                lat.join(
-                    q.compose_elems(td, C.type_of(c), ta, fmap[c].value(a), theta.mat[(c, d)])
-                    for c in C.names
-                )
-            )
-        colim = Presheaf(carrier, td, CONTRA, values)
-        out[d] = colim
-    return out
+    F = tuple(fmap[c].values[i] for i in range(len(carrier.names)) for c in C.names)
+    flat = _mat_compose(q, carrier.types, C.types, D.types, F, _dense(theta))
+    n = len(D.names)
+    return {
+        d: Presheaf(carrier, D.type_of(d), CONTRA, flat[k::n]) for k, d in enumerate(D.names)
+    }
 
 
 def is_colimit(G: SemiFunctor, phi: SemiDistributor, F: SemiFunctor) -> bool:
@@ -517,19 +440,6 @@ def is_colimit(G: SemiFunctor, phi: SemiDistributor, F: SemiFunctor) -> bool:
     if G.dom != phi.dom or F.dom != phi.cod:
         raise TypeMismatch("weight endpoints do not match the functors")
     A, B = phi.dom, phi.cod
-    q = C.base
-    for a in A.names:
-        ta = A.type_of(a)
-        for c in C.names:
-            tc = C.type_of(c)
-            lat = q.hom_lat(tc, ta)
-            acc = lat.top
-            for b in B.names:
-                tb = B.type_of(b)
-                acc = lat.meet2(
-                    acc,
-                    q.lifting_elem(tc, ta, tb, phi.mat[(b, a)], C.hom[(F.map[b], c)]),
-                )
-            if C.hom[(G.map[a], c)] != acc:
-                return False
-    return True
+    R = tuple(C.hom[(F.map[b], c)] for b in B.names for c in C.names)
+    expected = tuple(C.hom[(G.map[a], c)] for a in A.names for c in C.names)
+    return _mat_lift(C.base, A.types, B.types, C.types, _dense(phi), R) == expected

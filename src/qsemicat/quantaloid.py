@@ -2,9 +2,10 @@
 
 A quantaloid here is a finite set of objects, a sup-lattice of arrows for
 every ordered pair of objects, a composition table that preserves joins in
-each argument, and identity arrows.  Residuation (lifting and extension) is
-computed by exhaustive maximisation over the finite homs; those values are
-the reference point for every lifting formula further up the library.
+each argument, and identity arrows.  Lifting is computed by exhaustive
+maximisation over the finite homs; those values are the reference point for
+every lifting formula further up the library.  Extension is the lifting of
+the dual quantaloid.
 """
 
 from __future__ import annotations
@@ -32,7 +33,16 @@ class QArrow(NamedTuple):
 class Quantaloid:
     """A validated finite quantaloid.  Use :func:`validate_quantaloid` to build one."""
 
-    __slots__ = ("objects", "hom", "compose_table", "identity", "_lift", "_ext")
+    __slots__ = (
+        "objects",
+        "hom",
+        "compose_table",
+        "identity",
+        "_lift",
+        "_op",
+        "_compose_plans",
+        "_lift_plans",
+    )
 
     def __init__(self, objects, hom, compose_table, identity):
         self.objects = objects
@@ -40,7 +50,26 @@ class Quantaloid:
         self.compose_table = compose_table
         self.identity = identity
         self._lift = {}
-        self._ext = {}
+        self._op = None
+        # tables per (dom, cod, middle types), read by the matrix kernels
+        self._compose_plans = {}
+        self._lift_plans = {}
+
+    def op(self) -> Quantaloid:
+        """The dual quantaloid: hom^op(x, y) = hom(y, x), and g∘f there is f∘g here.
+
+        Built once and cached; it shares the hom-lattices with this one, and
+        its own dual is this quantaloid again.
+        """
+        if self._op is None:
+            self._op = Quantaloid(
+                self.objects,
+                {(y, x): lat for (x, y), lat in self.hom.items()},
+                {(z, y, x): tuple(zip(*t)) for (x, y, z), t in self.compose_table.items()},
+                self.identity,
+            )
+            self._op._op = self
+        return self._op
 
     # -- raw element-level operations ------------------------------------
 
@@ -59,8 +88,11 @@ class Quantaloid:
         return self._lift_table(x, y, z)[c][b]
 
     def extension_elem(self, x, y, z, c: int, b: int) -> int:
-        """Largest d in hom(y,z) with d∘c <= b, for c in hom(x,y), b in hom(x,z)."""
-        return self._ext_table(x, y, z)[c][b]
+        """Largest d in hom(y,z) with d∘c <= b, for c in hom(x,y), b in hom(x,z).
+
+        This is the lifting of the dual quantaloid.
+        """
+        return self.op()._lift_table(z, y, x)[c][b]
 
     def _lift_table(self, x, y, z):
         key = (x, y, z)
@@ -76,22 +108,6 @@ class Quantaloid:
                 for c in range(lyz.size)
             )
             self._lift[key] = table
-        return table
-
-    def _ext_table(self, x, y, z):
-        key = (x, y, z)
-        table = self._ext.get(key)
-        if table is None:
-            lxy, lxz, lyz = self.hom[(x, y)], self.hom[(x, z)], self.hom[(y, z)]
-            comp = self.compose_table[(x, y, z)]
-            table = tuple(
-                tuple(
-                    lyz.join(d for d in range(lyz.size) if lxz.le(comp[d][c], b))
-                    for b in range(lxz.size)
-                )
-                for c in range(lxy.size)
-            )
-            self._ext[key] = table
         return table
 
     # -- arrow-level interface --------------------------------------------

@@ -16,6 +16,7 @@ all instance builders in :mod:`qsemicat.instances` rely on.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     ActionFailure,
@@ -30,24 +31,20 @@ from .quantaloid import QArrow, Quantaloid
 class TypedSet:
     """A finite set of named elements, each typed by an object of the base."""
 
-    __slots__ = ("elements", "_types", "_pos")
+    __slots__ = ("elements", "names", "types", "_pos")
 
     def __init__(self, elements):
         self.elements = tuple((str(n), t) for n, t in elements)
-        names = [n for n, _ in self.elements]
+        names = self.names = tuple(n for n, _ in self.elements)
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise TypeMismatch(f"duplicate element name {dup!r}", witness=dup)
-        self._types = dict(self.elements)
-        self._pos = {n: i for i, (n, _) in enumerate(self.elements)}
-
-    @property
-    def names(self):
-        return tuple(n for n, _ in self.elements)
+        self.types = tuple(t for _, t in self.elements)
+        self._pos = {n: i for i, n in enumerate(names)}
 
     def type_of(self, name):
         try:
-            return self._types[name]
+            return self.types[self._pos[name]]
         except KeyError:
             raise TypeMismatch(f"unknown element {name!r}", witness=name) from None
 
@@ -64,7 +61,7 @@ class TypedSet:
         return iter(self.names)
 
     def __contains__(self, name):
-        return name in self._types
+        return name in self._pos
 
     def __eq__(self, other):
         if self is other:
@@ -84,16 +81,33 @@ class SemiCategory:
     """A validated semicategory over a quantaloid.
 
     ``hom`` maps pairs (a1, a0) of object names to the element index of the
-    hom-arrow A(a1, a0): t(a0) -> t(a1) in the base.
+    hom-arrow A(a1, a0): t(a0) -> t(a1) in the base.  ``types`` and ``dense``
+    hold the object types and the hom matrix as a flat row-major tuple, both
+    in object order, for the matrix kernels.
     """
 
-    __slots__ = ("base", "objects", "hom", "is_category")
+    __slots__ = ("base", "objects", "hom", "is_category", "types", "dense", "_op")
 
     def __init__(self, base, objects, hom, is_category):
         self.base = base
         self.objects = objects
         self.hom = hom
         self.is_category = is_category
+        self.types = objects.types
+        self.dense = tuple(hom[(a1, a0)] for a1 in objects.names for a0 in objects.names)
+        self._op = None
+
+    def op(self) -> SemiCategory:
+        """The dual A^op over the dual base: A^op(a1, a0) = A(a0, a1).
+
+        Built once and cached; a covariant presheaf on A is a contravariant
+        one on A^op.
+        """
+        if self._op is None:
+            hom = {key: self.hom[key[::-1]] for key in self.hom}
+            self._op = SemiCategory(self.base.op(), self.objects, hom, self.is_category)
+            self._op._op = self
+        return self._op
 
     @property
     def names(self):
@@ -201,12 +215,12 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
         if key not in full:
             raise TypeMismatch(f"hom entry {key} names unknown objects", witness=key)
 
-    for a2 in ts.names:
-        for a1 in ts.names:
-            for a0 in ts.names:
-                t0, t1, t2 = ts.type_of(a0), ts.type_of(a1), ts.type_of(a2)
-                comp = base.compose_elems(t0, t1, t2, full[(a2, a1)], full[(a1, a0)])
-                if not base.hom_lat(t0, t2).le(comp, full[(a2, a0)]):
+    for a2, t2 in ts.elements:
+        for a1, t1 in ts.elements:
+            g = full[(a2, a1)]
+            for a0, t0 in ts.elements:
+                comp = base.compose_elems(t0, t1, t2, g, full[(a1, a0)])
+                if not base.hom[(t0, t2)].le(comp, full[(a2, a0)]):
                     raise CompositionFailure(
                         f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})",
                         witness=(a2, a1, a0),
@@ -301,30 +315,77 @@ def identity_semidist(A: SemiCategory) -> SemiDistributor:
     return SemiDistributor(A, A, dict(A.hom))
 
 
-def _compose_mat(psi: SemiDistributor, phi: SemiDistributor) -> dict:
-    q = phi.base
+def _mat_compose(q, tr, tm, tc, L, R) -> tuple:
+    """The product kernel: (L⊗R)(r, c) = join over m of L(r, m)∘R(m, c).
+
+    ``tr``, ``tm`` and ``tc`` are the type tuples of the row, middle and
+    column index sets; ``L`` (|tr|×|tm|), ``R`` (|tm|×|tc|) and the result
+    (|tr|×|tc|) are flat row-major tuples of elements.
+    """
+    nm, nc = len(tm), len(tc)
+    out = []
+    for i, cod in enumerate(tr):
+        row = L[i * nm : (i + 1) * nm]
+        for k, dom in enumerate(tc):
+            plan = q._compose_plans.get((dom, cod, tm))
+            if plan is None:
+                lat = q.hom[(dom, cod)]
+                tables = [q.compose_table[(dom, m, cod)] for m in tm]
+                plan = q._compose_plans[(dom, cod, tm)] = (lat._join2, lat.bottom, tables)
+            join, acc, tables = plan
+            for table, g, f in zip(tables, row, R[k::nc]):
+                acc = join[acc][table[g][f]]
+            out.append(acc)
+    return tuple(out)
+
+
+def _mat_lift(q, tr, tm, tc, L, R) -> tuple:
+    """The residuation kernel: [L, R](r, c) = meet over m of the base lifting
+    of L(m, r) into R(m, c).
+
+    ``L`` is |tm|×|tr| and ``R`` is |tm|×|tc|; the result is |tr|×|tc|, all
+    flat row-major tuples as for :func:`_mat_compose`.
+    """
+    nr, nc = len(tr), len(tc)
+    out = []
+    for i, cod in enumerate(tr):
+        col = L[i::nr]
+        for k, dom in enumerate(tc):
+            plan = q._lift_plans.get((dom, cod, tm))
+            if plan is None:
+                lat = q.hom[(dom, cod)]
+                tables = [q._lift_table(dom, cod, m) for m in tm]
+                plan = q._lift_plans[(dom, cod, tm)] = (lat._meet2, lat.top, tables)
+            meet, acc, tables = plan
+            for table, c, b in zip(tables, col, R[k::nc]):
+                acc = meet[acc][table[c][b]]
+            out.append(acc)
+    return tuple(out)
+
+
+def _dense(phi: SemiDistributor) -> tuple:
+    """The matrix of a semidistributor as a flat row-major tuple."""
+    mat = phi.mat
+    return tuple(mat[(b, a)] for b in phi.cod.names for a in phi.dom.names)
+
+
+def _sparse(cod: SemiCategory, dom: SemiCategory, flat) -> dict:
+    """A flat row-major matrix cod × dom as a dict keyed (b, a)."""
+    return dict(zip(((b, a) for b in cod.names for a in dom.names), flat))
+
+
+def _product(psi: SemiDistributor, phi: SemiDistributor) -> tuple:
+    """Ψ⊗Φ as a flat tuple."""
     A, B, C = phi.dom, phi.cod, psi.cod
-    mat = {}
-    for c in C.names:
-        tc = C.type_of(c)
-        for a in A.names:
-            ta = A.type_of(a)
-            lat = q.hom_lat(ta, tc)
-            acc = lat.bottom
-            for b in B.names:
-                tb = B.type_of(b)
-                acc = lat.join2(
-                    acc, q.compose_elems(ta, tb, tc, psi.mat[(c, b)], phi.mat[(b, a)])
-                )
-            mat[(c, a)] = acc
-    return mat
+    return _mat_compose(phi.base, C.types, B.types, A.types, _dense(psi), _dense(phi))
 
 
 def compose_semidist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
     """(Ψ⊗Φ)(c, a) = join over b of Ψ(c, b)∘Φ(b, a)."""
     if psi.dom != phi.cod:
         raise TypeMismatch("composition needs cod(Φ) = dom(Ψ)")
-    return validate_semidistributor(phi.dom, psi.cod, _compose_mat(psi, phi))
+    mat = _sparse(psi.cod, phi.dom, _product(psi, phi))
+    return validate_semidistributor(phi.dom, psi.cod, mat)
 
 
 def sup_semidist(family, dom: SemiCategory = None, cod: SemiCategory = None) -> SemiDistributor:
@@ -370,28 +431,15 @@ def lifting_dist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
     """
     if psi.cod != phi.cod:
         raise TypeMismatch("lifting needs a common codomain")
-    q = phi.base
     A, B, C = phi.dom, phi.cod, psi.dom
-    mat = {}
-    for c in C.names:
-        tc = C.type_of(c)
-        for a in A.names:
-            ta = A.type_of(a)
-            lat = q.hom_lat(ta, tc)
-            acc = lat.top
-            for b in B.names:
-                tb = B.type_of(b)
-                acc = lat.meet2(
-                    acc, q.lifting_elem(ta, tc, tb, psi.mat[(b, c)], phi.mat[(b, a)])
-                )
-            mat[(c, a)] = acc
-    return validate_semidistributor(A, C, mat)
+    flat = _mat_lift(phi.base, C.types, B.types, A.types, _dense(psi), _dense(phi))
+    return validate_semidistributor(A, C, _sparse(C, A, flat))
 
 
 def is_regular_semicat(A: SemiCategory) -> bool:
     """True iff the hom matrix is idempotent: A⊗A = A entrywise."""
-    ida = identity_semidist(A)
-    return _compose_mat(ida, ida) == ida.mat
+    t = A.types
+    return _mat_compose(A.base, t, t, t, A.dense, A.dense) == A.dense
 
 
 def is_regular_semidist(phi: SemiDistributor) -> bool:
@@ -400,9 +448,12 @@ def is_regular_semidist(phi: SemiDistributor) -> bool:
     Works on raw matrices too: the two equalities force the action
     inequalities, so enumeration code may filter unvalidated candidates.
     """
-    if _compose_mat(phi, identity_semidist(phi.dom)) != phi.mat:
-        return False
-    return _compose_mat(identity_semidist(phi.cod), phi) == phi.mat
+    A, B, flat = phi.dom, phi.cod, _dense(phi)
+    q, ta, tb = A.base, A.types, B.types
+    return (
+        _mat_compose(q, tb, ta, ta, flat, A.dense) == flat
+        and _mat_compose(q, tb, tb, ta, B.dense, flat) == flat
+    )
 
 
 def _require_regular(*items):
@@ -510,17 +561,13 @@ def matrix_space(dom: SemiCategory, cod: SemiCategory):
     """
     _require_same_base(dom, cod, "matrix endpoints")
     q = dom.base
-    keys = [(b, a) for b in cod.names for a in dom.names]
-    sizes = [q.hom_lat(dom.type_of(a), cod.type_of(b)).size for b, a in keys]
-    total = 1
-    for s in sizes:
-        total *= s
+    sizes = [q.hom_lat(ta, tb).size for tb in cod.types for ta in dom.types]
 
     def gen():
-        for combo in itertools.product(*(range(s) for s in sizes)):
-            yield dict(zip(keys, combo))
+        for flat in itertools.product(*map(range, sizes)):
+            yield _sparse(cod, dom, flat)
 
-    return total, gen()
+    return math.prod(sizes), gen()
 
 
 def enumerate_regular_semidists(dom: SemiCategory, cod: SemiCategory, cap: int):
@@ -530,8 +577,8 @@ def enumerate_regular_semidists(dom: SemiCategory, cod: SemiCategory, cap: int):
         raise SearchCapExceeded(
             f"matrix space of size {total} exceeds cap {cap}", witness=total
         )
-    out = []
-    for mat in gen:
-        if is_regular_semidist(SemiDistributor(dom, cod, mat)):
-            out.append(validate_semidistributor(dom, cod, mat))
-    return out
+    return [
+        validate_semidistributor(dom, cod, mat)
+        for mat in gen
+        if is_regular_semidist(SemiDistributor(dom, cod, mat))
+    ]

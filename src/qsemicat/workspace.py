@@ -36,9 +36,32 @@ from .semicat import (
 
 
 def _need(doc, key, where):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object", witness=doc)
     if key not in doc:
         raise ParseError(f"{where}: missing key {key!r}", witness=key)
     return doc[key]
+
+
+def _elem(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: element {value!r} is not an integer", witness=value) from None
+
+
+def _triples(spec, key, where):
+    """The ``[x, y, elem]`` entries listed under ``key``, keyed ``(x, y)``."""
+    entries = spec.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: {key!r} must be a list of triples", witness=entries)
+    out = {}
+    for triple in entries:
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise ParseError(f"{where}: bad {key} triple {triple!r}", witness=triple)
+        x, y, elem = triple
+        out[(str(x), str(y))] = _elem(elem, where)
+    return out
 
 
 def parse_lattice(spec, where="lattice"):
@@ -74,7 +97,9 @@ def parse_quantaloid(spec, where="quantaloid") -> Quantaloid:
         parts = key.split(">")
         if len(parts) != 3:
             raise ParseError(f"{where}: bad compose key {key!r}", witness=key)
-        compose[(parts[0], parts[1], parts[2])] = table
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ParseError(f"{where}: compose table {key!r} must be a list of rows", witness=key)
+        compose[(parts[0], parts[1], parts[2])] = [[_elem(v, where) for v in row] for row in table]
     identities = {str(x): e for x, e in _need(spec, "id", where).items()}
     from .quantaloid import validate_quantaloid
 
@@ -149,12 +174,7 @@ def plan_workspace(doc):
                     raise ParseError(
                         f"{where}: dangling type name {obj_type!r}", witness=obj_type
                     )
-            hom = {}
-            for triple in spec.get("hom", []):
-                if len(triple) != 3:
-                    raise ParseError(f"{where}: bad hom triple {triple!r}", witness=triple)
-                a1, a0, elem = triple
-                hom[(str(a1), str(a0))] = int(elem)
+            hom = _triples(spec, "hom", where)
             ws.semicategories[name] = validate_semicategory(base, objects, hom)
         plan.append(("semicategory", name, build_sc))
 
@@ -163,12 +183,7 @@ def plan_workspace(doc):
             where = f"semidistributors.{name}"
             dom = ws.semicategory(str(_need(spec, "dom", where)))
             cod = ws.semicategory(str(_need(spec, "cod", where)))
-            mat = {}
-            for triple in spec.get("mat", []):
-                if len(triple) != 3:
-                    raise ParseError(f"{where}: bad mat triple {triple!r}", witness=triple)
-                b, a, elem = triple
-                mat[(str(b), str(a))] = int(elem)
+            mat = _triples(spec, "mat", where)
             ws.semidistributors[name] = validate_semidistributor(dom, cod, mat)
         plan.append(("semidistributor", name, build_sd))
 
@@ -194,12 +209,7 @@ def plan_workspace(doc):
             where = f"omega_sets.{name}"
             frame = from_frame(parse_lattice(_need(spec, "frame", where), f"{where}.frame"))
             elements = [str(x) for x in _need(spec, "elements", where)]
-            eq = {}
-            for triple in spec.get("eq", []):
-                if len(triple) != 3:
-                    raise ParseError(f"{where}: bad eq triple {triple!r}", witness=triple)
-                a, b, elem = triple
-                eq[(str(a), str(b))] = int(elem)
+            eq = _triples(spec, "eq", where)
             ws.omega_sets[name] = validate_omega_set(frame, elements, eq)
         plan.append(("omega_set", name, build_o))
 

@@ -20,9 +20,10 @@ from qsemicat import (
     map_j,
     map_k,
     presheaf_hom_elem,
+    validate_semicategory,
     yoneda_covariant,
 )
-from helpers import regular_semicats
+from helpers import all_semicats, regular_semicats
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,17 @@ def test_covariant_regularity_routes_full_family(family):
             pool = enumerate_presheaves(A, x, CO)
             for p in pool:
                 assert is_regular_presheaf(p) == is_regular_via_liftings(p, against=pool)
+
+
+def test_dual_semicategories(family):
+    # the regular family plus every two-object semicategory over the
+    # three-chain, so that non-regular carriers are dualised too
+    for A in family + all_semicats("3", 2):
+        D = A.op()
+        assert validate_semicategory(D.base, D.objects, D.hom) == D
+        assert D.op() is A
+        assert is_regular_semicat(D) == is_regular_semicat(A)
+        assert is_category(D) == is_category(A)
 
 
 def test_covariant_representable_characterisations(family):

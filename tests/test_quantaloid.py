@@ -21,6 +21,7 @@ from helpers import (
     min_table,
     oracle_extension,
     oracle_lifting,
+    rel_quantaloid,
     two_object_quantaloid,
 )
 
@@ -103,6 +104,34 @@ def test_lifting_matches_bruteforce(q):
         for b in q.arrows(x, x):
             assert q.lifting(c, b).elem == oracle_lifting(q, c, b)
             assert q.extension(c, b).elem == oracle_extension(q, c, b)
+
+
+BUILTIN_NAMES = ["2", "3", "frame:2", "frame:3", "frame:4", "frame:square"]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [builtin_quantaloid(name) for name in BUILTIN_NAMES]
+    + [rel_quantaloid(), two_object_quantaloid(), endomap_quantaloid()],
+    ids=BUILTIN_NAMES + ["relations", "two_object", "endomaps"],
+)
+def test_dual_quantaloid_validates_and_is_involutive(q):
+    d = q.op()
+    assert validate_quantaloid(d.objects, d.hom, d.compose_table, d.identity) == d
+    assert d.op() is q
+    assert d.op() == q
+
+
+@pytest.mark.parametrize(
+    "q", [rel_quantaloid(), two_object_quantaloid()], ids=["relations", "two_object"]
+)
+def test_extension_matches_bruteforce_on_every_triple(q):
+    # extension is the dual's lifting; distinct hom sizes catch any mix-up
+    # of the reindexed object triples
+    for x, y, z in itertools.product(q.objects, repeat=3):
+        for c in q.arrows(x, y):
+            for b in q.arrows(x, z):
+                assert q.extension(c, b).elem == oracle_extension(q, c, b)
 
 
 def test_endomap_quantale_is_noncommutative():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qsemicat import ParseError
 from qsemicat.cli import main
 from qsemicat.workspace import load_workspace, parse_quantaloid, validate_report
@@ -117,6 +119,65 @@ def test_cmd_validate_exit_codes(tmp_path, capsys):
     bad = {"quantaloids": {"Q": "3"}, "semicategories": {"A": {"base": "nope", "objects": []}}}
     path = write_ws(tmp_path, bad, "bad.json")
     assert main(["validate", path]) == 1
+
+
+ONE_OBJECT = [{"name": "*", "type": "*"}]
+
+
+def one_object_semicat(elem):
+    return {"base": "Q", "objects": ONE_OBJECT, "hom": [["*", "*", elem]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "quantaloids": {"Q": "3"},
+            "semicategories": {"A": one_object_semicat("x")},
+        },
+        {
+            "quantaloids": {
+                "Q": {
+                    "objects": ["X"],
+                    "homs": {"X>X": {"size": 2, "leq": [[0, 1]]}},
+                    "compose": {"X>X>X": 5},
+                    "id": {"X": 1},
+                }
+            }
+        },
+        {
+            "quantaloids": {"Q": "3"},
+            "semicategories": {"A": one_object_semicat(1)},
+            "semidistributors": {"Phi": {"dom": "A", "cod": "A", "mat": 7}},
+        },
+    ],
+    ids=["non-integer-hom-element", "scalar-compose-table", "scalar-mat"],
+)
+def test_cmd_validate_malformed_object_is_invalid(tmp_path, capsys, doc):
+    path = write_ws(tmp_path, doc)
+    assert main(["--json", "validate", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    bad = [v for v in report["objects"] if not v["valid"]]
+    assert len(bad) == 1
+    assert bad[0]["error"].startswith("ParseError") and bad[0]["witness"] is not None
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_rejected(tmp_path, capsys, cap):
+    path = write_ws(tmp_path, THREE_CHAIN_WS)
+    with pytest.raises(SystemExit) as exc:
+        main([f"--cap={cap}", "presheaves", path, "A"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"got {cap}" in captured.err
+
+
+def test_cli_error_shows_witness_on_stderr(tmp_path, capsys):
+    path = write_ws(tmp_path, THREE_CHAIN_WS)
+    assert main(["presheaves", path, "A", "--type", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ParseError: unknown type 'nope' (witness: 'nope')\n"
 
 
 def test_cmd_validate_unreadable_file(capsys):
