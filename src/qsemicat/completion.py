@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotIdempotent, NotRegular, SearchCapExceeded, TypeMismatch
+from .errors import ActionFailure, NotIdempotent, NotRegular, SearchCapExceeded, TypeMismatch
 from .lattice import validate_sup_lattice
 from .quantaloid import QArrow, Quantaloid, validate_quantaloid
 from .semicat import (
     SemiCategory,
     SemiDistributor,
+    _dense,
     _product,
     _sparse,
     identity_semidist,
@@ -235,6 +236,8 @@ def verify_rsdist_is_idm_matr(
     ida, idb = identity_semidist(A), identity_semidist(B)
 
     def fixed_matrices(dom, cod, id_dom, id_cod):
+        # "regular": a semidistributor by the entrywise action inequalities
+        # and regular; "compatible": fixed by the identity semidistributors
         total, gen = matrix_space(dom, cod)
         if total > cap:
             raise SearchCapExceeded(f"matrix space of size {total} exceeds cap {cap}")
@@ -243,24 +246,25 @@ def verify_rsdist_is_idm_matr(
             cand = SemiDistributor(dom, cod, mat)
             flat = tuple(mat.values())
             if is_regular_semidist(cand):
-                regular.append(mat)
+                try:
+                    regular.append(validate_semidistributor(dom, cod, mat))
+                except ActionFailure:
+                    pass
             if _product(cand, id_dom) == flat and _product(id_cod, cand) == flat:
                 compatible.append(mat)
         return regular, compatible
 
     regular_ab, compatible_ab = fixed_matrices(A, B, ida, idb)
-    if regular_ab != compatible_ab:
+    if [phi.mat for phi in regular_ab] != compatible_ab:
         return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "hom sets differ")
 
     # identities act as units, and composition with the reverse homs stays fixed
     regular_ba, _ = fixed_matrices(B, A, idb, ida)
-    for mat in regular_ab:
-        phi = validate_semidistributor(A, B, mat)
-        flat = tuple(mat.values())
+    for phi in regular_ab:
+        flat = _dense(phi)
         if _product(phi, ida) != flat or _product(idb, phi) != flat:
             return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "unit law fails")
-        for mat_ba in regular_ba:
-            psi = validate_semidistributor(B, A, mat_ba)
+        for psi in regular_ba:
             comp = SemiDistributor(A, A, _sparse(A, A, _product(psi, phi)))
             if not is_regular_semidist(comp):
                 return RsdistIdmReport(

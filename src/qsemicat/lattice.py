@@ -17,9 +17,12 @@ class SupLattice:
     Instances come from :func:`validate_sup_lattice` and are immutable.
     ``join`` and ``meet`` accept arbitrary iterables of element indices,
     including empty ones (yielding bottom and top respectively).
+    ``join_irreducibles`` lists, in increasing index order, the elements
+    that are not the join of the elements strictly below them; every
+    element is the join of the join-irreducibles below it.
     """
 
-    __slots__ = ("size", "leq", "bottom", "top", "_join2", "_meet2")
+    __slots__ = ("size", "leq", "bottom", "top", "join_irreducibles", "_join2", "_meet2")
 
     def __init__(self, size, leq, bottom, join2, meet2):
         self.size = size
@@ -31,6 +34,11 @@ class SupLattice:
         for x in range(size):
             top = join2[top][x]
         self.top = top
+        self.join_irreducibles = tuple(
+            x
+            for x in range(size)
+            if self.join(y for y in range(size) if y != x and leq[y][x]) != x
+        )
 
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]

@@ -237,15 +237,17 @@ class QCategoryView:
 
     Objects carry a tag, a type and a payload (e.g. a presheaf); homs are
     explicit arrows.  ``check`` verifies the category axioms exhaustively.
+    The view is treated as immutable: it is validated once, on first use.
     """
 
-    __slots__ = ("base", "objects", "hom_elems", "_index")
+    __slots__ = ("base", "objects", "hom_elems", "_index", "_semicat")
 
     def __init__(self, base, objects, hom_elems):
         self.base = base
         self.objects = tuple(objects)
         self.hom_elems = hom_elems
         self._index = {tag: (tag, t, p) for tag, t, p in self.objects}
+        self._semicat = None
 
     @property
     def tags(self):
@@ -267,9 +269,12 @@ class QCategoryView:
         return QArrow(self.type_of(tag0), self.type_of(tag1), self.hom_elems[(tag1, tag0)])
 
     def as_semicategory(self) -> SemiCategory:
-        return validate_semicategory(
-            self.base, [(tag, t) for tag, t, _ in self.objects], dict(self.hom_elems)
-        )
+        """The view as a validated semicategory, built on the first call and kept."""
+        if self._semicat is None:
+            self._semicat = validate_semicategory(
+                self.base, [(tag, t) for tag, t, _ in self.objects], dict(self.hom_elems)
+            )
+        return self._semicat
 
     def check(self):
         """Assert the full Q-category axioms; raises on violation."""

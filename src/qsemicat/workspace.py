@@ -43,6 +43,30 @@ def _need(doc, key, where):
     return doc[key]
 
 
+def _need_list(doc, key, where):
+    value = _need(doc, key, where)
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: {key!r} must be a list", witness=value)
+    return value
+
+
+def _need_dict(doc, key, where):
+    value = _need(doc, key, where)
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: {key!r} must be an object", witness=value)
+    return value
+
+
+def _pairs(doc, key, where):
+    """The ``[x, y]`` entries listed under ``key``."""
+    out = []
+    for pair in _need_list(doc, key, where):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{where}: bad {key} pair {pair!r}", witness=pair)
+        out.append(tuple(pair))
+    return out
+
+
 def _elem(value, where):
     try:
         return int(value)
@@ -72,9 +96,12 @@ def parse_lattice(spec, where="lattice"):
             raise ParseError(f"{where}: {exc}", witness=spec) from None
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: expected a name or an object", witness=spec)
-    size = _need(spec, "size", where)
-    leq = _need(spec, "leq", where)
-    return validate_sup_lattice(size, [tuple(p) for p in leq])
+    size = _elem(_need(spec, "size", where), where)
+    pairs = [(_elem(i, where), _elem(j, where)) for i, j in _pairs(spec, "leq", where)]
+    try:
+        return validate_sup_lattice(size, pairs)
+    except ValueError as exc:  # a negative size or an order pair out of range
+        raise ParseError(f"{where}: {exc}", witness=spec) from None
 
 
 def parse_quantaloid(spec, where="quantaloid") -> Quantaloid:
@@ -85,22 +112,22 @@ def parse_quantaloid(spec, where="quantaloid") -> Quantaloid:
             raise ParseError(f"{where}: {exc}", witness=spec) from None
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: expected a name or an object", witness=spec)
-    objects = [str(x) for x in _need(spec, "objects", where)]
+    objects = [str(x) for x in _need_list(spec, "objects", where)]
     homs = {}
-    for key, lat_spec in _need(spec, "homs", where).items():
+    for key, lat_spec in _need_dict(spec, "homs", where).items():
         parts = key.split(">")
         if len(parts) != 2:
             raise ParseError(f"{where}: bad hom key {key!r}", witness=key)
         homs[(parts[0], parts[1])] = parse_lattice(lat_spec, f"{where}.homs[{key}]")
     compose = {}
-    for key, table in _need(spec, "compose", where).items():
+    for key, table in _need_dict(spec, "compose", where).items():
         parts = key.split(">")
         if len(parts) != 3:
             raise ParseError(f"{where}: bad compose key {key!r}", witness=key)
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ParseError(f"{where}: compose table {key!r} must be a list of rows", witness=key)
         compose[(parts[0], parts[1], parts[2])] = [[_elem(v, where) for v in row] for row in table]
-    identities = {str(x): e for x, e in _need(spec, "id", where).items()}
+    identities = {str(x): _elem(e, where) for x, e in _need_dict(spec, "id", where).items()}
     from .quantaloid import validate_quantaloid
 
     return validate_quantaloid(objects, homs, compose, identities)
@@ -167,7 +194,7 @@ def plan_workspace(doc):
             where = f"semicategories.{name}"
             base = ws.quantaloid(str(_need(spec, "base", where)))
             objects = []
-            for entry in _need(spec, "objects", where):
+            for entry in _need_list(spec, "objects", where):
                 objects.append((str(_need(entry, "name", where)), str(_need(entry, "type", where))))
             for obj_name, obj_type in objects:
                 if obj_type not in base.objects:
@@ -192,15 +219,15 @@ def plan_workspace(doc):
             where = f"semifunctors.{name}"
             dom = ws.semicategory(str(_need(spec, "dom", where)))
             cod = ws.semicategory(str(_need(spec, "cod", where)))
-            mapping = {str(k): str(v) for k, v in _need(spec, "map", where).items()}
+            mapping = {str(k): str(v) for k, v in _need_dict(spec, "map", where).items()}
             ws.semifunctors[name] = validate_semifunctor(dom, cod, mapping)
         plan.append(("semifunctor", name, build_sf))
 
     for name, spec in _iter_entries(doc, "posets"):
         def build_p(ws, name=name, spec=spec):
             where = f"posets.{name}"
-            elements = [str(x) for x in _need(spec, "elements", where)]
-            pairs = [(str(x), str(y)) for x, y in _need(spec, "pairs", where)]
+            elements = [str(x) for x in _need_list(spec, "elements", where)]
+            pairs = [(str(x), str(y)) for x, y in _pairs(spec, "pairs", where)]
             ws.posets[name] = validate_poset(elements, pairs)
         plan.append(("poset", name, build_p))
 
@@ -208,7 +235,7 @@ def plan_workspace(doc):
         def build_o(ws, name=name, spec=spec):
             where = f"omega_sets.{name}"
             frame = from_frame(parse_lattice(_need(spec, "frame", where), f"{where}.frame"))
-            elements = [str(x) for x in _need(spec, "elements", where)]
+            elements = [str(x) for x in _need_list(spec, "elements", where)]
             eq = _triples(spec, "eq", where)
             ws.omega_sets[name] = validate_omega_set(frame, elements, eq)
         plan.append(("omega_set", name, build_o))

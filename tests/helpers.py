@@ -8,7 +8,10 @@ that every law is checked by two unrelated routes.
 import itertools
 
 from qsemicat import (
+    AssocFailure,
+    NotSupPreserving,
     QArrow,
+    UnitFailure,
     builtin_quantaloid,
     validate_quantaloid,
     validate_semicategory,
@@ -349,3 +352,72 @@ def all_posets(n):
         if refl and antisym:
             out.append(rows)
     return out
+
+
+def reference_quantaloid_axioms(objects, homs, tables, idents):
+    """The exhaustive unit, associativity and sup-preservation loops.
+
+    Walks every element triple in a fixed order and raises the first
+    failure with its witness, exactly as ``validate_quantaloid`` must; the
+    tables are assumed well-shaped and in range.
+    """
+    for x in objects:
+        for y in objects:
+            nf = homs[(x, y)].size
+            for f in range(nf):
+                if tables[(x, y, y)][idents[y]][f] != f:
+                    raise UnitFailure(
+                        f"id_{y!r} ∘ f != f for f={f} in hom({x!r},{y!r})",
+                        witness=QArrow(x, y, f),
+                    )
+                if tables[(x, x, y)][f][idents[x]] != f:
+                    raise UnitFailure(
+                        f"f ∘ id_{x!r} != f for f={f} in hom({x!r},{y!r})",
+                        witness=QArrow(x, y, f),
+                    )
+
+    for x in objects:
+        for y in objects:
+            for z in objects:
+                for w in objects:
+                    txy, tyz, tzw = homs[(x, y)], homs[(y, z)], homs[(z, w)]
+                    for f in range(txy.size):
+                        for g in range(tyz.size):
+                            gf = tables[(x, y, z)][g][f]
+                            for h in range(tzw.size):
+                                hg = tables[(y, z, w)][h][g]
+                                if tables[(x, z, w)][h][gf] != tables[(x, y, w)][hg][f]:
+                                    raise AssocFailure(
+                                        "h∘(g∘f) != (h∘g)∘f",
+                                        witness=(QArrow(z, w, h), QArrow(y, z, g), QArrow(x, y, f)),
+                                    )
+
+    for x in objects:
+        for y in objects:
+            for z in objects:
+                lxy, lyz, lxz = homs[(x, y)], homs[(y, z)], homs[(x, z)]
+                table = tables[(x, y, z)]
+                for g in range(lyz.size):
+                    if table[g][lxy.bottom] != lxz.bottom:
+                        raise NotSupPreserving(
+                            "g∘⊥ != ⊥", witness=(QArrow(y, z, g), "bottom-right")
+                        )
+                    for f1 in range(lxy.size):
+                        for f2 in range(lxy.size):
+                            if table[g][lxy.join2(f1, f2)] != lxz.join2(table[g][f1], table[g][f2]):
+                                raise NotSupPreserving(
+                                    "g∘(f1∨f2) != g∘f1 ∨ g∘f2",
+                                    witness=(QArrow(y, z, g), QArrow(x, y, f1), QArrow(x, y, f2)),
+                                )
+                for f in range(lxy.size):
+                    if table[lyz.bottom][f] != lxz.bottom:
+                        raise NotSupPreserving(
+                            "⊥∘f != ⊥", witness=(QArrow(x, y, f), "bottom-left")
+                        )
+                    for g1 in range(lyz.size):
+                        for g2 in range(lyz.size):
+                            if table[lyz.join2(g1, g2)][f] != lxz.join2(table[g1][f], table[g2][f]):
+                                raise NotSupPreserving(
+                                    "(g1∨g2)∘f != g1∘f ∨ g2∘f",
+                                    witness=(QArrow(y, z, g1), QArrow(y, z, g2), QArrow(x, y, f)),
+                                )

@@ -187,3 +187,34 @@ def test_verify_rsdist_requires_regular():
     )
     with pytest.raises(NotRegular):
         verify_rsdist_is_idm_matr(strict, strict)
+
+
+def test_verify_rsdist_reports_differing_routes(monkeypatch):
+    # the "regular" route fed a broken regularity test must disagree with
+    # the identity-fixed route instead of agreeing with itself
+    import qsemicat.completion as completion
+
+    monkeypatch.setattr(completion, "is_regular_semidist", lambda phi: True)
+    report = verify_rsdist_is_idm_matr(chain3_A(), chain3_A())
+    assert not report.ok
+    assert report.detail == "hom sets differ"
+    assert (report.regular_semidistributors, report.compatible_matrices) == (3, 2)
+
+
+def test_verify_rsdist_catches_a_kernel_that_fixes_everything(monkeypatch):
+    # a product kernel that treats the hom matrix as a unit makes every
+    # matrix read as regular and as fixed; only the entrywise action
+    # inequalities of the "regular" route can notice
+    import qsemicat.semicat as semicat
+
+    A = validate_semicategory(
+        Q3, [("a", "*"), ("b", "*")], {("a", "a"): 2, ("a", "b"): 1, ("b", "a"): 1, ("b", "b"): 2}
+    )
+    assert verify_rsdist_is_idm_matr(A, A).ok
+    monkeypatch.setattr(
+        semicat, "_mat_compose", lambda q, tr, tm, tc, L, R: L if R == A.dense else R
+    )
+    report = verify_rsdist_is_idm_matr(A, A)
+    assert not report.ok
+    assert report.detail == "hom sets differ"
+    assert report.compatible_matrices == 3 ** 4

@@ -328,3 +328,24 @@ def test_order_reflection():
                 for t in reg_presheaves
             )
             assert pointwise == leq_semidist(phi, psi)
+
+
+def test_view_is_validated_once(monkeypatch):
+    import qsemicat.presheaf as presheaf
+
+    view = build_PA(chain3_C())
+    assert len(view) > 1
+    calls = []
+    real = presheaf.validate_semicategory
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(presheaf, "validate_semicategory", counting)
+    for a in view.tags:
+        for b in view.tags:
+            assert are_isomorphic_objects(view, a, b) == (a == b)
+    skeleton(view)
+    view.check()
+    assert len(calls) == 1

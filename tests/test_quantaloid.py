@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,8 +7,10 @@ from qsemicat import (
     AssocFailure,
     NotAFrame,
     QArrow,
+    QsError,
     TypeMismatch,
     UnitFailure,
+    build_idm,
     builtin_quantaloid,
     chain,
     diamond_lattice,
@@ -21,6 +24,7 @@ from helpers import (
     min_table,
     oracle_extension,
     oracle_lifting,
+    reference_quantaloid_axioms,
     rel_quantaloid,
     two_object_quantaloid,
 )
@@ -229,3 +233,74 @@ def test_validate_rejects_missing_tables():
         validate_quantaloid(("X",), {("X", "X"): lat}, {}, {"X": 1})
     with pytest.raises(TypeMismatch):
         validate_quantaloid(("X",), {("X", "X"): lat}, {("X", "X", "X"): min_table(2)}, {})
+
+
+@pytest.mark.parametrize("name", ["2", "3", "4", "square", "diamond"])
+def test_join_irreducibles_match_definition(name):
+    # x is join-irreducible iff x is not bottom and x = a ∨ b forces x in {a, b}
+    lat = named_lattice(name)
+    n = lat.size
+    expected = tuple(
+        x
+        for x in range(n)
+        if x != lat.bottom
+        and all(x in (a, b) for a in range(n) for b in range(n) if lat.join2(a, b) == x)
+    )
+    assert lat.join_irreducibles == expected
+    for x in range(n):
+        assert lat.join(j for j in expected if lat.le(j, x)) == x
+
+
+def _single_entry_mutations(q, limit):
+    """Every (table key, g, f, new value) that changes one composition entry,
+    or a fixed-seed sample of ``limit`` of them."""
+    out = []
+    for key, table in q.compose_table.items():
+        size = q.hom[(key[0], key[2])].size
+        for g, row in enumerate(table):
+            for f, value in enumerate(row):
+                out.extend((key, g, f, new) for new in range(size) if new != value)
+    if limit is not None and len(out) > limit:
+        out = random.Random(0).sample(out, limit)
+    return out
+
+
+def _outcome(run):
+    try:
+        run()
+    except QsError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+MUTATION_CASES = {
+    "2": (lambda: builtin_quantaloid("2"), None),
+    "3": (lambda: builtin_quantaloid("3"), None),
+    "frame:4": (lambda: builtin_quantaloid("frame:4"), None),
+    "frame:square": (lambda: builtin_quantaloid("frame:square"), None),
+    "endomaps": (endomap_quantaloid, None),
+    "two_object": (two_object_quantaloid, None),
+    "relations": (rel_quantaloid, 300),
+    "idm:3": (lambda: build_idm(builtin_quantaloid("3")).quantaloid, None),
+    # every rejection here walks the 13-object completion exhaustively twice
+    "idm:relations": (lambda: build_idm(rel_quantaloid()).quantaloid, 20),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTATION_CASES))
+def test_validate_agrees_with_exhaustive_reference_on_mutated_tables(name):
+    build, limit = MUTATION_CASES[name]
+    q = build()
+    rejected = 0
+    for key, g, f, new in _single_entry_mutations(q, limit):
+        tables = dict(q.compose_table)
+        rows = [list(row) for row in tables[key]]
+        rows[g][f] = new
+        tables[key] = rows
+        got = _outcome(lambda: validate_quantaloid(q.objects, q.hom, tables, q.identity))
+        want = _outcome(
+            lambda: reference_quantaloid_axioms(q.objects, q.hom, tables, q.identity)
+        )
+        assert got == want, (key, g, f, new)
+        rejected += want is not None
+    assert rejected

@@ -124,6 +124,18 @@ def test_cmd_validate_exit_codes(tmp_path, capsys):
 ONE_OBJECT = [{"name": "*", "type": "*"}]
 
 
+def explicit_quantaloid(**change):
+    """The two-chain as a one-object explicit quantaloid, with fields replaced."""
+    spec = {
+        "objects": ["X"],
+        "homs": {"X>X": {"size": 2, "leq": [[0, 1]]}},
+        "compose": {"X>X>X": [[0, 0], [0, 1]]},
+        "id": {"X": 1},
+    }
+    spec.update(change)
+    return spec
+
+
 def one_object_semicat(elem):
     return {"base": "Q", "objects": ONE_OBJECT, "hom": [["*", "*", elem]]}
 
@@ -135,23 +147,41 @@ def one_object_semicat(elem):
             "quantaloids": {"Q": "3"},
             "semicategories": {"A": one_object_semicat("x")},
         },
-        {
-            "quantaloids": {
-                "Q": {
-                    "objects": ["X"],
-                    "homs": {"X>X": {"size": 2, "leq": [[0, 1]]}},
-                    "compose": {"X>X>X": 5},
-                    "id": {"X": 1},
-                }
-            }
-        },
+        {"quantaloids": {"Q": explicit_quantaloid(compose={"X>X>X": 5})}},
         {
             "quantaloids": {"Q": "3"},
             "semicategories": {"A": one_object_semicat(1)},
             "semidistributors": {"Phi": {"dom": "A", "cod": "A", "mat": 7}},
         },
+    ]
+    + [
+        {"quantaloids": {"Q": explicit_quantaloid(**change)}}
+        for change in (
+            {"homs": 3},
+            {"homs": {"X>X": {"size": -1, "leq": []}}},
+            {"homs": {"X>X": {"size": 2, "leq": [[0, 5]]}}},
+            {"id": {"X": [1]}},
+        )
+    ]
+    + [
+        {"posets": {"P": {"elements": ["0"], "pairs": [["0"]]}}},
+        {
+            "quantaloids": {"Q": "3"},
+            "semicategories": {"A": one_object_semicat(1)},
+            "semifunctors": {"F": {"dom": "A", "cod": "A", "map": 3}},
+        },
     ],
-    ids=["non-integer-hom-element", "scalar-compose-table", "scalar-mat"],
+    ids=[
+        "non-integer-hom-element",
+        "scalar-compose-table",
+        "scalar-mat",
+        "scalar-homs",
+        "negative-lattice-size",
+        "order-pair-out-of-range",
+        "list-identity",
+        "short-poset-pair",
+        "scalar-functor-map",
+    ],
 )
 def test_cmd_validate_malformed_object_is_invalid(tmp_path, capsys, doc):
     path = write_ws(tmp_path, doc)
