@@ -29,7 +29,12 @@ from .semicat import (
     SemiDistributor,
     _dense,
     _mat_compose,
-    enumerate_regular_semidists,
+    _mat_lift,
+    _regular_flats,
+    _sparse,
+    # unused here since the search scans lazily; kept because bench/ wraps it
+    # as a module-boundary name of this module
+    enumerate_regular_semidists,  # noqa: F401
     is_regular_semicat,
     is_regular_semidist,
     lifting_dist,
@@ -153,10 +158,15 @@ def categories_isomorphic(c: QCategoryView, d: QCategoryView, cap: int = DEFAULT
 
 
 def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP):
-    """Exhaustively look for regular (Φ, Ψ) with Ψ⊗Φ = A and Φ⊗Ψ = B.
+    """Look for regular (Φ, Ψ) with Ψ⊗Φ = A and Φ⊗Ψ = B.
 
-    Matrices are enumerated lexicographically by entry; the first witness
-    pair is returned, or None when the finite space holds none.
+    Scans the regular Φ: A -/-> B lazily, in lexicographic entry order.  An
+    isomorphism of the regular calculus has exactly one inverse, its regular
+    right adjoint A⊗[Φ,B]⊗B, so each Φ is tested against that one Ψ and
+    nothing is enumerated over B -/-> A.  The first witness pair is returned
+    (the same pair an exhaustive search over both matrix spaces finds first),
+    or None when the finite space holds none.  ``cap`` bounds the sizes of
+    both matrix spaces before the scan starts.
     """
     _check_regular_pair(A, B)
     n_ab, _ = matrix_space(A, B)
@@ -166,17 +176,19 @@ def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAU
             f"matrix spaces of sizes {n_ab} and {n_ba} exceed cap {cap}",
             witness=(n_ab, n_ba),
         )
-    phis = enumerate_regular_semidists(A, B, cap)
-    psis = [(psi, _dense(psi)) for psi in enumerate_regular_semidists(B, A, cap)]
     q, ta, tb = A.base, A.types, B.types
-    for phi in phis:
-        fphi = _dense(phi)
-        for psi, fpsi in psis:
-            if (
-                _mat_compose(q, ta, tb, ta, fpsi, fphi) == A.dense
-                and _mat_compose(q, tb, ta, tb, fphi, fpsi) == B.dense
-            ):
-                return phi, psi
+    for phi in _regular_flats(A, B):
+        # the one candidate inverse: the regular right adjoint A⊗[Φ,B]⊗B
+        core = _mat_compose(q, ta, tb, tb, _mat_lift(q, ta, tb, tb, phi, B.dense), B.dense)
+        psi = _mat_compose(q, ta, ta, tb, A.dense, core)
+        if (
+            _mat_compose(q, ta, tb, ta, psi, phi) == A.dense
+            and _mat_compose(q, tb, ta, tb, phi, psi) == B.dense
+        ):
+            return (
+                validate_semidistributor(A, B, _sparse(B, A, phi)),
+                validate_semidistributor(B, A, _sparse(A, B, psi)),
+            )
     return None
 
 

@@ -448,7 +448,11 @@ def is_regular_semidist(phi: SemiDistributor) -> bool:
     Works on raw matrices too: the two equalities force the action
     inequalities, so enumeration code may filter unvalidated candidates.
     """
-    A, B, flat = phi.dom, phi.cod, _dense(phi)
+    return _is_regular_flat(phi.dom, phi.cod, _dense(phi))
+
+
+def _is_regular_flat(A: SemiCategory, B: SemiCategory, flat) -> bool:
+    """Φ⊗A = Φ = B⊗Φ for a flat row-major matrix Φ: A -/-> B."""
     q, ta, tb = A.base, A.types, B.types
     return (
         _mat_compose(q, tb, ta, ta, flat, A.dense) == flat
@@ -553,6 +557,12 @@ def right_adjoint(phi: SemiDistributor):
 # -- enumeration helpers -----------------------------------------------------
 
 
+def _entry_sizes(dom: SemiCategory, cod: SemiCategory) -> list:
+    """The hom-lattice size of every entry of a matrix dom -/-> cod, row-major."""
+    q = dom.base
+    return [q.hom_lat(ta, tb).size for tb in cod.types for ta in dom.types]
+
+
 def matrix_space(dom: SemiCategory, cod: SemiCategory):
     """The matrices dom -/-> cod in lexicographic entry order, with their count.
 
@@ -560,8 +570,7 @@ def matrix_space(dom: SemiCategory, cod: SemiCategory):
     consuming the generator.
     """
     _require_same_base(dom, cod, "matrix endpoints")
-    q = dom.base
-    sizes = [q.hom_lat(ta, tb).size for tb in cod.types for ta in dom.types]
+    sizes = _entry_sizes(dom, cod)
 
     def gen():
         for flat in itertools.product(*map(range, sizes)):
@@ -570,15 +579,25 @@ def matrix_space(dom: SemiCategory, cod: SemiCategory):
     return math.prod(sizes), gen()
 
 
+def _regular_flats(dom: SemiCategory, cod: SemiCategory):
+    """Lazily yield the regular matrices dom -/-> cod as flat row-major tuples.
+
+    Scans the matrix space in the lexicographic order of :func:`matrix_space`
+    and keeps Φ with Φ⊗A = Φ and B⊗Φ = Φ; callers enforce their own caps.
+    """
+    for flat in itertools.product(*map(range, _entry_sizes(dom, cod))):
+        if _is_regular_flat(dom, cod, flat):
+            yield flat
+
+
 def enumerate_regular_semidists(dom: SemiCategory, cod: SemiCategory, cap: int):
     """All regular semidistributors dom -/-> cod, lexicographically ordered."""
-    total, gen = matrix_space(dom, cod)
+    total, _ = matrix_space(dom, cod)
     if total > cap:
         raise SearchCapExceeded(
             f"matrix space of size {total} exceeds cap {cap}", witness=total
         )
     return [
-        validate_semidistributor(dom, cod, mat)
-        for mat in gen
-        if is_regular_semidist(SemiDistributor(dom, cod, mat))
+        validate_semidistributor(dom, cod, _sparse(cod, dom, flat))
+        for flat in _regular_flats(dom, cod)
     ]

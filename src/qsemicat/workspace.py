@@ -68,10 +68,10 @@ def _pairs(doc, key, where):
 
 
 def _elem(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: element {value!r} is not an integer", witness=value) from None
+    """A JSON integer; floats, strings and booleans are refused, not converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where}: element {value!r} is not an integer", witness=value)
+    return value
 
 
 def _triples(spec, key, where):

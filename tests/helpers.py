@@ -11,13 +11,19 @@ from qsemicat import (
     AssocFailure,
     NotSupPreserving,
     QArrow,
+    SearchCapExceeded,
     UnitFailure,
     builtin_quantaloid,
+    enumerate_regular_semidists,
+    matrix_space,
     validate_quantaloid,
     validate_semicategory,
     validate_sup_lattice,
 )
 from qsemicat.lattice import chain
+from qsemicat.morita import _check_regular_pair
+from qsemicat.presheaf import DEFAULT_CAP
+from qsemicat.semicat import _dense, _mat_compose
 
 NAMES = ("a", "b", "c", "d", "e")
 
@@ -421,3 +427,31 @@ def reference_quantaloid_axioms(objects, homs, tables, idents):
                                     "(g1∨g2)∘f != g1∘f ∨ g2∘f",
                                     witness=(QArrow(y, z, g1), QArrow(y, z, g2), QArrow(x, y, f)),
                                 )
+
+
+def reference_rsdist_isomorphism_search(A, B, cap=DEFAULT_CAP):
+    """The exhaustive certificate search: every regular Φ against every regular Ψ.
+
+    Enumerates both A -/-> B and B -/-> A lexicographically and returns the
+    first pair with Ψ⊗Φ = A and Φ⊗Ψ = B, or None.
+    """
+    _check_regular_pair(A, B)
+    n_ab, _ = matrix_space(A, B)
+    n_ba, _ = matrix_space(B, A)
+    if n_ab > cap or n_ba > cap:
+        raise SearchCapExceeded(
+            f"matrix spaces of sizes {n_ab} and {n_ba} exceed cap {cap}",
+            witness=(n_ab, n_ba),
+        )
+    phis = enumerate_regular_semidists(A, B, cap)
+    psis = [(psi, _dense(psi)) for psi in enumerate_regular_semidists(B, A, cap)]
+    q, ta, tb = A.base, A.types, B.types
+    for phi in phis:
+        fphi = _dense(phi)
+        for psi, fpsi in psis:
+            if (
+                _mat_compose(q, ta, tb, ta, fpsi, fphi) == A.dense
+                and _mat_compose(q, tb, ta, tb, fphi, fpsi) == B.dense
+            ):
+                return phi, psi
+    return None

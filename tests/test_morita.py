@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qsemicat import (
@@ -11,12 +13,15 @@ from qsemicat import (
     categories_isomorphic,
     distributor_from_cocont,
     enumerate_presheaves,
+    enumerate_regular_semidists,
     graph_semidists,
     identity_semidist,
     induced_functor,
     is_regular_presheaf,
+    is_regular_semidist,
     leq_semidist,
     lifting_rsdist,
+    matrix_space,
     morita_equivalent,
     presheaf_hom,
     rsdist_isomorphism_search,
@@ -26,7 +31,14 @@ from qsemicat import (
     validate_semifunctor,
 )
 from qsemicat.presheaf import CO
-from helpers import chain3_A, chain3_C
+from qsemicat.semicat import SemiDistributor
+from helpers import (
+    chain3_A,
+    chain3_C,
+    reference_rsdist_isomorphism_search,
+    regular_semicats,
+    semicat_from_rows,
+)
 
 Q3 = builtin_quantaloid("3")
 
@@ -203,6 +215,63 @@ def test_rsdist_search_cap():
     A = chain3_A()
     with pytest.raises(SearchCapExceeded):
         rsdist_isomorphism_search(A, A, cap=1)
+
+
+# Hom rows of three-object regular semicategories over 3 whose certificate
+# search tries few pairs (|Φ|·|Ψ| from 9 to 400); the last two are isomorphic.
+THREE_OBJECT_PAIRS = (
+    (((0, 0, 0), (0, 1, 0), (1, 1, 1)), ((2, 1, 1), (0, 0, 0), (1, 2, 2))),
+    (((2, 0, 2), (0, 1, 0), (2, 0, 2)), ((0, 0, 0), (1, 2, 0), (1, 1, 0))),
+    (((1, 1, 1), (1, 1, 1), (2, 2, 2)), ((2, 0, 0), (2, 2, 0), (2, 1, 2))),
+    (((2, 0, 0), (2, 0, 0), (2, 1, 2)), ((2, 1, 2), (0, 0, 0), (0, 0, 2))),
+    (((1, 2, 0), (1, 2, 0), (1, 2, 2)), ((1, 1, 1), (0, 2, 0), (2, 2, 2))),
+)
+
+
+@pytest.fixture(scope="module")
+def certificate_families():
+    """Pairs of regular semicategories, by family.
+
+    Every pair with at most two objects over 2 (169), a fixed-seed sample of
+    300 of the 2,401 such pairs over 3, and the three-object pairs above.
+    """
+    two = regular_semicats("2", 2)
+    three = regular_semicats("3", 2)
+    return {
+        "2": [(A, B) for A in two for B in two],
+        "3": random.Random(4).sample([(A, B) for A in three for B in three], 300),
+        "3obj": [
+            (semicat_from_rows(Q3, a), semicat_from_rows(Q3, b)) for a, b in THREE_OBJECT_PAIRS
+        ],
+    }
+
+
+def test_rsdist_search_matches_exhaustive_reference(certificate_families):
+    # the adjoint route must return the very pair the Φ×Ψ double loop finds first
+    isomorphisms = {}
+    for family, pairs in certificate_families.items():
+        isomorphisms[family] = 0
+        for A, B in pairs:
+            found = rsdist_isomorphism_search(A, B)
+            assert found == reference_rsdist_isomorphism_search(A, B), (family, A.hom, B.hom)
+            isomorphisms[family] += found is not None
+        assert 0 < isomorphisms[family] < len(pairs), family
+    assert isomorphisms["3obj"] == 2
+
+
+def test_enumerate_regular_semidists_matches_matrix_space_filter(certificate_families):
+    # both directions of every two-object pair; A -/-> B only for the
+    # three-object pairs, whose spaces of 19,683 matrices each take 0.5 s
+    for family, pairs in certificate_families.items():
+        for A, B in pairs:
+            for dom, cod in ((A, B),) if family == "3obj" else ((A, B), (B, A)):
+                _, space = matrix_space(dom, cod)
+                expected = [
+                    SemiDistributor(dom, cod, mat)
+                    for mat in space
+                    if is_regular_semidist(SemiDistributor(dom, cod, mat))
+                ]
+                assert enumerate_regular_semidists(dom, cod, cap=10**5) == expected
 
 
 def test_morita_survives_capped_certificate_search():

@@ -164,6 +164,13 @@ def one_object_semicat(elem):
         )
     ]
     + [
+        {
+            "quantaloids": {"Q": "3"},
+            "semicategories": {"A": one_object_semicat(elem), "B": one_object_semicat(1)},
+        }
+        for elem in (1.7, "2", True)
+    ]
+    + [
         {"posets": {"P": {"elements": ["0"], "pairs": [["0"]]}}},
         {
             "quantaloids": {"Q": "3"},
@@ -179,6 +186,9 @@ def one_object_semicat(elem):
         "negative-lattice-size",
         "order-pair-out-of-range",
         "list-identity",
+        "float-hom-element",
+        "string-hom-element",
+        "boolean-hom-element",
         "short-poset-pair",
         "scalar-functor-map",
     ],
