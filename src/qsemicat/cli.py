@@ -50,7 +50,7 @@ def _emit(report, as_json, render):
 
 def cmd_validate(args) -> int:
     doc = load_path(args.workspace)
-    _, verdicts = validate_report(doc)
+    _, verdicts = validate_report(doc, args.cap)
     report = {
         "schema": 1,
         "objects": verdicts,
@@ -76,7 +76,7 @@ _CLASS_FILTERS = {
 
 def cmd_presheaves(args) -> int:
     doc = load_path(args.workspace)
-    ws = load_workspace(doc)
+    ws = load_workspace(doc, args.cap)
     A = ws.semicategory(args.name)
     variance = CONTRA if args.variance == "contra" else CO
     keep = _CLASS_FILTERS[args.cls]
@@ -147,7 +147,7 @@ def _reconstruct(A, entry, variance):
 
 def cmd_morita(args) -> int:
     doc = load_path(args.workspace)
-    ws = load_workspace(doc)
+    ws = load_workspace(doc, args.cap)
     A = ws.semicategory(args.first)
     B = ws.semicategory(args.second)
     result = morita_equivalent(A, B, args.cap)
@@ -167,7 +167,7 @@ def cmd_completion(args) -> int:
     if args.sub == "idm":
         if args.workspace:
             doc = load_path(args.workspace)
-            ws = load_workspace(doc)
+            ws = load_workspace(doc, args.cap)
             q = ws.quantaloid(args.name)
         else:
             q = parse_quantaloid(args.name)
@@ -195,7 +195,7 @@ def cmd_completion(args) -> int:
         return EXIT_OK
 
     doc = load_path(args.workspace)
-    ws = load_workspace(doc)
+    ws = load_workspace(doc, args.cap)
     A = ws.semicategory(args.first)
     B = ws.semicategory(args.second)
     outcome = verify_rsdist_is_idm_matr(A, B, args.cap)

@@ -100,11 +100,11 @@ def build_idm(q: Quantaloid) -> IdmQuantaloid:
         for f in objs:
             tf = _idm_tag(f)
             lat = q.hom_lat(e.dom, f.dom)
+            # b∘e is column e.elem of the precomposition table, f∘b row f.elem
+            after_e = q.compose_table[(e.dom, e.dom, f.dom)]
+            f_after = q.compose_table[(e.dom, f.dom, f.dom)][f.elem]
             fixed = tuple(
-                b
-                for b in range(lat.size)
-                if q.compose_elems(e.dom, e.dom, f.dom, b, e.elem) == b
-                and q.compose_elems(e.dom, f.dom, f.dom, f.elem, b) == b
+                b for b in range(lat.size) if after_e[b][e.elem] == b and f_after[b] == b
             )
             hom_elements[(te, tf)] = fixed
             pos[(te, tf)] = {b: i for i, b in enumerate(fixed)}
@@ -116,23 +116,21 @@ def build_idm(q: Quantaloid) -> IdmQuantaloid:
             ]
             homs[(te, tf)] = validate_sup_lattice(len(fixed), pairs)
 
+    # each table maps whole base rows through the fixed-element positions
     compose = {}
     for e in objs:
         te = _idm_tag(e)
         for f in objs:
             tf = _idm_tag(f)
+            fixed_ef = hom_elements[(te, tf)]
             for g in objs:
                 tg = _idm_tag(g)
-                table = [
-                    [
-                        pos[(te, tg)][
-                            q.compose_elems(e.dom, f.dom, g.dom, cb, bb)
-                        ]
-                        for bb in hom_elements[(te, tf)]
-                    ]
-                    for cb in hom_elements[(tf, tg)]
-                ]
-                compose[(te, tf, tg)] = table
+                base = q.compose_table[(e.dom, f.dom, g.dom)]
+                to_pos = pos[(te, tg)].__getitem__
+                compose[(te, tf, tg)] = tuple(
+                    tuple(map(to_pos, map(base[c].__getitem__, fixed_ef)))
+                    for c in hom_elements[(tf, tg)]
+                )
 
     identities = {_idm_tag(e): pos[(_idm_tag(e), _idm_tag(e))][e.elem] for e in objs}
     quant = validate_quantaloid(tags, homs, compose, identities)

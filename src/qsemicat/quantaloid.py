@@ -10,6 +10,7 @@ the dual quantaloid.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import eq
 from typing import NamedTuple
 
@@ -226,11 +227,12 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
                     raise TypeMismatch(f"missing composition table {key}", witness=key)
                 nf, ng, nr = homs[(x, y)].size, homs[(y, z)].size, homs[(x, z)].size
                 raw = compose[key]
-                if len(raw) != ng or any(len(row) != nf for row in raw):
+                # whole rows at a time; every hom has at least its bottom, so no row is empty
+                if len(raw) != ng or any(map(nf.__ne__, map(len, raw))):
                     raise TypeMismatch(f"composition table {key} has wrong shape", witness=key)
-                if any(not 0 <= v < nr for row in raw for v in row):
+                if min(map(min, raw)) < 0 or max(map(max, raw)) >= nr:
                     raise TypeMismatch(f"composition table {key} has out-of-range entries", witness=key)
-                tables[key] = tuple(tuple(row) for row in raw)
+                tables[key] = tuple(map(tuple, raw))
 
     idents = {}
     for x in objects:
@@ -266,15 +268,29 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
 def _preserves_joins(table, lxy, lyz, lxz) -> bool:
     """True iff ``table[g][f]`` preserves bottom and binary joins in f and in g.
 
-    Whole rows and columns are compared against the join tables, so every
-    pair of elements is checked without a Python-level step per pair.
+    Each line, a row g∘- or a column -∘f, is compared against the join
+    tables a whole line at a time, and only at join-irreducible arguments:
+
+    * A line that sends ⊥ to ⊥ and satisfies line(j∨b) = line(j)∨line(b)
+      for every join-irreducible j and every b preserves all binary joins.
+      Write a = j₁∨…∨jₖ (k = 0 for a = ⊥); by induction on k,
+      line(a∨b) = line(j₁)∨…∨line(jₖ)∨line(b), and the case b = ⊥ with
+      line(⊥) = ⊥ gives line(a) = line(j₁)∨…∨line(jₖ).
+    * Once every column -∘f preserves ⊥ and binary joins, only the rows
+      g∘- of join-irreducible g need checking.  Write g = ∨gᵢ over the
+      join-irreducibles below it; column additivity gives g∘f = ∨(gᵢ∘f) for
+      every f, so g∘- is the pointwise join of the gᵢ∘- (constantly ⊥ for
+      g = ⊥) and inherits ⊥ and join preservation from them.
+
+    So the answer is exactly that of checking every row, every column and
+    every pair of elements.
     """
     bottom, join = lxz.bottom, lxz._join2
-    for lat, lines in ((lxy, table), (lyz, zip(*table))):
-        # each line is g∘- (a row) or -∘f (a column), indexed by its argument;
-        # once it sends bottom to bottom, joins with bottom hold trivially
+    columns = zip(*table)
+    rows = map(table.__getitem__, lyz.join_irreducibles)
+    for lat, lines in ((lyz, columns), (lxy, rows)):
         lat_bottom = lat.bottom
-        joins = [(a, row) for a, row in enumerate(lat._join2) if a != lat_bottom]
+        joins = [(a, lat._join2[a]) for a in lat.join_irreducibles]
         for line in lines:
             if line[lat_bottom] != bottom:
                 return False
@@ -290,12 +306,19 @@ def _axioms_hold(objects, homs, tables) -> bool:
     """Decide sup-preservation and associativity without naming a witness.
 
     Composition is first checked to preserve bottom and binary joins in each
-    argument, exhaustively.  Then it preserves all finite joins, and since
-    every element is the join of the join-irreducibles below it, h∘(g∘f) =
-    (h∘g)∘f needs checking only for join-irreducible h and g, with f running
-    over a whole row; a hom without join-irreducibles (a one-element
-    lattice) takes no part.  The answer is exactly that of
-    :func:`_check_axioms_exhaustively`.
+    argument (:func:`_preserves_joins`).  Then it preserves all finite
+    joins, and since every element is the join of the join-irreducibles
+    below it, h∘(g∘f) = (h∘g)∘f needs checking only for join-irreducible h
+    and g: for h = ∨hᵢ and g = ∨gⱼ both sides are ∨ᵢⱼ of the composites of
+    hᵢ and gⱼ with f, and both are ⊥ for an empty join.
+
+    f runs over every element of every hom(x, y) at once.  For objects y, z
+    and g in hom(y, z), the precomposition map f ↦ g∘f is one flat tuple on
+    the disjoint union ⊔ₓ hom(x, y), hom(x, y) starting at offset (x, y), whose
+    values are positions in ⊔ₓ hom(x, z).  Then h∘(g∘f) is the flat map of h
+    applied to that of g, and (h∘g)∘f the flat map of h∘g, both read in
+    ⊔ₓ hom(x, w).  The flat maps are built when first needed.  The answer is
+    exactly that of :func:`_check_axioms_exhaustively`.
     """
     for x in objects:
         for y in objects:
@@ -303,27 +326,40 @@ def _axioms_hold(objects, homs, tables) -> bool:
             for z in objects:
                 if not _preserves_joins(tables[(x, y, z)], lxy, homs[(y, z)], homs[(x, z)]):
                     return False
+
+    offset = {}
+    for y in objects:
+        start = 0
+        for x in objects:
+            offset[(x, y)] = start
+            start += homs[(x, y)].size
+    flat = {}
+
+    def after(y, z, g):
+        key = (y, z, g)
+        line = flat.get(key)
+        if line is None:
+            line = flat[key] = tuple(
+                chain.from_iterable(
+                    map(offset[(x, z)].__add__, tables[(x, y, z)][g]) for x in objects
+                )
+            )
+        return line
+
     irr = {key: lat.join_irreducibles for key, lat in homs.items()}
-    for x in objects:
-        for y in objects:
-            if not irr[(x, y)]:
+    for y in objects:
+        for z in objects:
+            gs = irr[(y, z)]
+            if not gs:
                 continue
-            for z in objects:
-                gs = irr[(y, z)]
-                if not gs:
-                    continue
-                txyz = tables[(x, y, z)]
-                for w in objects:
-                    hs = irr[(z, w)]
-                    if not hs:
-                        continue
-                    txzw, tyzw, txyw = tables[(x, z, w)], tables[(y, z, w)], tables[(x, y, w)]
-                    for h in hs:
-                        h_after, h_row = txzw[h].__getitem__, tyzw[h]
-                        for g in gs:
-                            # h∘(g∘f) == (h∘g)∘f along the whole row of f
-                            if not all(map(eq, map(h_after, txyz[g]), txyw[h_row[g]])):
-                                return False
+            for w in objects:
+                tyzw = tables[(y, z, w)]
+                for h in irr[(z, w)]:
+                    h_after, h_row = after(z, w, h).__getitem__, tyzw[h]
+                    for g in gs:
+                        # h∘(g∘f) == (h∘g)∘f for every f into y
+                        if not all(map(eq, map(h_after, after(y, z, g)), after(y, w, h_row[g]))):
+                            return False
     return True
 
 

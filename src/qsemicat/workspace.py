@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError, QsError
+from .errors import EnumerationCapExceeded, ParseError, QsError
 from .instances import validate_omega_set, validate_poset
 from .lattice import named_lattice, validate_sup_lattice
+from .presheaf import DEFAULT_CAP
 from .quantaloid import Quantaloid, builtin_quantaloid, from_frame
 from .semicat import (
     validate_semicategory,
@@ -88,7 +89,12 @@ def _triples(spec, key, where):
     return out
 
 
-def parse_lattice(spec, where="lattice"):
+def parse_lattice(spec, where="lattice", cap=DEFAULT_CAP):
+    """A built-in lattice name or ``{"size": n, "leq": [[i, j], ...]}``.
+
+    Validating an explicit lattice builds tables in O(n³) steps, so n³ is
+    held against ``cap`` before any of them is built.
+    """
     if isinstance(spec, str):
         try:
             return named_lattice(spec)
@@ -97,6 +103,11 @@ def parse_lattice(spec, where="lattice"):
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: expected a name or an object", witness=spec)
     size = _elem(_need(spec, "size", where), where)
+    if size**3 > cap:
+        raise EnumerationCapExceeded(
+            f"{where}: lattice of size {size} needs {size**3} steps, over cap {cap}",
+            witness=size,
+        )
     pairs = [(_elem(i, where), _elem(j, where)) for i, j in _pairs(spec, "leq", where)]
     try:
         return validate_sup_lattice(size, pairs)
@@ -104,7 +115,7 @@ def parse_lattice(spec, where="lattice"):
         raise ParseError(f"{where}: {exc}", witness=spec) from None
 
 
-def parse_quantaloid(spec, where="quantaloid") -> Quantaloid:
+def parse_quantaloid(spec, where="quantaloid", cap=DEFAULT_CAP) -> Quantaloid:
     if isinstance(spec, str):
         try:
             return builtin_quantaloid(spec)
@@ -118,7 +129,7 @@ def parse_quantaloid(spec, where="quantaloid") -> Quantaloid:
         parts = key.split(">")
         if len(parts) != 2:
             raise ParseError(f"{where}: bad hom key {key!r}", witness=key)
-        homs[(parts[0], parts[1])] = parse_lattice(lat_spec, f"{where}.homs[{key}]")
+        homs[(parts[0], parts[1])] = parse_lattice(lat_spec, f"{where}.homs[{key}]", cap)
     compose = {}
     for key, table in _need_dict(spec, "compose", where).items():
         parts = key.split(">")
@@ -165,20 +176,21 @@ def _iter_entries(doc, section):
     return entries.items()
 
 
-def load_workspace(doc) -> Workspace:
+def load_workspace(doc, cap=DEFAULT_CAP) -> Workspace:
     """Validate a whole document; raises on the first invalid object."""
     ws = Workspace()
-    for kind, name, build in plan_workspace(doc):
+    for kind, name, build in plan_workspace(doc, cap):
         build(ws)
     return ws
 
 
-def plan_workspace(doc):
+def plan_workspace(doc, cap=DEFAULT_CAP):
     """The validation plan: (kind, name, build) triples in dependency order.
 
     ``build`` validates one object and stores it into the workspace it is
     given; callers wanting per-object verdicts run the plan themselves and
-    catch the errors.
+    catch the errors.  ``cap`` bounds the size of each explicit lattice
+    (see :func:`parse_lattice`).
     """
     if not isinstance(doc, dict):
         raise ParseError("workspace document must be an object", witness=type(doc).__name__)
@@ -186,7 +198,7 @@ def plan_workspace(doc):
 
     for name, spec in _iter_entries(doc, "quantaloids"):
         def build_q(ws, name=name, spec=spec):
-            ws.quantaloids[name] = parse_quantaloid(spec, f"quantaloids.{name}")
+            ws.quantaloids[name] = parse_quantaloid(spec, f"quantaloids.{name}", cap)
         plan.append(("quantaloid", name, build_q))
 
     for name, spec in _iter_entries(doc, "semicategories"):
@@ -234,7 +246,7 @@ def plan_workspace(doc):
     for name, spec in _iter_entries(doc, "omega_sets"):
         def build_o(ws, name=name, spec=spec):
             where = f"omega_sets.{name}"
-            frame = from_frame(parse_lattice(_need(spec, "frame", where), f"{where}.frame"))
+            frame = from_frame(parse_lattice(_need(spec, "frame", where), f"{where}.frame", cap))
             elements = [str(x) for x in _need_list(spec, "elements", where)]
             eq = _triples(spec, "eq", where)
             ws.omega_sets[name] = validate_omega_set(frame, elements, eq)
@@ -243,14 +255,14 @@ def plan_workspace(doc):
     return plan
 
 
-def validate_report(doc):
+def validate_report(doc, cap=DEFAULT_CAP):
     """Run the plan leniently, returning one verdict per object.
 
     Objects whose dependencies failed report the dependency error.
     """
     ws = Workspace()
     verdicts = []
-    for kind, name, build in plan_workspace(doc):
+    for kind, name, build in plan_workspace(doc, cap):
         try:
             build(ws)
             verdicts.append(

@@ -15,6 +15,7 @@ from qsemicat import (
     UnitFailure,
     builtin_quantaloid,
     enumerate_regular_semidists,
+    idempotents,
     matrix_space,
     validate_quantaloid,
     validate_semicategory,
@@ -427,6 +428,62 @@ def reference_quantaloid_axioms(objects, homs, tables, idents):
                                     "(g1∨g2)∘f != g1∘f ∨ g2∘f",
                                     witness=(QArrow(y, z, g1), QArrow(y, z, g2), QArrow(x, y, f)),
                                 )
+
+
+def reference_preserves_joins(table, lxy, lyz, lxz):
+    """True iff ``table[g][f]`` preserves bottom and binary joins in f and in g,
+    checked on every row, every column and every pair of elements."""
+    for g in range(lyz.size):
+        if table[g][lxy.bottom] != lxz.bottom:
+            return False
+        for f1 in range(lxy.size):
+            for f2 in range(lxy.size):
+                if table[g][lxy.join2(f1, f2)] != lxz.join2(table[g][f1], table[g][f2]):
+                    return False
+    for f in range(lxy.size):
+        if table[lyz.bottom][f] != lxz.bottom:
+            return False
+        for g1 in range(lyz.size):
+            for g2 in range(lyz.size):
+                if table[lyz.join2(g1, g2)][f] != lxz.join2(table[g1][f], table[g2][f]):
+                    return False
+    return True
+
+
+def reference_idm_tables(q):
+    """The idempotent completion's tables, built one entry at a time.
+
+    Returns ``(hom_elements, compose, identities)`` keyed by idempotent tags,
+    each composite found by one ``compose_elems`` call and one position
+    lookup, as a reference for ``build_idm``.
+    """
+    objs = idempotents(q)
+    tag = "{0.dom}|{0.elem}".format
+    hom_elements, pos = {}, {}
+    for e in objs:
+        for f in objs:
+            fixed = tuple(
+                b
+                for b in range(q.hom_lat(e.dom, f.dom).size)
+                if q.compose_elems(e.dom, e.dom, f.dom, b, e.elem) == b
+                and q.compose_elems(e.dom, f.dom, f.dom, f.elem, b) == b
+            )
+            hom_elements[(tag(e), tag(f))] = fixed
+            pos[(tag(e), tag(f))] = {b: i for i, b in enumerate(fixed)}
+    compose = {}
+    for e in objs:
+        for f in objs:
+            for g in objs:
+                te, tf, tg = tag(e), tag(f), tag(g)
+                compose[(te, tf, tg)] = [
+                    [
+                        pos[(te, tg)][q.compose_elems(e.dom, f.dom, g.dom, cb, bb)]
+                        for bb in hom_elements[(te, tf)]
+                    ]
+                    for cb in hom_elements[(tf, tg)]
+                ]
+    identities = {tag(e): pos[(tag(e), tag(e))][e.elem] for e in objs}
+    return hom_elements, compose, identities
 
 
 def reference_rsdist_isomorphism_search(A, B, cap=DEFAULT_CAP):

@@ -15,7 +15,14 @@ from qsemicat import (
     validate_semicategory,
     verify_rsdist_is_idm_matr,
 )
-from helpers import chain3_A, chain3_C
+from helpers import (
+    chain3_A,
+    chain3_C,
+    endomap_quantaloid,
+    reference_idm_tables,
+    rel_quantaloid,
+    two_object_quantaloid,
+)
 
 Q3 = builtin_quantaloid("3")
 Q2 = builtin_quantaloid("2")
@@ -44,6 +51,27 @@ def test_build_idm_three_chain():
     assert idm.hom_elements[("*|0", "*|0")] == (0,)
     # the reindexed structure passes the full quantaloid validation
     assert idm.quantaloid.identity["*|1"] == 1
+
+
+IDM_BASES = {
+    "2": lambda: builtin_quantaloid("2"),
+    "3": lambda: builtin_quantaloid("3"),
+    "frame:4": lambda: builtin_quantaloid("frame:4"),
+    "frame:square": lambda: builtin_quantaloid("frame:square"),
+    "endomaps": endomap_quantaloid,
+    "two_object": two_object_quantaloid,
+    "relations": rel_quantaloid,
+}
+
+
+@pytest.mark.parametrize("name", list(IDM_BASES))
+def test_build_idm_tables_match_entrywise_reference(name):
+    q = IDM_BASES[name]()
+    idm = build_idm(q)
+    hom_elements, compose, identities = reference_idm_tables(q)
+    assert idm.hom_elements == hom_elements
+    assert {key: [list(row) for row in t] for key, t in idm.quantaloid.compose_table.items()} == compose
+    assert idm.quantaloid.identity == identities
 
 
 def test_idm_embedding_is_full():

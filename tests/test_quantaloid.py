@@ -19,11 +19,13 @@ from qsemicat import (
     named_lattice,
     validate_quantaloid,
 )
+from qsemicat.quantaloid import _axioms_hold, _check_axioms_exhaustively, _preserves_joins
 from helpers import (
     endomap_quantaloid,
     min_table,
     oracle_extension,
     oracle_lifting,
+    reference_preserves_joins,
     reference_quantaloid_axioms,
     rel_quantaloid,
     two_object_quantaloid,
@@ -282,6 +284,8 @@ MUTATION_CASES = {
     "two_object": (two_object_quantaloid, None),
     "relations": (rel_quantaloid, 300),
     "idm:3": (lambda: build_idm(builtin_quantaloid("3")).quantaloid, None),
+    "idm:two_object": (lambda: build_idm(two_object_quantaloid()).quantaloid, None),
+    "idm:frame:square": (lambda: build_idm(builtin_quantaloid("frame:square")).quantaloid, None),
     # every rejection here walks the 13-object completion exhaustively twice
     "idm:relations": (lambda: build_idm(rel_quantaloid()).quantaloid, 20),
 }
@@ -302,5 +306,47 @@ def test_validate_agrees_with_exhaustive_reference_on_mutated_tables(name):
             lambda: reference_quantaloid_axioms(q.objects, q.hom, tables, q.identity)
         )
         assert got == want, (key, g, f, new)
+        rejected += want is not None
+    assert rejected
+
+
+@pytest.mark.parametrize("name", list(MUTATION_CASES))
+def test_preserves_joins_agrees_with_all_pairs_reference_per_table(name):
+    # the join-irreducible restriction must decide each table exactly as
+    # checking every row, every column and every pair of elements does
+    build, limit = MUTATION_CASES[name]
+    q = build()
+
+    def agree(key, table):
+        x, y, z = key
+        lattices = q.hom[(x, y)], q.hom[(y, z)], q.hom[(x, z)]
+        got = _preserves_joins(table, *lattices)
+        assert got == reference_preserves_joins(table, *lattices), key
+        return got
+
+    assert all(agree(key, table) for key, table in q.compose_table.items())
+    rejected = 0
+    for key, g, f, new in _single_entry_mutations(q, limit):
+        rows = [list(row) for row in q.compose_table[key]]
+        rows[g][f] = new
+        rejected += not agree(key, tuple(map(tuple, rows)))
+    assert rejected
+
+
+@pytest.mark.parametrize("name", list(MUTATION_CASES))
+def test_fast_path_decides_exactly_the_exhaustive_axioms(name):
+    # a fast path that wrongly fails would only cost time in validate_quantaloid,
+    # so its verdict is compared with the exhaustive loops directly
+    build, limit = MUTATION_CASES[name]
+    q = build()
+    assert _axioms_hold(q.objects, q.hom, q.compose_table)
+    rejected = 0
+    for key, g, f, new in _single_entry_mutations(q, limit):
+        tables = dict(q.compose_table)
+        rows = [list(row) for row in tables[key]]
+        rows[g][f] = new
+        tables[key] = rows
+        want = _outcome(lambda: _check_axioms_exhaustively(q.objects, q.hom, tables))
+        assert _axioms_hold(q.objects, q.hom, tables) == (want is None), (key, g, f, new)
         rejected += want is not None
     assert rejected

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qsemicat import ParseError
+from qsemicat import EnumerationCapExceeded, ParseError
 from qsemicat.cli import main
 from qsemicat.workspace import load_workspace, parse_quantaloid, validate_report
 
@@ -210,6 +210,44 @@ def test_cap_below_one_is_rejected(tmp_path, capsys, cap):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"got {cap}" in captured.err
+
+
+def chain_spec(n):
+    return {"size": n, "leq": [[i, i + 1] for i in range(n - 1)]}
+
+
+def test_lattice_size_is_capped_before_validation(tmp_path, capsys):
+    # a five-element lattice costs 5³ = 125 table steps
+    doc = dict(THREE_CHAIN_WS)
+    doc["quantaloids"] = {
+        "Q": "3",
+        "Q5": {
+            "objects": ["X"],
+            "homs": {"X>X": chain_spec(5)},
+            "compose": {"X>X>X": [[min(g, f) for f in range(5)] for g in range(5)]},
+            "id": {"X": 4},
+        },
+    }
+    path = write_ws(tmp_path, doc)
+    assert main(["--json", "--cap", "124", "validate", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    bad = [v for v in report["objects"] if not v["valid"]]
+    assert [v["name"] for v in bad] == ["Q5"]
+    assert bad[0]["error"].startswith("EnumerationCapExceeded") and bad[0]["witness"] == "5"
+    assert main(["--cap", "124", "presheaves", path, "A"]) == 2
+    assert main(["--cap", "124", "completion", "idm", "Q", "--workspace", path]) == 2
+    capsys.readouterr()
+
+    assert main(["--json", "--cap", "125", "validate", path]) == 0
+    assert json.loads(capsys.readouterr().out)["all_valid"] is True
+    assert main(["--cap", "125", "presheaves", path, "A"]) == 0
+
+
+def test_huge_lattice_fails_at_once_under_default_cap():
+    doc = {"omega_sets": {"E": {"frame": chain_spec(500), "elements": ["p"], "eq": []}}}
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        load_workspace(doc)
+    assert exc.value.witness == 500
 
 
 def test_cli_error_shows_witness_on_stderr(tmp_path, capsys):
