@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ActionFailure, NotIdempotent, NotRegular, SearchCapExceeded, TypeMismatch
-from .lattice import validate_sup_lattice
+from .lattice import join_closed_sublattice, validate_sup_lattice
 from .quantaloid import QArrow, Quantaloid, validate_quantaloid
 from .semicat import (
     SemiCategory,
@@ -108,13 +108,17 @@ def build_idm(q: Quantaloid) -> IdmQuantaloid:
             )
             hom_elements[(te, tf)] = fixed
             pos[(te, tf)] = {b: i for i, b in enumerate(fixed)}
-            pairs = [
-                (i, j)
-                for i, bi in enumerate(fixed)
-                for j, bj in enumerate(fixed)
-                if lat.le(bi, bj)
-            ]
-            homs[(te, tf)] = validate_sup_lattice(len(fixed), pairs)
+            # a fixed set holds ⊥ and is join-closed, so it inherits the base order and joins
+            sub = join_closed_sublattice(lat, fixed)
+            if sub is None:
+                pairs = [
+                    (i, j)
+                    for i, bi in enumerate(fixed)
+                    for j, bj in enumerate(fixed)
+                    if lat.le(bi, bj)
+                ]
+                sub = validate_sup_lattice(len(fixed), pairs)
+            homs[(te, tf)] = sub
 
     # each table maps whole base rows through the fixed-element positions
     compose = {}

@@ -1,9 +1,9 @@
 """Finite sup-lattices.
 
 Elements are dense indices ``0..size-1``.  The order is given extensionally
-as a set of pairs, joins are found by scanning upper bounds, and meets are
-derived from joins.  Everything downstream brute-forces over elements, so
-nothing here is lazy.
+as a set of pairs and validated on int bitsets of up-sets and down-sets,
+from which the join and meet tables are read.  Everything downstream
+brute-forces over elements, so nothing here is lazy.
 """
 
 from __future__ import annotations
@@ -20,9 +20,15 @@ class SupLattice:
     ``join_irreducibles`` lists, in increasing index order, the elements
     that are not the join of the elements strictly below them; every
     element is the join of the join-irreducibles below it.
+
+    ``_join_plans`` holds, for each join-irreducible a, the elements b other
+    than bottom and a, and the joins a∨b, in the same order: the pairs on
+    which the quantaloid validator checks that a map preserves joins.
     """
 
-    __slots__ = ("size", "leq", "bottom", "top", "join_irreducibles", "_join2", "_meet2")
+    __slots__ = (
+        "size", "leq", "bottom", "top", "join_irreducibles", "_join2", "_meet2", "_join_plans"
+    )
 
     def __init__(self, size, leq, bottom, join2, meet2):
         self.size = size
@@ -39,6 +45,11 @@ class SupLattice:
             for x in range(size)
             if self.join(y for y in range(size) if y != x and leq[y][x]) != x
         )
+        plans = []
+        for a in self.join_irreducibles:
+            bs = tuple(b for b in range(size) if b != bottom and b != a)
+            plans.append((a, bs, tuple(map(join2[a].__getitem__, bs))))
+        self._join_plans = tuple(plans)
 
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
@@ -80,61 +91,106 @@ def validate_sup_lattice(size: int, pairs) -> SupLattice:
     between distinct elements raises :class:`NotAPartialOrder`, and a subset
     without a least upper bound raises :class:`MissingJoin` (the empty
     subset, i.e. a missing bottom, or a pair suffice as witnesses: joins of
-    larger finite subsets follow by folding).
+    larger finite subsets follow by folding).  The first order-equivalent
+    pair (i < j) and the first pair without a join are named, each in
+    lexicographic order.
+
+    The order is held as int bitsets: ``up[i]`` has bit j set iff i <= j,
+    ``down[j]`` bit i.  Ranking the elements by a linear extension (fewer
+    elements below first, then by index) makes joins and meets single bit
+    operations:
+
+    * If i and j have a least upper bound u, every other upper bound v has
+      u < v, so strictly more elements below it, and u is the upper bound
+      of lowest rank.  So the lowest-ranked upper bound is the join exactly
+      when it lies below every upper bound, and the pair has no join
+      otherwise (or when it has no upper bound at all).
+    * In a lattice the meet is the greatest common lower bound, so by the
+      same argument the common lower bound of highest rank.
+    * Joins and meets are symmetric and i∨i = i, so the first pair without
+      a join in lexicographic order has i < j, and only those are searched.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    leq = [[i == j for j in range(size)] for i in range(size)]
+    up = [1 << i for i in range(size)]
     for i, j in pairs:
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"order pair ({i}, {j}) out of range for size {size}")
-        leq[i][j] = True
+        up[i] |= 1 << j
+    # transitive closure: every element below k is below all that k is below
     for k in range(size):
+        bit, row_k = 1 << k, up[k]
         for i in range(size):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
+            if up[i] & bit:
+                up[i] |= row_k
+    down = [sum(1 << i for i in range(size) if up[i] >> j & 1) for j in range(size)]
     for i in range(size):
-        for j in range(i + 1, size):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPartialOrder(
-                    f"elements {i} and {j} are order-equivalent", witness=(i, j)
-                )
+        later = (up[i] & down[i]) >> (i + 1)
+        if later:
+            j = i + (later & -later).bit_length()
+            raise NotAPartialOrder(f"elements {i} and {j} are order-equivalent", witness=(i, j))
 
-    bottom = None
-    for b in range(size):
-        if all(leq[b][x] for x in range(size)):
-            bottom = b
-            break
+    full = (1 << size) - 1
+    bottom = next((b for b in range(size) if up[b] == full), None)
     if bottom is None:
         raise MissingJoin("the empty subset has no join (no bottom element)", witness=())
 
-    join2 = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            ubs = [u for u in range(size) if leq[i][u] and leq[j][u]]
-            least = next((u for u in ubs if all(leq[u][v] for v in ubs)), None)
-            if least is None:
-                raise MissingJoin(f"elements {i} and {j} have no join", witness=(i, j))
-            join2[i][j] = least
+    # the same bitsets over ranks: rank r holds element order[r]
+    order = sorted(range(size), key=lambda x: (down[x].bit_count(), x))
+    up_r = [sum(1 << r for r, x in enumerate(order) if row >> x & 1) for row in up]
+    down_r = [sum(1 << r for r, x in enumerate(order) if row >> x & 1) for row in down]
 
-    # Meets exist automatically in a finite complete lattice: the join of
-    # the common lower bounds is itself a lower bound.
+    join2 = [[0] * size for _ in range(size)]
     meet2 = [[0] * size for _ in range(size)]
     for i in range(size):
-        for j in range(size):
-            acc = bottom
-            for x in range(size):
-                if leq[x][i] and leq[x][j]:
-                    acc = join2[acc][x]
-            meet2[i][j] = acc
+        join_i, meet_i, up_i, down_i = join2[i], meet2[i], up_r[i], down_r[i]
+        join_i[i] = meet_i[i] = i
+        for j in range(i + 1, size):
+            ubs = up_i & up_r[j]
+            least = order[(ubs & -ubs).bit_length() - 1]  # order[-1], unused, if ubs is 0
+            if not ubs or ubs & ~up_r[least]:
+                raise MissingJoin(f"elements {i} and {j} have no join", witness=(i, j))
+            join_i[j] = join2[j][i] = least
+            # Meets exist automatically in a finite complete lattice: the
+            # common lower bounds hold the bottom and have a greatest one.
+            meet_i[j] = meet2[j][i] = order[(down_i & down_r[j]).bit_length() - 1]
 
-    frozen_leq = tuple(tuple(row) for row in leq)
-    frozen_join = tuple(tuple(row) for row in join2)
-    frozen_meet = tuple(tuple(row) for row in meet2)
+    frozen_leq = tuple(tuple(map("1".__eq__, f"{row:0{size}b}"[::-1])) for row in up)
+    frozen_join = tuple(map(tuple, join2))
+    frozen_meet = tuple(map(tuple, meet2))
     return SupLattice(size, frozen_leq, bottom, frozen_join, frozen_meet)
+
+
+def join_closed_sublattice(lat: SupLattice, elements):
+    """The sub-order on ``elements`` (distinct base indices), or None.
+
+    Returns the lattice that :func:`validate_sup_lattice` builds from the
+    order pairs among the elements, with element i standing for
+    ``elements[i]``, when the elements hold the base bottom and are closed
+    under the base's binary joins; otherwise None.  Then the order and
+    joins are those of the base, and the meet of s and t is the greatest
+    element below the base meet s∧t: the join of the elements below it,
+    which is one of them.
+    """
+    pos = {b: i for i, b in enumerate(elements)}
+    if lat.bottom not in pos:
+        return None
+    base_join, base_leq = lat._join2, lat.leq
+    join2 = []
+    for s in elements:
+        row = tuple(map(pos.get, map(base_join[s].__getitem__, elements)))
+        if None in row:
+            return None
+        join2.append(row)
+    core = tuple(
+        pos[lat.join(s for s in elements if base_leq[s][m])] for m in range(lat.size)
+    )
+    leq = tuple(tuple(map(base_leq[s].__getitem__, elements)) for s in elements)
+    meet2 = tuple(
+        tuple(map(core.__getitem__, map(lat._meet2[s].__getitem__, elements)))
+        for s in elements
+    )
+    return SupLattice(len(elements), leq, pos[lat.bottom], tuple(join2), meet2)
 
 
 def chain(n: int) -> SupLattice:

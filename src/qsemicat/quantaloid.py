@@ -11,7 +11,7 @@ the dual quantaloid.
 from __future__ import annotations
 
 from itertools import chain
-from operator import eq
+from operator import eq, getitem
 from typing import NamedTuple
 
 from .errors import (
@@ -268,14 +268,20 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
 def _preserves_joins(table, lxy, lyz, lxz) -> bool:
     """True iff ``table[g][f]`` preserves bottom and binary joins in f and in g.
 
-    Each line, a row g∘- or a column -∘f, is compared against the join
-    tables a whole line at a time, and only at join-irreducible arguments:
+    Each line, a row g∘- or a column -∘f, is checked only at join-irreducible
+    arguments, and the columns all at once on whole rows of the table:
 
-    * A line that sends ⊥ to ⊥ and satisfies line(j∨b) = line(j)∨line(b)
-      for every join-irreducible j and every b preserves all binary joins.
-      Write a = j₁∨…∨jₖ (k = 0 for a = ⊥); by induction on k,
-      line(a∨b) = line(j₁)∨…∨line(jₖ)∨line(b), and the case b = ⊥ with
-      line(⊥) = ⊥ gives line(a) = line(j₁)∨…∨line(jₖ).
+    * A line that sends ⊥ to ⊥ and satisfies line(a∨b) = line(a)∨line(b)
+      for every join-irreducible a and every b preserves all binary joins.
+      Write c = a₁∨…∨aₖ (k = 0 for c = ⊥); by induction on k,
+      line(c∨b) = line(a₁)∨…∨line(aₖ)∨line(b), and the case b = ⊥ with
+      line(⊥) = ⊥ gives line(c) = line(a₁)∨…∨line(aₖ).
+    * The cases b = ⊥ and b = a hold for every line that sends ⊥ to ⊥:
+      line(a∨⊥) = line(a) = line(a)∨⊥ and line(a∨a) = line(a)∨line(a).
+      So only the pairs of ``SupLattice._join_plans`` are compared.
+    * Every column sends ⊥ to ⊥ iff row ⊥ of the table is all bottom, and
+      every column satisfies the law at (a, b) iff row a∨b is the entrywise
+      join of rows a and b.
     * Once every column -∘f preserves ⊥ and binary joins, only the rows
       g∘- of join-irreducible g need checking.  Write g = ∨gᵢ over the
       join-irreducibles below it; column additivity gives g∘f = ∨(gᵢ∘f) for
@@ -286,19 +292,24 @@ def _preserves_joins(table, lxy, lyz, lxz) -> bool:
     every pair of elements.
     """
     bottom, join = lxz.bottom, lxz._join2
-    columns = zip(*table)
-    rows = map(table.__getitem__, lyz.join_irreducibles)
-    for lat, lines in ((lyz, columns), (lxy, rows)):
-        lat_bottom = lat.bottom
-        joins = [(a, lat._join2[a]) for a in lat.join_irreducibles]
-        for line in lines:
-            if line[lat_bottom] != bottom:
+    if any(map(bottom.__ne__, table[lyz.bottom])):
+        return False
+    for a, bs, joins in lyz._join_plans:
+        join_a = list(map(join.__getitem__, table[a]))
+        for b, ab in zip(bs, joins):
+            # (a∨b)∘f == a∘f ∨ b∘f for every f
+            if not all(map(eq, table[ab], map(getitem, join_a, table[b]))):
                 return False
-            at = line.__getitem__
-            for a, joins_a in joins:
-                # line(a ∨ b) == line(a) ∨ line(b) for every b
-                if not all(map(eq, map(at, joins_a), map(join[line[a]].__getitem__, line))):
-                    return False
+    f_bottom, plans = lxy.bottom, lxy._join_plans
+    for g in lyz.join_irreducibles:
+        line = table[g]
+        if line[f_bottom] != bottom:
+            return False
+        at = line.__getitem__
+        for a, bs, joins in plans:
+            # g∘(a∨b) == g∘a ∨ g∘b for every b
+            if not all(map(eq, map(at, joins), map(join[line[a]].__getitem__, map(at, bs)))):
+                return False
     return True
 
 
@@ -308,17 +319,21 @@ def _axioms_hold(objects, homs, tables) -> bool:
     Composition is first checked to preserve bottom and binary joins in each
     argument (:func:`_preserves_joins`).  Then it preserves all finite
     joins, and since every element is the join of the join-irreducibles
-    below it, h∘(g∘f) = (h∘g)∘f needs checking only for join-irreducible h
-    and g: for h = ∨hᵢ and g = ∨gⱼ both sides are ∨ᵢⱼ of the composites of
-    hᵢ and gⱼ with f, and both are ⊥ for an empty join.
+    below it, h∘(g∘f) = (h∘g)∘f needs checking only for join-irreducible h,
+    g and f: for h = ∨hᵢ and g = ∨gⱼ both sides are ∨ᵢⱼ of the composites
+    of hᵢ and gⱼ with f, and both are ⊥ for an empty join.  For fixed h and
+    g, both f ↦ h∘(g∘f) and f ↦ (h∘g)∘f are composites of rows, so they
+    preserve ⊥ and binary joins, and two such maps agree everywhere iff
+    they agree at the join-irreducible f.
 
-    f runs over every element of every hom(x, y) at once.  For objects y, z
-    and g in hom(y, z), the precomposition map f ↦ g∘f is one flat tuple on
-    the disjoint union ⊔ₓ hom(x, y), hom(x, y) starting at offset (x, y), whose
-    values are positions in ⊔ₓ hom(x, z).  Then h∘(g∘f) is the flat map of h
-    applied to that of g, and (h∘g)∘f the flat map of h∘g, both read in
-    ⊔ₓ hom(x, w).  The flat maps are built when first needed.  The answer is
-    exactly that of :func:`_check_axioms_exhaustively`.
+    f runs over the join-irreducibles of every hom(x, y) at once.  For
+    objects y, z and g in hom(y, z), the precomposition map f ↦ g∘f is a
+    flat tuple over the disjoint union ⊔ₓ hom(x, y), hom(x, y) starting at
+    offset (x, y), whose values are positions in ⊔ₓ hom(x, z).  Then
+    h∘(g∘f) is the full flat map of h read at the values of g's map, and
+    (h∘g)∘f the map of h∘g, both in ⊔ₓ hom(x, w); the maps of g and h∘g are
+    kept at the join-irreducible f only.  The maps are built when first
+    needed.  The answer is exactly that of :func:`_check_axioms_exhaustively`.
     """
     for x in objects:
         for y in objects:
@@ -333,7 +348,8 @@ def _axioms_hold(objects, homs, tables) -> bool:
         for x in objects:
             offset[(x, y)] = start
             start += homs[(x, y)].size
-    flat = {}
+    irr = {key: lat.join_irreducibles for key, lat in homs.items()}
+    flat, flat_irr = {}, {}
 
     def after(y, z, g):
         key = (y, z, g)
@@ -346,8 +362,21 @@ def _axioms_hold(objects, homs, tables) -> bool:
             )
         return line
 
-    irr = {key: lat.join_irreducibles for key, lat in homs.items()}
+    def after_irr(y, z, g):
+        key = (y, z, g)
+        line = flat_irr.get(key)
+        if line is None:
+            line = flat_irr[key] = tuple(
+                chain.from_iterable(
+                    map(offset[(x, z)].__add__, map(tables[(x, y, z)][g].__getitem__, irr[(x, y)]))
+                    for x in objects
+                )
+            )
+        return line
+
     for y in objects:
+        if not any(irr[(x, y)] for x in objects):
+            continue
         for z in objects:
             gs = irr[(y, z)]
             if not gs:
@@ -357,8 +386,10 @@ def _axioms_hold(objects, homs, tables) -> bool:
                 for h in irr[(z, w)]:
                     h_after, h_row = after(z, w, h).__getitem__, tyzw[h]
                     for g in gs:
-                        # h∘(g∘f) == (h∘g)∘f for every f into y
-                        if not all(map(eq, map(h_after, after(y, z, g)), after(y, w, h_row[g]))):
+                        # h∘(g∘f) == (h∘g)∘f for every join-irreducible f into y
+                        if not all(
+                            map(eq, map(h_after, after_irr(y, z, g)), after_irr(y, w, h_row[g]))
+                        ):
                             return False
     return True
 

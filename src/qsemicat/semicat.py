@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import eq, getitem
 
 from .errors import (
     ActionFailure,
@@ -198,7 +199,13 @@ def validate_typed_set(elements, base: Quantaloid) -> TypedSet:
 
 
 def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
-    """Check the composition-inequalities; omitted hom entries default to bottom."""
+    """Check the composition-inequalities; omitted hom entries default to bottom.
+
+    A(a2, a1)∘A(a1, a0) ≤ A(a2, a0) for every a1 iff the join over a1 is,
+    so the inequalities hold iff A⊗A ≤ A entrywise, which one product by
+    :func:`_mat_compose` decides.  Only when it fails does the triple loop
+    run, to raise the first failure with its witness.
+    """
     raw = objects.elements if isinstance(objects, TypedSet) else objects
     ts = validate_typed_set(raw, base)
     full = {}
@@ -215,6 +222,21 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
         if key not in full:
             raise TypeMismatch(f"hom entry {key} names unknown objects", witness=key)
 
+    is_cat = all(
+        base.hom_lat(ta, ta).le(base.identity[ta], full[(a, a)]) for a, ta in ts.elements
+    )
+    A = SemiCategory(base, ts, full, is_cat)
+    t, dense = A.types, A.dense
+    joins = [base.hom[(t0, t2)]._join2 for t2 in t for t0 in t]
+    product = _mat_compose(base, t, t, t, dense, dense)
+    # p ≤ v iff p ∨ v == v
+    if not all(map(eq, map(getitem, map(getitem, joins, product), dense), dense)):
+        _raise_composition_failure(base, ts, full)
+    return A
+
+
+def _raise_composition_failure(base, ts, full):
+    """Walk every object triple and raise on the first composition-inequality that fails."""
     for a2, t2 in ts.elements:
         for a1, t1 in ts.elements:
             g = full[(a2, a1)]
@@ -225,14 +247,6 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
                         f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})",
                         witness=(a2, a1, a0),
                     )
-
-    is_cat = all(
-        base.hom_lat(ts.type_of(a), ts.type_of(a)).le(
-            base.identity[ts.type_of(a)], full[(a, a)]
-        )
-        for a in ts.names
-    )
-    return SemiCategory(base, ts, full, is_cat)
 
 
 def is_category(A: SemiCategory) -> bool:

@@ -9,6 +9,9 @@ import itertools
 
 from qsemicat import (
     AssocFailure,
+    CompositionFailure,
+    MissingJoin,
+    NotAPartialOrder,
     NotSupPreserving,
     QArrow,
     SearchCapExceeded,
@@ -21,7 +24,7 @@ from qsemicat import (
     validate_semicategory,
     validate_sup_lattice,
 )
-from qsemicat.lattice import chain
+from qsemicat.lattice import SupLattice, chain
 from qsemicat.morita import _check_regular_pair
 from qsemicat.presheaf import DEFAULT_CAP
 from qsemicat.semicat import _dense, _mat_compose
@@ -130,6 +133,31 @@ def rel_quantaloid():
         x: sum(1 << (i * sizes[x] + i) for i in range(sizes[x])) for x in objs
     }
     return validate_quantaloid(objs, homs, compose, identities)
+
+
+def relabelled_hom(q, key, perm):
+    """An isomorphic copy of q in which element e of hom ``key`` is renamed perm[e].
+
+    ``key`` joins two distinct objects, so no identity is renamed.  With a
+    permutation that moves bottom, the copy has hom-lattices whose tables
+    differ between the two directions even where q's coincide.
+    """
+    assert key[0] != key[1]
+    lat = q.hom[key]
+    old = sorted(range(lat.size), key=perm.__getitem__)  # old[perm[e]] == e
+    homs = dict(q.hom)
+    homs[key] = validate_sup_lattice(lat.size, [(perm[i], perm[j]) for i, j in order_pairs(lat)])
+    compose = {}
+    for (x, y, z), table in q.compose_table.items():
+        rows = [list(row) for row in table]
+        if (y, z) == key:
+            rows = [rows[e] for e in old]
+        if (x, y) == key:
+            rows = [[row[e] for e in old] for row in rows]
+        if (x, z) == key:
+            rows = [[perm[v] for v in row] for row in rows]
+        compose[(x, y, z)] = rows
+    return validate_quantaloid(q.objects, homs, compose, q.identity)
 
 
 def idempotent_matrices(k, n):
@@ -448,6 +476,104 @@ def reference_preserves_joins(table, lxy, lyz, lxz):
                 if table[lyz.join2(g1, g2)][f] != lxz.join2(table[g1][f], table[g2][f]):
                     return False
     return True
+
+
+def reference_semicategory_axioms(base, elements, hom):
+    """The exhaustive composition-inequality loop over every object triple.
+
+    ``elements`` are (name, type) pairs and ``hom`` a complete, in-range
+    hom dict; raises the first failure with its witness, exactly as
+    ``validate_semicategory`` must.
+    """
+    for a2, t2 in elements:
+        for a1, t1 in elements:
+            g = hom[(a2, a1)]
+            for a0, t0 in elements:
+                comp = base.compose_elems(t0, t1, t2, g, hom[(a1, a0)])
+                if not base.hom[(t0, t2)].le(comp, hom[(a2, a0)]):
+                    raise CompositionFailure(
+                        f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})",
+                        witness=(a2, a1, a0),
+                    )
+
+
+def reference_sup_lattice(size, pairs):
+    """Sup-lattice validation on boolean matrices, by scanning upper bounds.
+
+    Warshall closure, the first order-equivalent pair, the first bottom and
+    the least upper bound of every pair by an all-pairs scan, with the same
+    errors as ``validate_sup_lattice``; meets are joins of lower bounds.
+    """
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    leq = [[i == j for j in range(size)] for i in range(size)]
+    for i, j in pairs:
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValueError(f"order pair ({i}, {j}) out of range for size {size}")
+        leq[i][j] = True
+    for k in range(size):
+        for i in range(size):
+            if leq[i][k]:
+                row_i, row_k = leq[i], leq[k]
+                for j in range(size):
+                    if row_k[j]:
+                        row_i[j] = True
+    for i in range(size):
+        for j in range(i + 1, size):
+            if leq[i][j] and leq[j][i]:
+                raise NotAPartialOrder(
+                    f"elements {i} and {j} are order-equivalent", witness=(i, j)
+                )
+
+    bottom = None
+    for b in range(size):
+        if all(leq[b][x] for x in range(size)):
+            bottom = b
+            break
+    if bottom is None:
+        raise MissingJoin("the empty subset has no join (no bottom element)", witness=())
+
+    join2 = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            ubs = [u for u in range(size) if leq[i][u] and leq[j][u]]
+            least = next((u for u in ubs if all(leq[u][v] for v in ubs)), None)
+            if least is None:
+                raise MissingJoin(f"elements {i} and {j} have no join", witness=(i, j))
+            join2[i][j] = least
+
+    meet2 = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            acc = bottom
+            for x in range(size):
+                if leq[x][i] and leq[x][j]:
+                    acc = join2[acc][x]
+            meet2[i][j] = acc
+
+    frozen_leq = tuple(tuple(row) for row in leq)
+    frozen_join = tuple(tuple(row) for row in join2)
+    frozen_meet = tuple(tuple(row) for row in meet2)
+    return SupLattice(size, frozen_leq, bottom, frozen_join, frozen_meet)
+
+
+def lattice_fields(lat):
+    """Every field of a SupLattice, for comparing two constructions."""
+    return (
+        lat.size,
+        lat.leq,
+        lat.bottom,
+        lat.top,
+        lat.join_irreducibles,
+        lat._join2,
+        lat._meet2,
+        lat._join_plans,
+    )
+
+
+def order_pairs(lat):
+    """Every pair (i, j) with i <= j in a lattice, in lexicographic order."""
+    return [(i, j) for i in range(lat.size) for j in range(lat.size) if lat.leq[i][j]]
 
 
 def reference_idm_tables(q):

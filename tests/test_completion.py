@@ -13,13 +13,17 @@ from qsemicat import (
     idm_lifting,
     split_idempotent_in_idm,
     validate_semicategory,
+    validate_sup_lattice,
     verify_rsdist_is_idm_matr,
 )
+from qsemicat.lattice import join_closed_sublattice
 from helpers import (
     chain3_A,
     chain3_C,
     endomap_quantaloid,
+    lattice_fields,
     reference_idm_tables,
+    reference_sup_lattice,
     rel_quantaloid,
     two_object_quantaloid,
 )
@@ -72,6 +76,35 @@ def test_build_idm_tables_match_entrywise_reference(name):
     assert idm.hom_elements == hom_elements
     assert {key: [list(row) for row in t] for key, t in idm.quantaloid.compose_table.items()} == compose
     assert idm.quantaloid.identity == identities
+
+
+@pytest.mark.parametrize("name", list(IDM_BASES))
+def test_idm_homs_match_validated_lattices(name):
+    # each hom is restricted from the base lattice; it must equal what
+    # validating the base order on the fixed set from scratch, by either
+    # route, gives
+    q = IDM_BASES[name]()
+    idm = build_idm(q)
+    dom = {idm.tag(e): e.dom for e in idm.objects}
+    for (te, tf), fixed in idm.hom_elements.items():
+        base = q.hom_lat(dom[te], dom[tf])
+        pairs = [(i, j) for i, a in enumerate(fixed) for j, b in enumerate(fixed) if base.le(a, b)]
+        want = lattice_fields(reference_sup_lattice(len(fixed), pairs))
+        assert lattice_fields(idm.quantaloid.hom[(te, tf)]) == want, (te, tf)
+        assert lattice_fields(validate_sup_lattice(len(fixed), pairs)) == want, (te, tf)
+
+
+def test_join_closed_sublattice():
+    # subsets of {0, 1, 2} as bitmasks
+    cube = validate_sup_lattice(8, [(i, j) for i in range(8) for j in range(8) if i | j == j])
+    assert join_closed_sublattice(cube, (1, 3, 7)) is None  # no bottom
+    assert join_closed_sublattice(cube, (0, 1, 2)) is None  # 1 ∨ 2 = 3 missing
+    # join-closed but not meet-closed: {0,1} ∧ {1,2} = {1} is outside, so the meet is ∅
+    elements = (0, 3, 6, 7)
+    sub = join_closed_sublattice(cube, elements)
+    assert sub.meet2(1, 2) == 0
+    pairs = [(i, j) for i, a in enumerate(elements) for j, b in enumerate(elements) if a | b == b]
+    assert lattice_fields(sub) == lattice_fields(validate_sup_lattice(4, pairs))
 
 
 def test_idm_embedding_is_full():

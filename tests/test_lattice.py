@@ -1,8 +1,13 @@
+import itertools
+import random
+
 import pytest
 
+from helpers import lattice_fields, order_pairs, reference_sup_lattice
 from qsemicat import (
     MissingJoin,
     NotAPartialOrder,
+    QsError,
     chain,
     diamond_lattice,
     named_lattice,
@@ -88,3 +93,60 @@ def test_fold_join_over_subsets():
             for u in range(lat.size):
                 if all(lat.le(x, u) for x in subset):
                     assert lat.le(j, u)
+
+
+# -- the bitset route against the boolean-matrix reference ------------------
+
+
+def _outcome(build, size, pairs):
+    try:
+        return lattice_fields(build(size, pairs))
+    except (ValueError, QsError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _agree(size, pairs):
+    want = _outcome(reference_sup_lattice, size, pairs)
+    assert _outcome(validate_sup_lattice, size, pairs) == want, (size, pairs)
+    return want
+
+
+@pytest.mark.parametrize("size", range(4))
+def test_every_pair_set_agrees_with_reference(size):
+    cells = list(itertools.product(range(size), repeat=2))
+    outcomes = set()
+    for mask in range(1 << len(cells)):
+        pairs = [cell for k, cell in enumerate(cells) if mask >> k & 1]
+        want = _agree(size, pairs)
+        outcomes.add(want[0] if isinstance(want[0], type) else "lattice")
+    if size >= 2:
+        assert outcomes == {"lattice", NotAPartialOrder, MissingJoin}
+
+
+def test_random_pair_sets_agree_with_reference():
+    # mostly upward pairs, often with a bottom and a top added, so that
+    # lattices, cycles, missing joins and out-of-range pairs all occur
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(1500):
+        size = rng.choice((-1, 4, 5, 6, 7))
+        n = max(size, 1)
+        pairs = []
+        for _ in range(rng.randrange(3 * n)):
+            i, j = sorted((rng.randrange(n), rng.randrange(n)))
+            pairs.append((j, i) if rng.random() < 0.05 else (i, j))
+        if rng.random() < 0.6:
+            pairs += [(0, x) for x in range(n)] + [(x, n - 1) for x in range(n)]
+        if rng.random() < 0.05:
+            k = rng.randrange(len(pairs) + 1)
+            pairs.insert(k, rng.choice(((n, 0), (0, -1), (-1, n))))
+        rng.shuffle(pairs)
+        want = _agree(size, pairs)
+        outcomes.add(want[0] if isinstance(want[0], type) else "lattice")
+    assert outcomes == {"lattice", NotAPartialOrder, MissingJoin, ValueError}
+
+
+@pytest.mark.parametrize("name", ["2", "3", "4", "square", "diamond"])
+def test_named_lattices_agree_with_reference(name):
+    lat = named_lattice(name)
+    assert lattice_fields(lat) == _agree(lat.size, order_pairs(lat))

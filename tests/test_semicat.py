@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from qsemicat import (
     ActionFailure,
     CompositionFailure,
     NotRegular,
+    QsError,
     TypeMismatch,
     bottom_semidist,
     builtin_quantaloid,
@@ -28,7 +30,18 @@ from qsemicat import (
     validate_semidistributor,
     validate_semifunctor,
 )
-from helpers import chain3_A, chain3_C, one_object_semicat, two_object_quantaloid
+from helpers import (
+    all_semicats,
+    chain3_A,
+    chain3_C,
+    composition_ok_matrices,
+    one_object_semicat,
+    reference_semicategory_axioms,
+    rel_quantaloid,
+    relabelled_hom,
+    semicat_from_rows,
+    two_object_quantaloid,
+)
 
 Q3 = builtin_quantaloid("3")
 Q2 = builtin_quantaloid("2")
@@ -57,6 +70,72 @@ def test_composition_failure_witnessed():
             {("a", "b"): 1, ("b", "c"): 1},
         )
     assert len(exc.value.witness) == 3
+
+
+def _three_object_sample():
+    rows = random.Random(3).sample(composition_ok_matrices(3, 3), 40)
+    return [semicat_from_rows(Q3, r) for r in rows]
+
+
+def _relations_family(q):
+    # one object of each type of the relation quantaloid, every matrix the
+    # triple loop accepts
+    elements = [("u", "X"), ("v", "Y")]
+    keys = [(a1, a0) for a1, _ in elements for a0, _ in elements]
+    sizes = [q.hom[(t0, t1)].size for _, t1 in elements for _, t0 in elements]
+    out = []
+    for values in itertools.product(*map(range, sizes)):
+        hom = dict(zip(keys, values))
+        try:
+            reference_semicategory_axioms(q, elements, hom)
+        except CompositionFailure:
+            continue
+        out.append(validate_semicategory(q, elements, hom))
+    return out
+
+
+SEMICAT_FAMILIES = {
+    "2": lambda: all_semicats("2", 2),
+    "3": lambda: all_semicats("3", 2),
+    "3:three_objects": _three_object_sample,
+    "relations": lambda: _relations_family(rel_quantaloid()),
+    # hom(X, Y) relabelled so that its join table differs from hom(Y, X)'s
+    "relations:relabelled": lambda: _relations_family(
+        relabelled_hom(rel_quantaloid(), ("X", "Y"), (3, 1, 2, 0))
+    ),
+    "empty": lambda: [validate_semicategory(Q3, [], {})],
+}
+
+
+def _hom_mutants(A):
+    """The hom of A itself, then every hom that differs from it in one entry."""
+    yield dict(A.hom)
+    for (a1, a0), value in A.hom.items():
+        size = A.base.hom_lat(A.type_of(a0), A.type_of(a1)).size
+        for new in range(size):
+            if new != value:
+                yield {**A.hom, (a1, a0): new}
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except QsError as exc:
+        return type(exc), str(exc), exc.witness
+    return None if result is None else result.hom
+
+
+@pytest.mark.parametrize("name", list(SEMICAT_FAMILIES))
+def test_validate_semicategory_agrees_with_triple_loop_on_mutants(name):
+    rejected = 0
+    for A in SEMICAT_FAMILIES[name]():
+        q, elements = A.base, A.objects.elements
+        for hom in _hom_mutants(A):
+            got = _outcome(lambda: validate_semicategory(q, elements, hom))
+            want = _outcome(lambda: reference_semicategory_axioms(q, elements, hom))
+            assert got == (hom if want is None else want), hom
+            rejected += want is not None
+    assert rejected or name == "empty"
 
 
 def test_is_category_reflexive_preorder():
