@@ -20,15 +20,9 @@ class SupLattice:
     ``join_irreducibles`` lists, in increasing index order, the elements
     that are not the join of the elements strictly below them; every
     element is the join of the join-irreducibles below it.
-
-    ``_join_plans`` holds, for each join-irreducible a, the elements b other
-    than bottom and a, and the joins a∨b, in the same order: the pairs on
-    which the quantaloid validator checks that a map preserves joins.
     """
 
-    __slots__ = (
-        "size", "leq", "bottom", "top", "join_irreducibles", "_join2", "_meet2", "_join_plans"
-    )
+    __slots__ = ("size", "leq", "bottom", "top", "join_irreducibles", "_join2", "_meet2")
 
     def __init__(self, size, leq, bottom, join2, meet2):
         self.size = size
@@ -45,11 +39,6 @@ class SupLattice:
             for x in range(size)
             if self.join(y for y in range(size) if y != x and leq[y][x]) != x
         )
-        plans = []
-        for a in self.join_irreducibles:
-            bs = tuple(b for b in range(size) if b != bottom and b != a)
-            plans.append((a, bs, tuple(map(join2[a].__getitem__, bs))))
-        self._join_plans = tuple(plans)
 
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
@@ -161,26 +150,26 @@ def validate_sup_lattice(size: int, pairs) -> SupLattice:
     return SupLattice(size, frozen_leq, bottom, frozen_join, frozen_meet)
 
 
-def join_closed_sublattice(lat: SupLattice, elements):
-    """The sub-order on ``elements`` (distinct base indices), or None.
+def join_closed_sublattice(lat: SupLattice, elements) -> SupLattice:
+    """The sub-order on ``elements`` (distinct base indices, holding the
+    base bottom and closed under the base's binary joins).
 
     Returns the lattice that :func:`validate_sup_lattice` builds from the
     order pairs among the elements, with element i standing for
-    ``elements[i]``, when the elements hold the base bottom and are closed
-    under the base's binary joins; otherwise None.  Then the order and
-    joins are those of the base, and the meet of s and t is the greatest
-    element below the base meet s∧t: the join of the elements below it,
-    which is one of them.
+    ``elements[i]``: the order and joins are those of the base, and the
+    meet of s and t is the greatest element below the base meet s∧t, the
+    join of the elements below it, which is one of them.  Raises
+    ``ValueError`` when the elements miss the bottom or a binary join.
     """
     pos = {b: i for i, b in enumerate(elements)}
     if lat.bottom not in pos:
-        return None
+        raise ValueError("the elements do not hold the bottom")
     base_join, base_leq = lat._join2, lat.leq
     join2 = []
     for s in elements:
         row = tuple(map(pos.get, map(base_join[s].__getitem__, elements)))
         if None in row:
-            return None
+            raise ValueError("the elements are not closed under binary joins")
         join2.append(row)
     core = tuple(
         pos[lat.join(s for s in elements if base_leq[s][m])] for m in range(lat.size)

@@ -265,8 +265,21 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     return q
 
 
-def _preserves_joins(table, lxy, lyz, lxz) -> bool:
+def _join_plans(lat: SupLattice):
+    """For each join-irreducible a of ``lat``: a, the elements b other than
+    ⊥ and a, and the joins a∨b, in the same order."""
+    plans = []
+    for a in lat.join_irreducibles:
+        bs = tuple(b for b in range(lat.size) if b != lat.bottom and b != a)
+        plans.append((a, bs, tuple(map(lat._join2[a].__getitem__, bs))))
+    return tuple(plans)
+
+
+def _preserves_joins(table, lxy, lyz, lxz, plans_xy, plans_yz) -> bool:
     """True iff ``table[g][f]`` preserves bottom and binary joins in f and in g.
+
+    ``plans_xy`` and ``plans_yz`` are the :func:`_join_plans` of ``lxy`` and
+    ``lyz``.
 
     Each line, a row g∘- or a column -∘f, is checked only at join-irreducible
     arguments, and the columns all at once on whole rows of the table:
@@ -278,7 +291,7 @@ def _preserves_joins(table, lxy, lyz, lxz) -> bool:
       line(⊥) = ⊥ gives line(c) = line(a₁)∨…∨line(aₖ).
     * The cases b = ⊥ and b = a hold for every line that sends ⊥ to ⊥:
       line(a∨⊥) = line(a) = line(a)∨⊥ and line(a∨a) = line(a)∨line(a).
-      So only the pairs of ``SupLattice._join_plans`` are compared.
+      So only the pairs of :func:`_join_plans` are compared.
     * Every column sends ⊥ to ⊥ iff row ⊥ of the table is all bottom, and
       every column satisfies the law at (a, b) iff row a∨b is the entrywise
       join of rows a and b.
@@ -294,19 +307,19 @@ def _preserves_joins(table, lxy, lyz, lxz) -> bool:
     bottom, join = lxz.bottom, lxz._join2
     if any(map(bottom.__ne__, table[lyz.bottom])):
         return False
-    for a, bs, joins in lyz._join_plans:
+    for a, bs, joins in plans_yz:
         join_a = list(map(join.__getitem__, table[a]))
         for b, ab in zip(bs, joins):
             # (a∨b)∘f == a∘f ∨ b∘f for every f
             if not all(map(eq, table[ab], map(getitem, join_a, table[b]))):
                 return False
-    f_bottom, plans = lxy.bottom, lxy._join_plans
+    f_bottom = lxy.bottom
     for g in lyz.join_irreducibles:
         line = table[g]
         if line[f_bottom] != bottom:
             return False
         at = line.__getitem__
-        for a, bs, joins in plans:
+        for a, bs, joins in plans_xy:
             # g∘(a∨b) == g∘a ∨ g∘b for every b
             if not all(map(eq, map(at, joins), map(join[line[a]].__getitem__, map(at, bs)))):
                 return False
@@ -335,11 +348,14 @@ def _axioms_hold(objects, homs, tables) -> bool:
     kept at the join-irreducible f only.  The maps are built when first
     needed.  The answer is exactly that of :func:`_check_axioms_exhaustively`.
     """
+    plans = {key: _join_plans(lat) for key, lat in homs.items()}
     for x in objects:
         for y in objects:
             lxy = homs[(x, y)]
             for z in objects:
-                if not _preserves_joins(tables[(x, y, z)], lxy, homs[(y, z)], homs[(x, z)]):
+                if not _preserves_joins(
+                    tables[(x, y, z)], lxy, homs[(y, z)], homs[(x, z)], plans[(x, y)], plans[(y, z)]
+                ):
                     return False
 
     offset = {}
@@ -349,29 +365,19 @@ def _axioms_hold(objects, homs, tables) -> bool:
             offset[(x, y)] = start
             start += homs[(x, y)].size
     irr = {key: lat.join_irreducibles for key, lat in homs.items()}
-    flat, flat_irr = {}, {}
+    flat = {}
 
-    def after(y, z, g):
-        key = (y, z, g)
+    def after(y, z, g, at_irr):
+        key = (y, z, g, at_irr)
         line = flat.get(key)
         if line is None:
-            line = flat[key] = tuple(
-                chain.from_iterable(
-                    map(offset[(x, z)].__add__, tables[(x, y, z)][g]) for x in objects
-                )
-            )
-        return line
-
-    def after_irr(y, z, g):
-        key = (y, z, g)
-        line = flat_irr.get(key)
-        if line is None:
-            line = flat_irr[key] = tuple(
-                chain.from_iterable(
-                    map(offset[(x, z)].__add__, map(tables[(x, y, z)][g].__getitem__, irr[(x, y)]))
-                    for x in objects
-                )
-            )
+            parts = []
+            for x in objects:
+                row = tables[(x, y, z)][g]
+                if at_irr:
+                    row = map(row.__getitem__, irr[(x, y)])
+                parts.append(map(offset[(x, z)].__add__, row))
+            line = flat[key] = tuple(chain.from_iterable(parts))
         return line
 
     for y in objects:
@@ -384,11 +390,11 @@ def _axioms_hold(objects, homs, tables) -> bool:
             for w in objects:
                 tyzw = tables[(y, z, w)]
                 for h in irr[(z, w)]:
-                    h_after, h_row = after(z, w, h).__getitem__, tyzw[h]
+                    h_after, h_row = after(z, w, h, False).__getitem__, tyzw[h]
                     for g in gs:
                         # h∘(g∘f) == (h∘g)∘f for every join-irreducible f into y
                         if not all(
-                            map(eq, map(h_after, after_irr(y, z, g)), after_irr(y, w, h_row[g]))
+                            map(eq, map(h_after, after(y, z, g, True)), after(y, w, h_row[g], True))
                         ):
                             return False
     return True

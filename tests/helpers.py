@@ -567,7 +567,6 @@ def lattice_fields(lat):
         lat.join_irreducibles,
         lat._join2,
         lat._meet2,
-        lat._join_plans,
     )
 
 

@@ -97,8 +97,10 @@ def test_idm_homs_match_validated_lattices(name):
 def test_join_closed_sublattice():
     # subsets of {0, 1, 2} as bitmasks
     cube = validate_sup_lattice(8, [(i, j) for i in range(8) for j in range(8) if i | j == j])
-    assert join_closed_sublattice(cube, (1, 3, 7)) is None  # no bottom
-    assert join_closed_sublattice(cube, (0, 1, 2)) is None  # 1 ∨ 2 = 3 missing
+    with pytest.raises(ValueError, match="bottom"):
+        join_closed_sublattice(cube, (1, 3, 7))
+    with pytest.raises(ValueError, match="joins"):
+        join_closed_sublattice(cube, (0, 1, 2))  # 1 ∨ 2 = 3 missing
     # join-closed but not meet-closed: {0,1} ∧ {1,2} = {1} is outside, so the meet is ∅
     elements = (0, 3, 6, 7)
     sub = join_closed_sublattice(cube, elements)

@@ -19,7 +19,12 @@ from qsemicat import (
     named_lattice,
     validate_quantaloid,
 )
-from qsemicat.quantaloid import _axioms_hold, _check_axioms_exhaustively, _preserves_joins
+from qsemicat.quantaloid import (
+    _axioms_hold,
+    _check_axioms_exhaustively,
+    _join_plans,
+    _preserves_joins,
+)
 from helpers import (
     endomap_quantaloid,
     min_table,
@@ -320,7 +325,7 @@ def test_preserves_joins_agrees_with_all_pairs_reference_per_table(name):
     def agree(key, table):
         x, y, z = key
         lattices = q.hom[(x, y)], q.hom[(y, z)], q.hom[(x, z)]
-        got = _preserves_joins(table, *lattices)
+        got = _preserves_joins(table, *lattices, _join_plans(lattices[0]), _join_plans(lattices[1]))
         assert got == reference_preserves_joins(table, *lattices), key
         return got
 
