@@ -31,6 +31,7 @@ from .presheaf import (
     enumerate_presheaves,
     is_regular_presheaf,
     is_yoneda_presheaf,
+    presheaf_hom_elem,
 )
 from .workspace import load_path, load_workspace, parse_quantaloid, validate_report
 
@@ -87,13 +88,14 @@ def cmd_presheaves(args) -> int:
 
     counts = {}
     class_counts = {cls: {} for cls in _CLASS_FILTERS}
-    listed = []
+    listed, kept = [], []
     for t in types:
         pool = enumerate_presheaves(A, t, variance, args.cap)
         for cls, pred in _CLASS_FILTERS.items():
             class_counts[cls][str(t)] = sum(1 for phi in pool if pred(phi))
         found = [phi for phi in pool if keep(phi)]
         counts[str(t)] = len(found)
+        kept.extend(found)
         for i, phi in enumerate(found):
             listed.append(
                 {
@@ -113,15 +115,11 @@ def cmd_presheaves(args) -> int:
         "presheaves": listed,
     }
     if args.matrices:
-        from .presheaf import presheaf_hom
-
-        homs = {}
-        for p1 in listed:
-            phi1 = _reconstruct(A, p1, variance)
-            for p0 in listed:
-                phi0 = _reconstruct(A, p0, variance)
-                homs[f"{p1['tag']}>{p0['tag']}"] = presheaf_hom(phi1, phi0).elem
-        report["matrices"] = homs
+        report["matrices"] = {
+            f"{p1['tag']}>{p0['tag']}": presheaf_hom_elem(phi1, phi0)
+            for p1, phi1 in zip(listed, kept)
+            for p0, phi0 in zip(listed, kept)
+        }
 
     def render(rep):
         yield f"presheaves of {rep['object']} ({rep['variance']}, class={rep['class']})"
@@ -137,12 +135,6 @@ def cmd_presheaves(args) -> int:
 
     _emit(report, args.json, render)
     return EXIT_OK
-
-
-def _reconstruct(A, entry, variance):
-    from .presheaf import Presheaf
-
-    return Presheaf(A, entry["type"], variance, (entry["values"][a] for a in A.names))
 
 
 def cmd_morita(args) -> int:

@@ -24,7 +24,6 @@ from .quantaloid import QArrow, Quantaloid, validate_quantaloid
 from .semicat import (
     SemiCategory,
     SemiDistributor,
-    _dense,
     _product,
     _sparse,
     identity_semidist,
@@ -239,11 +238,13 @@ def verify_rsdist_is_idm_matr(
         # and regular; "compatible": fixed by the identity semidistributors
         total, gen = matrix_space(dom, cod)
         if total > cap:
-            raise SearchCapExceeded(f"matrix space of size {total} exceeds cap {cap}")
+            raise SearchCapExceeded(
+                f"matrix space of size {total} exceeds cap {cap}", witness=total
+            )
         regular, compatible = [], []
         for mat in gen:
             cand = SemiDistributor(dom, cod, mat)
-            flat = tuple(mat.values())
+            flat = cand.dense
             if is_regular_semidist(cand):
                 try:
                     regular.append(validate_semidistributor(dom, cod, mat))
@@ -260,7 +261,7 @@ def verify_rsdist_is_idm_matr(
     # identities act as units, and composition with the reverse homs stays fixed
     regular_ba, _ = fixed_matrices(B, A, idb, ida)
     for phi in regular_ab:
-        flat = _dense(phi)
+        flat = phi.dense
         if _product(phi, ida) != flat or _product(idb, phi) != flat:
             return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "unit law fails")
         for psi in regular_ba:

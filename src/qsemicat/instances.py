@@ -33,6 +33,7 @@ from .quantaloid import Quantaloid, builtin_quantaloid
 from .semicat import (
     SemiCategory,
     SemiDistributor,
+    _first_excess,
     is_regular_semidist,
     right_adjoint,
     validate_semicategory,
@@ -265,13 +266,15 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
         for y in elements:
             if full[(x, y)] != full[(y, x)]:
                 raise NotSymmetric(f"[{x!r}={y!r}] != [{y!r}={x!r}]", witness=(x, y))
-    for x in elements:
-        for y in elements:
-            for z in elements:
-                if not lat.le(lat.meet2(full[(x, y)], full[(y, z)]), full[(x, z)]):
-                    raise NotTransitiveEq(
-                        f"[{x!r}={y!r}] ∧ [{y!r}={z!r}] ≰ [{x!r}={z!r}]", witness=(x, y, z)
-                    )
+    # composition is meet, so the triangle law [x=y] ∧ [y=z] ≤ [x=z] is E⊗E ≤ E
+    t = (obj,) * len(elements)
+    dense = tuple(full[(x, y)] for x in elements for y in elements)
+    bad = _first_excess(frame, t, t, t, dense, dense, dense)
+    if bad is not None:
+        x, y, z = (elements[i] for i in bad)
+        raise NotTransitiveEq(
+            f"[{x!r}={y!r}] ∧ [{y!r}={z!r}] ≰ [{x!r}={z!r}]", witness=(x, y, z)
+        )
     return OmegaSet(frame, elements, full)
 
 

@@ -27,7 +27,6 @@ from .presheaf import (
 from .semicat import (
     SemiCategory,
     SemiDistributor,
-    _dense,
     _mat_compose,
     _mat_lift,
     _regular_flats,
@@ -56,13 +55,17 @@ def are_isomorphic_objects(view: QCategoryView, a, b) -> bool:
     sc = view.as_semicategory()
     if not sc.is_category:
         raise NotACategory("object isomorphism lives in a category", witness=view)
-    if view.type_of(a) != view.type_of(b):
-        return False
+    return _isomorphic(view, a, b)
+
+
+def _isomorphic(view: QCategoryView, a, b) -> bool:
+    """Same type, and the identity below the hom both ways, in a view known to be a category."""
     t = view.type_of(a)
+    if view.type_of(b) != t:
+        return False
     q = view.base
-    lat = q.hom_lat(t, t)
-    one = q.identity[t]
-    return lat.le(one, view.hom_elems[(b, a)]) and lat.le(one, view.hom_elems[(a, b)])
+    le, one = q.hom_lat(t, t).le, q.identity[t]
+    return le(one, view.hom_elems[(b, a)]) and le(one, view.hom_elems[(a, b)])
 
 
 def skeleton(view: QCategoryView):
@@ -73,23 +76,9 @@ def skeleton(view: QCategoryView):
     sc = view.as_semicategory()
     if not sc.is_category:
         raise NotACategory("skeletons live in a category", witness=view)
-    q = view.base
-    tags = view.tags
     classes = []
-    for tag in tags:
-        t = view.type_of(tag)
-        one = q.identity[t]
-        lat = q.hom_lat(t, t)
-        home = None
-        for cls in classes:
-            rep = cls[0]
-            if view.type_of(rep) != t:
-                continue
-            if lat.le(one, view.hom_elems[(tag, rep)]) and lat.le(
-                one, view.hom_elems[(rep, tag)]
-            ):
-                home = cls
-                break
+    for tag in view.tags:
+        home = next((cls for cls in classes if _isomorphic(view, tag, cls[0])), None)
         if home is None:
             classes.append([tag])
         else:
@@ -101,7 +90,7 @@ def skeleton(view: QCategoryView):
     hom_elems = {
         (t1, t0): e for (t1, t0), e in view.hom_elems.items() if t1 in keep and t0 in keep
     }
-    return report, QCategoryView(q, objects, hom_elems)
+    return report, QCategoryView(view.base, objects, hom_elems)
 
 
 def categories_isomorphic(c: QCategoryView, d: QCategoryView, cap: int = DEFAULT_CAP) -> bool:
@@ -269,7 +258,7 @@ class InducedFunctor:
         if theta.carrier != A or theta.variance != CONTRA:
             raise TypeMismatch("presheaf does not live on the domain carrier")
         x = theta.qtype
-        values = _mat_compose(A.base, B.types, A.types, (x,), _dense(self.phi), theta.values)
+        values = _mat_compose(A.base, B.types, A.types, (x,), self.phi.dense, theta.values)
         return Presheaf(B, x, CONTRA, values)
 
     def right(self, psi: Presheaf) -> Presheaf:

@@ -26,7 +26,7 @@ from .semicat import (
     SemiCategory,
     SemiDistributor,
     SemiFunctor,
-    _dense,
+    _first_excess,
     _mat_compose,
     _mat_lift,
     is_regular_semicat,
@@ -132,20 +132,9 @@ def enumerate_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = 
     return [
         Presheaf(A, x, variance, combo)
         for combo in itertools.product(*map(range, sizes))
-        if _presheaf_ok(C, x, combo)
+        # the action inequalities C⊗φ ≤ φ of a contravariant φ
+        if _first_excess(C.base, C.types, C.types, (x,), C.dense, combo, combo) is None
     ]
-
-
-def _presheaf_ok(C, x, values) -> bool:
-    """The action inequalities C(a0,a1)∘φ(a1) <= φ(a0) of a contravariant φ."""
-    q = C.base
-    n = len(values)
-    for i1, t1 in enumerate(C.types):
-        for i0, t0 in enumerate(C.types):
-            comp = q.compose_elems(x, t1, t0, C.dense[i0 * n + i1], values[i1])
-            if not q.hom_lat(x, t0).le(comp, values[i0]):
-                return False
-    return True
 
 
 def yoneda(A: SemiCategory, a) -> Presheaf:
@@ -409,21 +398,16 @@ def weighted_colimit_RA(theta: SemiDistributor, fmap) -> dict:
         if not is_regular_presheaf(phi):
             raise NotRegular(f"image of {c!r} is not a regular presheaf", witness=c)
 
-    # the graph (c -> fmap[c]) must itself be a distributor in the C direction
-    for a in carrier.names:
-        ta = carrier.type_of(a)
-        for c1 in C.names:
-            for c0 in C.names:
-                t1, t0 = C.type_of(c1), C.type_of(c0)
-                comp = q.compose_elems(t0, t1, ta, fmap[c1].value(a), C.hom[(c1, c0)])
-                if not q.hom_lat(t0, ta).le(comp, fmap[c0].value(a)):
-                    raise ActionFailure(
-                        "object map is not compatible with the homs of its domain",
-                        witness=(a, c1, c0),
-                    )
-
+    # the graph (c -> fmap[c]) must itself be a distributor in the C direction: F⊗C ≤ F
     F = tuple(fmap[c].values[i] for i in range(len(carrier.names)) for c in C.names)
-    flat = _mat_compose(q, carrier.types, C.types, D.types, F, _dense(theta))
+    bad = _first_excess(q, carrier.types, C.types, C.types, F, C.dense, F)
+    if bad is not None:
+        raise ActionFailure(
+            "object map is not compatible with the homs of its domain",
+            witness=(carrier.names[bad[0]], C.names[bad[1]], C.names[bad[2]]),
+        )
+
+    flat = _mat_compose(q, carrier.types, C.types, D.types, F, theta.dense)
     n = len(D.names)
     return {
         d: Presheaf(carrier, D.type_of(d), CONTRA, flat[k::n]) for k, d in enumerate(D.names)
@@ -447,4 +431,4 @@ def is_colimit(G: SemiFunctor, phi: SemiDistributor, F: SemiFunctor) -> bool:
     A, B = phi.dom, phi.cod
     R = tuple(C.hom[(F.map[b], c)] for b in B.names for c in C.names)
     expected = tuple(C.hom[(G.map[a], c)] for a in A.names for c in C.names)
-    return _mat_lift(C.base, A.types, B.types, C.types, _dense(phi), R) == expected
+    return _mat_lift(C.base, A.types, B.types, C.types, phi.dense, R) == expected

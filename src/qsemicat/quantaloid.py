@@ -10,6 +10,7 @@ the dual quantaloid.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from operator import eq, getitem
 from typing import NamedTuple
@@ -487,8 +488,13 @@ def from_frame(lat: SupLattice, obj: str = "*") -> Quantaloid:
     return from_quantale(lat, lat.meet2, lat.top, obj=obj)
 
 
+@cache
 def builtin_quantaloid(name: str) -> Quantaloid:
-    """Resolve a built-in quantaloid name: "2", "3", or "frame:<lattice>"."""
+    """Resolve a built-in quantaloid name: "2", "3", or "frame:<lattice>".
+
+    Each name is built and validated once; quantaloids are immutable after
+    validation, so every caller shares the one instance and its caches.
+    """
     if name in ("2", "3"):
         return from_frame(named_lattice(name))
     if name.startswith("frame:"):

@@ -139,15 +139,18 @@ class SemiCategory:
 class SemiDistributor:
     """A validated semidistributor between semicategories over one base.
 
-    ``mat`` maps pairs (b, a) to the element index of Phi(b, a): t(a) -> t(b).
+    ``mat`` maps pairs (b, a) to the element index of Phi(b, a): t(a) -> t(b);
+    ``dense`` holds the same matrix as a flat row-major tuple in object
+    order, as :attr:`SemiCategory.dense` does.
     """
 
-    __slots__ = ("dom", "cod", "mat")
+    __slots__ = ("dom", "cod", "mat", "dense")
 
     def __init__(self, dom, cod, mat):
         self.dom = dom
         self.cod = cod
         self.mat = mat
+        self.dense = tuple(mat[(b, a)] for b in cod.names for a in dom.names)
 
     @property
     def base(self):
@@ -203,25 +206,13 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
 
     A(a2, a1)∘A(a1, a0) ≤ A(a2, a0) for every a1 iff the join over a1 is,
     so the inequalities hold iff A⊗A ≤ A entrywise, which one product by
-    :func:`_mat_compose` decides.  Only when it fails does the triple loop
-    run, to raise the first failure with its witness.
+    :func:`_mat_compose` decides.  Only when it fails does
+    :func:`_first_excess` walk the triples, to raise the first failure with
+    its witness.
     """
     raw = objects.elements if isinstance(objects, TypedSet) else objects
     ts = validate_typed_set(raw, base)
-    full = {}
-    for a1 in ts.names:
-        for a0 in ts.names:
-            lat = base.hom_lat(ts.type_of(a0), ts.type_of(a1))
-            e = hom.get((a1, a0), lat.bottom)
-            if not 0 <= e < lat.size:
-                raise TypeMismatch(
-                    f"hom entry ({a1!r}, {a0!r}) = {e} out of range", witness=(a1, a0)
-                )
-            full[(a1, a0)] = e
-    for key in hom:
-        if key not in full:
-            raise TypeMismatch(f"hom entry {key} names unknown objects", witness=key)
-
+    full = _full_matrix(base, ts, ts, hom, "hom entry")
     is_cat = all(
         base.hom_lat(ta, ta).le(base.identity[ta], full[(a, a)]) for a, ta in ts.elements
     )
@@ -231,22 +222,52 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
     product = _mat_compose(base, t, t, t, dense, dense)
     # p ≤ v iff p ∨ v == v
     if not all(map(eq, map(getitem, map(getitem, joins, product), dense), dense)):
-        _raise_composition_failure(base, ts, full)
+        i, k, j = _first_excess(base, t, t, t, dense, dense, dense)
+        a2, a1, a0 = ts.names[i], ts.names[k], ts.names[j]
+        raise CompositionFailure(
+            f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})", witness=(a2, a1, a0)
+        )
     return A
 
 
-def _raise_composition_failure(base, ts, full):
-    """Walk every object triple and raise on the first composition-inequality that fails."""
-    for a2, t2 in ts.elements:
-        for a1, t1 in ts.elements:
-            g = full[(a2, a1)]
-            for a0, t0 in ts.elements:
-                comp = base.compose_elems(t0, t1, t2, g, full[(a1, a0)])
-                if not base.hom[(t0, t2)].le(comp, full[(a2, a0)]):
-                    raise CompositionFailure(
-                        f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})",
-                        witness=(a2, a1, a0),
-                    )
+def _full_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> dict:
+    """``mat`` on rows × cols with bottom in every omitted entry.
+
+    Each entry is range-checked in its hom-lattice and every key of ``mat``
+    must name a row and a column; ``what`` names the entries in errors.
+    """
+    full = {}
+    for r, tr in rows.elements:
+        for c, tc in cols.elements:
+            lat = q.hom_lat(tc, tr)
+            e = mat.get((r, c), lat.bottom)
+            if not 0 <= e < lat.size:
+                raise TypeMismatch(f"{what} ({r!r}, {c!r}) = {e} out of range", witness=(r, c))
+            full[(r, c)] = e
+    for key in mat:
+        if key not in full:
+            raise TypeMismatch(f"{what} {key} names unknown objects", witness=key)
+    return full
+
+
+def _first_excess(q, tr, tm, tc, L, R, V):
+    """The first (i, k, j), in row, middle, column order, with
+    L(i, k)∘R(k, j) ≰ V(i, j), or None.
+
+    Index sets, types and flat row-major shapes are as for
+    :func:`_mat_compose`, and ``V`` has the shape of the product.  The walk
+    compares entry by entry and never forms the product, so it stays an
+    independent check of the product kernel.
+    """
+    nm, nc = len(tm), len(tc)
+    for i, cod in enumerate(tr):
+        for k, mid in enumerate(tm):
+            g = L[i * nm + k]
+            for j, dom in enumerate(tc):
+                comp = q.compose_table[(dom, mid, cod)][g][R[k * nc + j]]
+                if not q.hom[(dom, cod)].leq[comp][V[i * nc + j]]:
+                    return i, k, j
+    return None
 
 
 def is_category(A: SemiCategory) -> bool:
@@ -270,44 +291,26 @@ def _require_same_base(x, y, what):
 
 
 def validate_semidistributor(dom: SemiCategory, cod: SemiCategory, mat) -> SemiDistributor:
-    """Check the action-inequalities; omitted entries default to bottom."""
+    """Check the action-inequalities Φ⊗A ≤ Φ and B⊗Φ ≤ Φ, entry by entry;
+    omitted entries default to bottom."""
     _require_same_base(dom, cod, "semidistributor endpoints")
-    q = dom.base
-    full = {}
-    for b in cod.names:
-        for a in dom.names:
-            lat = q.hom_lat(dom.type_of(a), cod.type_of(b))
-            e = mat.get((b, a), lat.bottom)
-            if not 0 <= e < lat.size:
-                raise TypeMismatch(f"entry ({b!r}, {a!r}) = {e} out of range", witness=(b, a))
-            full[(b, a)] = e
-    for key in mat:
-        if key not in full:
-            raise TypeMismatch(f"entry {key} names unknown objects", witness=key)
-
-    for b in cod.names:
-        tb = cod.type_of(b)
-        for a1 in dom.names:
-            for a0 in dom.names:
-                t0, t1 = dom.type_of(a0), dom.type_of(a1)
-                comp = q.compose_elems(t0, t1, tb, full[(b, a1)], dom.hom[(a1, a0)])
-                if not q.hom_lat(t0, tb).le(comp, full[(b, a0)]):
-                    raise ActionFailure(
-                        f"Φ({b!r},{a1!r})∘A({a1!r},{a0!r}) ≰ Φ({b!r},{a0!r})",
-                        witness=("dom", b, a1, a0),
-                    )
-    for b1 in cod.names:
-        for b0 in cod.names:
-            t1, t0 = cod.type_of(b1), cod.type_of(b0)
-            for a in dom.names:
-                ta = dom.type_of(a)
-                comp = q.compose_elems(ta, t0, t1, cod.hom[(b1, b0)], full[(b0, a)])
-                if not q.hom_lat(ta, t1).le(comp, full[(b1, a)]):
-                    raise ActionFailure(
-                        f"B({b1!r},{b0!r})∘Φ({b0!r},{a!r}) ≰ Φ({b1!r},{a!r})",
-                        witness=("cod", b1, b0, a),
-                    )
-    return SemiDistributor(dom, cod, full)
+    q, ta, tb = dom.base, dom.types, cod.types
+    phi = SemiDistributor(dom, cod, _full_matrix(q, cod.objects, dom.objects, mat, "entry"))
+    bad = _first_excess(q, tb, ta, ta, phi.dense, dom.dense, phi.dense)
+    if bad is not None:
+        b, a1, a0 = cod.names[bad[0]], dom.names[bad[1]], dom.names[bad[2]]
+        raise ActionFailure(
+            f"Φ({b!r},{a1!r})∘A({a1!r},{a0!r}) ≰ Φ({b!r},{a0!r})",
+            witness=("dom", b, a1, a0),
+        )
+    bad = _first_excess(q, tb, tb, ta, cod.dense, phi.dense, phi.dense)
+    if bad is not None:
+        b1, b0, a = cod.names[bad[0]], cod.names[bad[1]], dom.names[bad[2]]
+        raise ActionFailure(
+            f"B({b1!r},{b0!r})∘Φ({b0!r},{a!r}) ≰ Φ({b1!r},{a!r})",
+            witness=("cod", b1, b0, a),
+        )
+    return phi
 
 
 # -- the algebra of semidistributors ----------------------------------------
@@ -377,12 +380,6 @@ def _mat_lift(q, tr, tm, tc, L, R) -> tuple:
     return tuple(out)
 
 
-def _dense(phi: SemiDistributor) -> tuple:
-    """The matrix of a semidistributor as a flat row-major tuple."""
-    mat = phi.mat
-    return tuple(mat[(b, a)] for b in phi.cod.names for a in phi.dom.names)
-
-
 def _sparse(cod: SemiCategory, dom: SemiCategory, flat) -> dict:
     """A flat row-major matrix cod × dom as a dict keyed (b, a)."""
     return dict(zip(((b, a) for b in cod.names for a in dom.names), flat))
@@ -391,7 +388,7 @@ def _sparse(cod: SemiCategory, dom: SemiCategory, flat) -> dict:
 def _product(psi: SemiDistributor, phi: SemiDistributor) -> tuple:
     """Ψ⊗Φ as a flat tuple."""
     A, B, C = phi.dom, phi.cod, psi.cod
-    return _mat_compose(phi.base, C.types, B.types, A.types, _dense(psi), _dense(phi))
+    return _mat_compose(phi.base, C.types, B.types, A.types, psi.dense, phi.dense)
 
 
 def compose_semidist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
@@ -446,7 +443,7 @@ def lifting_dist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
     if psi.cod != phi.cod:
         raise TypeMismatch("lifting needs a common codomain")
     A, B, C = phi.dom, phi.cod, psi.dom
-    flat = _mat_lift(phi.base, C.types, B.types, A.types, _dense(psi), _dense(phi))
+    flat = _mat_lift(phi.base, C.types, B.types, A.types, psi.dense, phi.dense)
     return validate_semidistributor(A, C, _sparse(C, A, flat))
 
 
@@ -462,7 +459,7 @@ def is_regular_semidist(phi: SemiDistributor) -> bool:
     Works on raw matrices too: the two equalities force the action
     inequalities, so enumeration code may filter unvalidated candidates.
     """
-    return _is_regular_flat(phi.dom, phi.cod, _dense(phi))
+    return _is_regular_flat(phi.dom, phi.cod, phi.dense)
 
 
 def _is_regular_flat(A: SemiCategory, B: SemiCategory, flat) -> bool:

@@ -8,13 +8,18 @@ that every law is checked by two unrelated routes.
 import itertools
 
 from qsemicat import (
+    ActionFailure,
     AssocFailure,
     CompositionFailure,
     MissingJoin,
     NotAPartialOrder,
     NotSupPreserving,
+    NotSymmetric,
+    NotTransitiveEq,
     QArrow,
+    QsError,
     SearchCapExceeded,
+    TypeMismatch,
     UnitFailure,
     builtin_quantaloid,
     enumerate_regular_semidists,
@@ -27,7 +32,7 @@ from qsemicat import (
 from qsemicat.lattice import SupLattice, chain
 from qsemicat.morita import _check_regular_pair
 from qsemicat.presheaf import DEFAULT_CAP
-from qsemicat.semicat import _dense, _mat_compose
+from qsemicat.semicat import _mat_compose
 
 NAMES = ("a", "b", "c", "d", "e")
 
@@ -234,6 +239,23 @@ def all_semicats(qname, max_objects):
     return out
 
 
+def relations_family(q):
+    """Every semicategory over the relation quantaloid ``q`` with one object of
+    each type, as accepted by the exhaustive triple loop."""
+    elements = [("u", "X"), ("v", "Y")]
+    keys = [(a1, a0) for a1, _ in elements for a0, _ in elements]
+    sizes = [q.hom[(t0, t1)].size for _, t1 in elements for _, t0 in elements]
+    out = []
+    for values in itertools.product(*map(range, sizes)):
+        hom = dict(zip(keys, values))
+        try:
+            reference_semicategory_axioms(q, elements, hom)
+        except CompositionFailure:
+            continue
+        out.append(validate_semicategory(q, elements, hom))
+    return out
+
+
 def transitive_relations(n):
     """All transitive relations on n points, as tuples of row bitmasks.
 
@@ -299,6 +321,15 @@ def boolean_square(rows):
 
 
 # -- oracles ----------------------------------------------------------------
+
+
+def outcome(run):
+    """What ``run()`` returns, or the class, message and witness of the
+    library error it raises, for comparing a route with its reference."""
+    try:
+        return run()
+    except QsError as exc:
+        return type(exc), str(exc), exc.witness
 
 
 def oracle_lifting(q, c: QArrow, b: QArrow) -> int:
@@ -497,6 +528,108 @@ def reference_semicategory_axioms(base, elements, hom):
                     )
 
 
+def reference_semidistributor(dom, cod, mat):
+    """The entrywise semidistributor validation: range checks, then the two
+    action loops over every object triple.
+
+    Raises the first failure with its witness, exactly as
+    ``validate_semidistributor`` must, and returns the completed matrix.
+    """
+    q = dom.base
+    full = {}
+    for b in cod.names:
+        for a in dom.names:
+            lat = q.hom_lat(dom.type_of(a), cod.type_of(b))
+            e = mat.get((b, a), lat.bottom)
+            if not 0 <= e < lat.size:
+                raise TypeMismatch(f"entry ({b!r}, {a!r}) = {e} out of range", witness=(b, a))
+            full[(b, a)] = e
+    for key in mat:
+        if key not in full:
+            raise TypeMismatch(f"entry {key} names unknown objects", witness=key)
+
+    for b in cod.names:
+        tb = cod.type_of(b)
+        for a1 in dom.names:
+            for a0 in dom.names:
+                t0, t1 = dom.type_of(a0), dom.type_of(a1)
+                comp = q.compose_elems(t0, t1, tb, full[(b, a1)], dom.hom[(a1, a0)])
+                if not q.hom_lat(t0, tb).le(comp, full[(b, a0)]):
+                    raise ActionFailure(
+                        f"Φ({b!r},{a1!r})∘A({a1!r},{a0!r}) ≰ Φ({b!r},{a0!r})",
+                        witness=("dom", b, a1, a0),
+                    )
+    for b1 in cod.names:
+        for b0 in cod.names:
+            t1, t0 = cod.type_of(b1), cod.type_of(b0)
+            for a in dom.names:
+                ta = dom.type_of(a)
+                comp = q.compose_elems(ta, t0, t1, cod.hom[(b1, b0)], full[(b0, a)])
+                if not q.hom_lat(ta, t1).le(comp, full[(b1, a)]):
+                    raise ActionFailure(
+                        f"B({b1!r},{b0!r})∘Φ({b0!r},{a!r}) ≰ Φ({b1!r},{a!r})",
+                        witness=("cod", b1, b0, a),
+                    )
+    return full
+
+
+def reference_omega_set(frame, elements, eq):
+    """The Omega-set validation with its entrywise triangle loop; returns the
+    elements and the completed equality, or raises as ``validate_omega_set``
+    must."""
+    obj = frame.objects[0]
+    lat = frame.hom_lat(obj, obj)
+    elements = tuple(dict.fromkeys(elements))
+    full = {}
+    for x in elements:
+        for y in elements:
+            e = eq.get((x, y), lat.bottom)
+            if not 0 <= e < lat.size:
+                raise TypeMismatch(f"[{x!r}={y!r}] = {e} out of range", witness=(x, y))
+            full[(x, y)] = e
+    for x in elements:
+        for y in elements:
+            if full[(x, y)] != full[(y, x)]:
+                raise NotSymmetric(f"[{x!r}={y!r}] != [{y!r}={x!r}]", witness=(x, y))
+    for x in elements:
+        for y in elements:
+            for z in elements:
+                if not lat.le(lat.meet2(full[(x, y)], full[(y, z)]), full[(x, z)]):
+                    raise NotTransitiveEq(
+                        f"[{x!r}={y!r}] ∧ [{y!r}={z!r}] ≰ [{x!r}={z!r}]", witness=(x, y, z)
+                    )
+    return elements, full
+
+
+def reference_colimit_compatibility(carrier, C, fmap):
+    """The entrywise check that an object map C -> presheaves on ``carrier``
+    is compatible with the homs of C, raising as ``weighted_colimit_RA`` must."""
+    q = carrier.base
+    for a in carrier.names:
+        ta = carrier.type_of(a)
+        for c1 in C.names:
+            for c0 in C.names:
+                t1, t0 = C.type_of(c1), C.type_of(c0)
+                comp = q.compose_elems(t0, t1, ta, fmap[c1].value(a), C.hom[(c1, c0)])
+                if not q.hom_lat(t0, ta).le(comp, fmap[c0].value(a)):
+                    raise ActionFailure(
+                        "object map is not compatible with the homs of its domain",
+                        witness=(a, c1, c0),
+                    )
+
+
+def reference_presheaf_ok(C, x, values) -> bool:
+    """The action inequalities C(a0,a1)∘φ(a1) <= φ(a0) of a contravariant φ."""
+    q = C.base
+    n = len(values)
+    for i1, t1 in enumerate(C.types):
+        for i0, t0 in enumerate(C.types):
+            comp = q.compose_elems(x, t1, t0, C.dense[i0 * n + i1], values[i1])
+            if not q.hom_lat(x, t0).le(comp, values[i0]):
+                return False
+    return True
+
+
 def reference_sup_lattice(size, pairs):
     """Sup-lattice validation on boolean matrices, by scanning upper bounds.
 
@@ -626,10 +759,10 @@ def reference_rsdist_isomorphism_search(A, B, cap=DEFAULT_CAP):
             witness=(n_ab, n_ba),
         )
     phis = enumerate_regular_semidists(A, B, cap)
-    psis = [(psi, _dense(psi)) for psi in enumerate_regular_semidists(B, A, cap)]
+    psis = [(psi, psi.dense) for psi in enumerate_regular_semidists(B, A, cap)]
     q, ta, tb = A.base, A.types, B.types
     for phi in phis:
-        fphi = _dense(phi)
+        fphi = phi.dense
         for psi, fpsi in psis:
             if (
                 _mat_compose(q, ta, tb, ta, fpsi, fphi) == A.dense

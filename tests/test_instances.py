@@ -9,6 +9,7 @@ from qsemicat import (
     NotTransitive,
     NotTransitiveEq,
     bottom_semidist,
+    builtin_quantaloid,
     chain,
     directed_subsets,
     from_frame,
@@ -26,7 +27,7 @@ from qsemicat import (
     validate_semidistributor,
     way_below,
 )
-from helpers import downsets_of_poset, upsets_of_poset
+from helpers import downsets_of_poset, outcome, reference_omega_set, upsets_of_poset
 
 
 def test_validate_poset():
@@ -165,6 +166,43 @@ def test_every_omega_set_is_regular():
         count += 1
         assert is_regular_semicat(E.as_semicategory())
     assert count > 1
+
+
+def _equality_mutants(frame, elements):
+    """Every valid symmetric equality on ``elements`` over a one-object frame,
+    and every mutation of one entry: alone, and with its mirror entry."""
+    k = frame.hom_lat("*", "*").size
+    keys = list(itertools.combinations_with_replacement(elements, 2))
+    for vals in itertools.product(range(k), repeat=len(keys)):
+        eq = {}
+        for (x, y), v in zip(keys, vals):
+            eq[(x, y)] = eq[(y, x)] = v
+        try:
+            reference_omega_set(frame, elements, eq)
+        except NotTransitiveEq:
+            continue
+        yield eq
+        for (x, y), v in eq.items():
+            for new in range(k):
+                if new != v:
+                    yield {**eq, (x, y): new}
+                    if x < y:
+                        yield {**eq, (x, y): new, (y, x): new}
+
+
+@pytest.mark.parametrize("name", ["3", "frame:4", "frame:square"])
+def test_validate_omega_set_agrees_with_triangle_loop(name):
+    frame = builtin_quantaloid(name)
+    elements = ("p", "q", "r")
+    seen = set()
+    for eq in _equality_mutants(frame, elements):
+        got = outcome(lambda: validate_omega_set(frame, elements, eq))
+        if not isinstance(got, tuple):
+            got = got.elements, got.eq
+        want = outcome(lambda: reference_omega_set(frame, elements, eq))
+        assert got == want, eq
+        seen.add(want[0] if isinstance(want[0], type) else None)
+    assert seen == {None, NotSymmetric, NotTransitiveEq}
 
 
 def test_omega_morphism_examples():

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from qsemicat import (
     CO,
     CONTRA,
     EnumerationCapExceeded,
+    ActionFailure,
     NotACategory,
     NotRegular,
     build_PA,
@@ -31,7 +35,19 @@ from qsemicat import (
     yoneda,
     yoneda_covariant,
 )
-from helpers import chain3_A, chain3_C, downsets, two_object_quantaloid
+from helpers import (
+    all_semicats,
+    chain3_A,
+    chain3_C,
+    downsets,
+    outcome,
+    reference_colimit_compatibility,
+    reference_presheaf_ok,
+    rel_quantaloid,
+    relations_family,
+    two_object_quantaloid,
+)
+from qsemicat.presheaf import _contra
 
 Q3 = builtin_quantaloid("3")
 Q2 = builtin_quantaloid("2")
@@ -361,6 +377,64 @@ def test_weighted_colimit_requires_regular():
     fmap = {a: yoneda(B, a) for a in B.names}
     with pytest.raises(NotRegular):
         weighted_colimit_RA(weight, fmap)
+
+
+def _carrier_families():
+    return {
+        "2": all_semicats("2", 2),
+        "3": all_semicats("3", 2),
+        "relations": relations_family(rel_quantaloid()),
+    }
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_presheaf_filter_agrees_with_action_loop_on_every_candidate(variance):
+    for name, family in _carrier_families().items():
+        kept = 0
+        for A in family:
+            C = _contra(A, variance)
+            for x in A.base.objects:
+                sizes = [C.base.hom_lat(x, t).size for t in C.types]
+                want = [
+                    values
+                    for values in itertools.product(*map(range, sizes))
+                    if reference_presheaf_ok(C, x, values)
+                ]
+                got = [phi.values for phi in enumerate_presheaves(A, x, variance)]
+                assert got == want, (name, A.hom, x)
+                kept += len(got)
+        assert 0 < kept, name
+
+
+def _regular_images(A):
+    return {
+        x: [phi for phi in enumerate_presheaves(A, x) if is_regular_presheaf(phi)]
+        for x in A.base.objects
+    }
+
+
+@pytest.mark.parametrize("name", ["3", "relations"])
+def test_colimit_compatibility_agrees_with_action_loop(name):
+    # every object map from a weight's codomain C into RA of a regular
+    # carrier A, with the identity weight on C
+    rng = random.Random(11)
+    family = _carrier_families()[name]
+    carriers = rng.sample([A for A in family if is_regular_semicat(A)], 8)
+    domains = rng.sample(family, 8)
+    outcomes = set()
+    for A in carriers:
+        images = _regular_images(A)
+        for C in domains:
+            weight = identity_semidist(C)
+            for choice in itertools.product(*(images[C.type_of(c)] for c in C.names)):
+                fmap = dict(zip(C.names, choice))
+                want = outcome(lambda: reference_colimit_compatibility(A, C, fmap))
+                got = outcome(lambda: weighted_colimit_RA(weight, fmap))
+                if want is None:
+                    got = None if isinstance(got, dict) else got
+                assert got == want, (A.hom, C.hom, fmap)
+                outcomes.add(want and want[0])
+    assert outcomes == {None, ActionFailure}
 
 
 def test_is_colimit_identity_case():

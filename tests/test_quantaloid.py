@@ -99,6 +99,12 @@ def test_builtin_names():
         builtin_quantaloid("frame:pentagon")
 
 
+def test_builtin_quantaloids_are_built_once():
+    assert builtin_quantaloid("2") is builtin_quantaloid("2")
+    assert builtin_quantaloid("frame:square") is builtin_quantaloid("frame:square")
+    assert builtin_quantaloid("2") is not builtin_quantaloid("3")
+
+
 @pytest.mark.parametrize(
     "q",
     [

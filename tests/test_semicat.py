@@ -7,7 +7,6 @@ from qsemicat import (
     ActionFailure,
     CompositionFailure,
     NotRegular,
-    QsError,
     TypeMismatch,
     bottom_semidist,
     builtin_quantaloid,
@@ -36,8 +35,11 @@ from helpers import (
     chain3_C,
     composition_ok_matrices,
     one_object_semicat,
+    outcome,
     reference_semicategory_axioms,
+    reference_semidistributor,
     rel_quantaloid,
+    relations_family,
     relabelled_hom,
     semicat_from_rows,
     two_object_quantaloid,
@@ -77,30 +79,13 @@ def _three_object_sample():
     return [semicat_from_rows(Q3, r) for r in rows]
 
 
-def _relations_family(q):
-    # one object of each type of the relation quantaloid, every matrix the
-    # triple loop accepts
-    elements = [("u", "X"), ("v", "Y")]
-    keys = [(a1, a0) for a1, _ in elements for a0, _ in elements]
-    sizes = [q.hom[(t0, t1)].size for _, t1 in elements for _, t0 in elements]
-    out = []
-    for values in itertools.product(*map(range, sizes)):
-        hom = dict(zip(keys, values))
-        try:
-            reference_semicategory_axioms(q, elements, hom)
-        except CompositionFailure:
-            continue
-        out.append(validate_semicategory(q, elements, hom))
-    return out
-
-
 SEMICAT_FAMILIES = {
     "2": lambda: all_semicats("2", 2),
     "3": lambda: all_semicats("3", 2),
     "3:three_objects": _three_object_sample,
-    "relations": lambda: _relations_family(rel_quantaloid()),
+    "relations": lambda: relations_family(rel_quantaloid()),
     # hom(X, Y) relabelled so that its join table differs from hom(Y, X)'s
-    "relations:relabelled": lambda: _relations_family(
+    "relations:relabelled": lambda: relations_family(
         relabelled_hom(rel_quantaloid(), ("X", "Y"), (3, 1, 2, 0))
     ),
     "empty": lambda: [validate_semicategory(Q3, [], {})],
@@ -117,25 +102,66 @@ def _hom_mutants(A):
                 yield {**A.hom, (a1, a0): new}
 
 
-def _outcome(run):
-    try:
-        result = run()
-    except QsError as exc:
-        return type(exc), str(exc), exc.witness
-    return None if result is None else result.hom
-
-
 @pytest.mark.parametrize("name", list(SEMICAT_FAMILIES))
 def test_validate_semicategory_agrees_with_triple_loop_on_mutants(name):
     rejected = 0
     for A in SEMICAT_FAMILIES[name]():
         q, elements = A.base, A.objects.elements
         for hom in _hom_mutants(A):
-            got = _outcome(lambda: validate_semicategory(q, elements, hom))
-            want = _outcome(lambda: reference_semicategory_axioms(q, elements, hom))
+            got = outcome(lambda: validate_semicategory(q, elements, hom).hom)
+            want = outcome(lambda: reference_semicategory_axioms(q, elements, hom))
             assert got == (hom if want is None else want), hom
             rejected += want is not None
     assert rejected or name == "empty"
+
+
+def _two_object_sample(qname):
+    # every pair with a one-object side, and a seeded sample of the rest
+    family = all_semicats(qname, 2)
+    small = [(A, B) for A in family for B in family if min(len(A.names), len(B.names)) == 1]
+    big = [(A, B) for A in family for B in family if min(len(A.names), len(B.names)) == 2]
+    return small + random.Random(7).sample(big, min(len(big), 100))
+
+
+def _relations_pairs(q):
+    family = relations_family(q)
+    return random.Random(5).sample([(A, B) for A in family for B in family], 4)
+
+
+SEMIDIST_FAMILIES = {
+    "2": lambda: [(A, B) for A in all_semicats("2", 2) for B in all_semicats("2", 2)],
+    "3": lambda: _two_object_sample("3"),
+    "relations": lambda: _relations_pairs(rel_quantaloid()),
+    "relations:relabelled": lambda: _relations_pairs(
+        relabelled_hom(rel_quantaloid(), ("X", "Y"), (3, 1, 2, 0))
+    ),
+}
+
+
+def _matrix_mutants(A, B):
+    """Every matrix A -/-> B, which holds every single-entry mutation of every
+    semidistributor, then an entry out of range and a key naming no objects."""
+    _, space = matrix_space(A, B)
+    yield from space
+    b, a = B.names[-1], A.names[0]
+    yield {(b, a): A.base.hom_lat(A.type_of(a), B.type_of(b)).size}
+    yield {(b, a): -1}
+    yield {(b, "nowhere"): 0}
+
+
+@pytest.mark.parametrize("name", list(SEMIDIST_FAMILIES))
+def test_validate_semidistributor_agrees_with_action_loops(name):
+    accepted, sides = 0, set()
+    for A, B in SEMIDIST_FAMILIES[name]():
+        for mat in _matrix_mutants(A, B):
+            got = outcome(lambda: validate_semidistributor(A, B, mat).mat)
+            want = outcome(lambda: reference_semidistributor(A, B, mat))
+            assert got == want, (A.hom, B.hom, mat)
+            if isinstance(want, dict):
+                accepted += 1
+            elif want[0] is ActionFailure:
+                sides.add(want[2][0])
+    assert accepted and sides == {"dom", "cod"}
 
 
 def test_is_category_reflexive_preorder():

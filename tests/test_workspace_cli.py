@@ -362,6 +362,16 @@ def test_cmd_completion_verify(tmp_path, capsys):
     assert report["regular_semidistributors"] == 2
 
 
+def test_capped_completion_verify_shows_the_space_size(tmp_path, capsys):
+    path = write_ws(tmp_path, THREE_CHAIN_WS)
+    assert main(["--cap", "2", "completion", "verify", path, "A", "A"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "SearchCapExceeded: matrix space of size 3 exceeds cap 2 (witness: 3)\n"
+    )
+
+
 def test_cmd_completion_idm_invalid_quantaloid(capsys):
     assert main(["completion", "idm", "frame:pentagon"]) == 1
 
