@@ -12,6 +12,7 @@ exactly the calculus of regular semicategories, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import ActionFailure, NotIdempotent, NotRegular, SearchCapExceeded, TypeMismatch
 from .lattice import (
@@ -93,47 +94,46 @@ class IdmQuantaloid:
 
 
 def build_idm(q: Quantaloid) -> IdmQuantaloid:
-    """Split all idempotents of a finite quantaloid."""
+    """Split all idempotents of a finite quantaloid.
+
+    Each hom-lattice is built once per (base pair, fixed set) and each table
+    once per (base triple, fixed sets), and the validator gets them shared.
+    """
     objs = idempotents(q)
-    tags = [_idm_tag(e) for e in objs]
-    hom_elements = {}
-    pos = {}
-    homs = {}
-    for e in objs:
-        te = _idm_tag(e)
-        for f in objs:
-            tf = _idm_tag(f)
-            lat = q.hom_lat(e.dom, f.dom)
-            # b∘e is column e.elem of the precomposition table, f∘b row f.elem
-            after_e = q.compose_table[(e.dom, e.dom, f.dom)]
-            f_after = q.compose_table[(e.dom, f.dom, f.dom)][f.elem]
-            fixed = tuple(
-                b for b in range(lat.size) if after_e[b][e.elem] == b and f_after[b] == b
-            )
-            hom_elements[(te, tf)] = fixed
-            pos[(te, tf)] = {b: i for i, b in enumerate(fixed)}
+    tagged = [(e, _idm_tag(e)) for e in objs]
+    hom_elements, pos, homs = {}, {}, {}
+    restricted = {}  # (base pair, fixed set) -> (hom-lattice, positions)
+    for (e, te), (f, tf) in product(tagged, repeat=2):
+        lat = q.hom_lat(e.dom, f.dom)
+        # b∘e is column e.elem of the precomposition table, f∘b row f.elem
+        after_e = q.compose_table[(e.dom, e.dom, f.dom)]
+        f_after = q.compose_table[(e.dom, f.dom, f.dom)][f.elem]
+        fixed = tuple(b for b in range(lat.size) if after_e[b][e.elem] == b and f_after[b] == b)
+        hom_elements[(te, tf)] = fixed
+        key = (e.dom, f.dom, fixed)
+        if key not in restricted:
             # b ↦ b∘e and b ↦ f∘b preserve ⊥ and joins, so the fixed set holds ⊥
             # and is join-closed, and inherits the base order and joins
-            homs[(te, tf)] = join_closed_sublattice(lat, fixed)
+            positions = {b: i for i, b in enumerate(fixed)}
+            restricted[key] = join_closed_sublattice(lat, fixed), positions
+        homs[(te, tf)], pos[(te, tf)] = restricted[key]
 
     # each table maps whole base rows through the fixed-element positions
     compose = {}
-    for e in objs:
-        te = _idm_tag(e)
-        for f in objs:
-            tf = _idm_tag(f)
-            fixed_ef = hom_elements[(te, tf)]
-            for g in objs:
-                tg = _idm_tag(g)
-                base = q.compose_table[(e.dom, f.dom, g.dom)]
-                to_pos = pos[(te, tg)].__getitem__
-                compose[(te, tf, tg)] = tuple(
-                    tuple(map(to_pos, map(base[c].__getitem__, fixed_ef)))
-                    for c in hom_elements[(tf, tg)]
-                )
+    built = {}  # (base triple, fixed sets) -> table
+    for (e, te), (f, tf), (g, tg) in product(tagged, repeat=3):
+        fixed_ef, fixed_fg = hom_elements[(te, tf)], hom_elements[(tf, tg)]
+        key = (e.dom, f.dom, g.dom, fixed_ef, fixed_fg, hom_elements[(te, tg)])
+        if key not in built:
+            base = q.compose_table[(e.dom, f.dom, g.dom)]
+            to_pos = pos[(te, tg)].__getitem__
+            built[key] = tuple(
+                tuple(map(to_pos, map(base[c].__getitem__, fixed_ef))) for c in fixed_fg
+            )
+        compose[(te, tf, tg)] = built[key]
 
-    identities = {_idm_tag(e): pos[(_idm_tag(e), _idm_tag(e))][e.elem] for e in objs}
-    quant = validate_quantaloid(tags, homs, compose, identities)
+    identities = {te: pos[(te, te)][e.elem] for e, te in tagged}
+    quant = validate_quantaloid([te for _, te in tagged], homs, compose, identities)
     return IdmQuantaloid(q, tuple(objs), hom_elements, quant, pos)
 
 

@@ -187,6 +187,7 @@ class MoritaResult:
     skeleton_sizes: tuple
     certificate: object
     routes_agree: bool
+    cross_check: str
 
     def as_json(self):
         cert = None
@@ -197,11 +198,12 @@ class MoritaResult:
                 "psi": sorted([a, b, e] for (a, b), e in psi.mat.items()),
             }
         return {
-            "schema": 1,
+            "schema": 2,
             "morita": self.equivalent,
             "skeleton_sizes": list(self.skeleton_sizes),
             "certificate": cert,
             "routes_agree": self.routes_agree,
+            "cross_check": self.cross_check,
         }
 
 
@@ -217,24 +219,25 @@ def morita_equivalent(A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP) 
 
     The primary route compares skeletons of the regular-presheaf
     categories; the certificate route searches for an isomorphism pair of
-    regular semidistributors.  When both complete their verdicts must
-    agree, and ``routes_agree`` records that they did.
+    regular semidistributors.  ``cross_check`` is ``"agreed"`` or
+    ``"disagreed"`` when the search completed, and ``"capped"`` when it
+    exceeded ``cap`` and never ran; ``routes_agree`` is false only for
+    ``"disagreed"``.
     """
     _check_regular_pair(A, B)
     _, ska = skeleton(build_RA(A, CONTRA, cap))
     _, skb = skeleton(build_RA(B, CONTRA, cap))
     equivalent = categories_isomorphic(ska, skb, cap)
 
-    certificate = None
-    routes_agree = True
     try:
-        pair = rsdist_isomorphism_search(A, B, cap)
+        certificate = rsdist_isomorphism_search(A, B, cap)
     except SearchCapExceeded:
-        pair = "capped"
-    if pair != "capped":
-        routes_agree = (pair is not None) == equivalent
-        certificate = pair
-    return MoritaResult(equivalent, (len(ska), len(skb)), certificate, routes_agree)
+        certificate, cross_check = None, "capped"
+    else:
+        cross_check = "agreed" if (certificate is not None) == equivalent else "disagreed"
+    return MoritaResult(
+        equivalent, (len(ska), len(skb)), certificate, cross_check != "disagreed", cross_check
+    )
 
 
 # -- regular semidistributors versus cocontinuous maps ------------------------

@@ -11,7 +11,7 @@ the dual quantaloid.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
+from itertools import chain, product, repeat
 from operator import eq, getitem
 from typing import NamedTuple
 
@@ -214,26 +214,36 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
         raise TypeMismatch("duplicate object names", witness=objects)
 
     homs = dict(homs)
-    for x in objects:
-        for y in objects:
-            if (x, y) not in homs:
-                raise TypeMismatch(f"missing hom-lattice ({x!r}, {y!r})", witness=(x, y))
+    for key in product(objects, repeat=2):
+        if key not in homs:
+            raise TypeMismatch(f"missing hom-lattice {key!r}", witness=key)
+    for what, keys, known in (
+        ("hom-lattice", homs, set(product(objects, repeat=2))),
+        ("composition table", compose, set(product(objects, repeat=3))),
+        ("identity for", identities, set(objects)),
+    ):
+        for key in keys:
+            if key not in known:
+                raise TypeMismatch(f"{what} {key!r} names an unknown object", witness=key)
 
     tables = {}
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                key = (x, y, z)
-                if key not in compose:
-                    raise TypeMismatch(f"missing composition table {key}", witness=key)
-                nf, ng, nr = homs[(x, y)].size, homs[(y, z)].size, homs[(x, z)].size
-                raw = compose[key]
-                # whole rows at a time; every hom has at least its bottom, so no row is empty
-                if len(raw) != ng or any(map(nf.__ne__, map(len, raw))):
-                    raise TypeMismatch(f"composition table {key} has wrong shape", witness=key)
-                if min(map(min, raw)) < 0 or max(map(max, raw)) >= nr:
-                    raise TypeMismatch(f"composition table {key} has out-of-range entries", witness=key)
-                tables[key] = tuple(map(tuple, raw))
+    interned = {}  # table content -> the one tuple that every equal table becomes
+    in_range = set()  # (id of an interned table, size of the hom it maps into)
+    for key in product(objects, repeat=3):
+        x, y, z = key
+        if key not in compose:
+            raise TypeMismatch(f"missing composition table {key}", witness=key)
+        nf, ng, nr = homs[(x, y)].size, homs[(y, z)].size, homs[(x, z)].size
+        raw = compose[key]
+        # whole rows at a time; every hom has at least its bottom, so no row is empty
+        if len(raw) != ng or any(map(nf.__ne__, map(len, raw))):
+            raise TypeMismatch(f"composition table {key} has wrong shape", witness=key)
+        table = tuple(map(tuple, raw))
+        table = tables[key] = interned.setdefault(table, table)
+        if (id(table), nr) not in in_range:
+            if min(map(min, table)) < 0 or max(map(max, table)) >= nr:
+                raise TypeMismatch(f"composition table {key} has out-of-range entries", witness=key)
+            in_range.add((id(table), nr))
 
     idents = {}
     for x in objects:
@@ -246,20 +256,17 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
 
     q = Quantaloid(objects, homs, tables, idents)
 
-    for x in objects:
-        for y in objects:
-            nf = homs[(x, y)].size
-            for f in range(nf):
-                if tables[(x, y, y)][idents[y]][f] != f:
-                    raise UnitFailure(
-                        f"id_{y!r} ∘ f != f for f={f} in hom({x!r},{y!r})",
-                        witness=QArrow(x, y, f),
-                    )
-                if tables[(x, x, y)][f][idents[x]] != f:
-                    raise UnitFailure(
-                        f"f ∘ id_{x!r} != f for f={f} in hom({x!r},{y!r})",
-                        witness=QArrow(x, y, f),
-                    )
+    for x, y in product(objects, repeat=2):
+        after_id, before_id = tables[(x, y, y)][idents[y]], tables[(x, x, y)]
+        for f in range(homs[(x, y)].size):
+            if after_id[f] != f:
+                raise UnitFailure(
+                    f"id_{y!r} ∘ f != f for f={f} in hom({x!r},{y!r})", witness=QArrow(x, y, f)
+                )
+            if before_id[f][idents[x]] != f:
+                raise UnitFailure(
+                    f"f ∘ id_{x!r} != f for f={f} in hom({x!r},{y!r})", witness=QArrow(x, y, f)
+                )
 
     if not _axioms_hold(objects, homs, tables):
         _check_axioms_exhaustively(objects, homs, tables)
@@ -340,64 +347,63 @@ def _axioms_hold(objects, homs, tables) -> bool:
     preserve ⊥ and binary joins, and two such maps agree everywhere iff
     they agree at the join-irreducible f.
 
-    f runs over the join-irreducibles of every hom(x, y) at once.  For
-    objects y, z and g in hom(y, z), the precomposition map f ↦ g∘f is a
-    flat tuple over the disjoint union ⊔ₓ hom(x, y), hom(x, y) starting at
-    offset (x, y), whose values are positions in ⊔ₓ hom(x, z).  Then
-    h∘(g∘f) is the full flat map of h read at the values of g's map, and
-    (h∘g)∘f the map of h∘g, both in ⊔ₓ hom(x, w); the maps of g and h∘g are
-    kept at the join-irreducible f only.  The maps are built when first
-    needed.  The answer is exactly that of :func:`_check_axioms_exhaustively`.
+    Each distinct instance is checked once, which is exact because each
+    check is a pure function of its key.  The join check at (x, y, z) reads
+    the table there and hom(x, y), hom(y, z) and hom(x, z); the
+    associativity check at (x, y, z, w) reads the tables at (x, y, z),
+    (y, z, w), (x, z, w) and (x, y, w) and the join-irreducibles of
+    hom(x, y), hom(y, z) and hom(z, w).  A table is keyed by the object it
+    is (:func:`validate_quantaloid` makes equal tables one object), a
+    lattice by its size and order, which for a validated lattice fix its
+    bottom, joins and join-irreducibles.  So the answer is exactly that of
+    :func:`_check_axioms_exhaustively`.
     """
-    plans = {key: _join_plans(lat) for key, lat in homs.items()}
-    for x in objects:
-        for y in objects:
-            lxy = homs[(x, y)]
-            for z in objects:
-                if not _preserves_joins(
-                    tables[(x, y, z)], lxy, homs[(y, z)], homs[(x, z)], plans[(x, y)], plans[(y, z)]
-                ):
-                    return False
+    lattice_ids = {}
+    lat_id = {key: lattice_ids.setdefault(lat, len(lattice_ids)) for key, lat in homs.items()}
+    lats = tuple(lattice_ids)
+    plans, irr = tuple(map(_join_plans, lats)), tuple(lat.join_irreducibles for lat in lats)
+    by_id = {id(t): t for t in tables.values()}
 
-    offset = {}
+    columns, col = {}, {}  # ids of columns over x: hom(x, y), and the tables at (x, y, z)
     for y in objects:
-        start = 0
-        for x in objects:
-            offset[(x, y)] = start
-            start += homs[(x, y)].size
-    irr = {key: lat.join_irreducibles for key, lat in homs.items()}
-    flat = {}
-
-    def after(y, z, g, at_irr):
-        key = (y, z, g, at_irr)
-        line = flat.get(key)
-        if line is None:
-            parts = []
-            for x in objects:
-                row = tables[(x, y, z)][g]
-                if at_irr:
-                    row = map(row.__getitem__, irr[(x, y)])
-                parts.append(map(offset[(x, z)].__add__, row))
-            line = flat[key] = tuple(chain.from_iterable(parts))
-        return line
-
-    for y in objects:
-        if not any(irr[(x, y)] for x in objects):
-            continue
+        col[y] = columns.setdefault(tuple(lat_id[(x, y)] for x in objects), len(columns))
         for z in objects:
-            gs = irr[(y, z)]
-            if not gs:
-                continue
-            for w in objects:
-                tyzw = tables[(y, z, w)]
-                for h in irr[(z, w)]:
-                    h_after, h_row = after(z, w, h, False).__getitem__, tyzw[h]
-                    for g in gs:
-                        # h∘(g∘f) == (h∘g)∘f for every join-irreducible f into y
-                        if not all(
-                            map(eq, map(h_after, after(y, z, g, True)), after(y, w, h_row[g], True))
-                        ):
-                            return False
+            ids = tuple(id(tables[(x, y, z)]) for x in objects)
+            col[(y, z)] = columns.setdefault(ids, len(columns))
+    cols = tuple(columns)
+
+    def per_x(keys, k):
+        # the distinct keys at every x, from the distinct keys whose first k
+        # entries are column ids and whose other entries do not depend on x
+        at_x = (
+            zip(*map(cols.__getitem__, c[:k]), *map(repeat, c[k:])) for c in dict.fromkeys(keys)
+        )
+        return dict.fromkeys(chain.from_iterable(at_x))
+
+    for t, lxy, lxz, lyz in per_x(
+        ((col[(y, z)], col[y], col[z], lat_id[(y, z)]) for y, z in product(objects, repeat=2)), 3
+    ):
+        if not _preserves_joins(by_id[t], lats[lxy], lats[lyz], lats[lxz], plans[lxy], plans[lyz]):
+            return False
+
+    quads = per_x(
+        (
+            (col[(y, z)], col[(z, w)], col[(y, w)], col[y])
+            + (id(tables[(y, z, w)]), lat_id[(y, z)], lat_id[(z, w)])
+            for y, z, w in product(objects, repeat=3)
+        ),
+        4,
+    )
+    for txyz, txzw, txyw, lxy, tyzw, lyz, lzw in quads:
+        fs = irr[lxy]
+        before, after, outer = by_id[txyz], by_id[txzw], by_id[txyw]
+        for h in irr[lzw]:
+            h_row, hg = after[h].__getitem__, by_id[tyzw][h]
+            for g in irr[lyz]:
+                # h∘(g∘f) == (h∘g)∘f for every join-irreducible f
+                g_row, hg_row = before[g].__getitem__, outer[hg[g]].__getitem__
+                if not all(map(eq, map(h_row, map(g_row, fs)), map(hg_row, fs))):
+                    return False
     return True
 
 
@@ -408,51 +414,42 @@ def _check_axioms_exhaustively(objects, homs, tables) -> None:
     argument.  This is the reference the fast path agrees with, and the
     source of the witness when it does not pass.
     """
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                for w in objects:
-                    txy, tyz, tzw = homs[(x, y)], homs[(y, z)], homs[(z, w)]
-                    for f in range(txy.size):
-                        for g in range(tyz.size):
-                            gf = tables[(x, y, z)][g][f]
-                            for h in range(tzw.size):
-                                hg = tables[(y, z, w)][h][g]
-                                if tables[(x, z, w)][h][gf] != tables[(x, y, w)][hg][f]:
-                                    raise AssocFailure(
-                                        "h∘(g∘f) != (h∘g)∘f",
-                                        witness=(QArrow(z, w, h), QArrow(y, z, g), QArrow(x, y, f)),
-                                    )
+    for x, y, z, w in product(objects, repeat=4):
+        txy, tyz, tzw = homs[(x, y)], homs[(y, z)], homs[(z, w)]
+        for f in range(txy.size):
+            for g in range(tyz.size):
+                gf = tables[(x, y, z)][g][f]
+                for h in range(tzw.size):
+                    hg = tables[(y, z, w)][h][g]
+                    if tables[(x, z, w)][h][gf] != tables[(x, y, w)][hg][f]:
+                        raise AssocFailure(
+                            "h∘(g∘f) != (h∘g)∘f",
+                            witness=(QArrow(z, w, h), QArrow(y, z, g), QArrow(x, y, f)),
+                        )
 
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                lxy, lyz, lxz = homs[(x, y)], homs[(y, z)], homs[(x, z)]
-                table = tables[(x, y, z)]
-                for g in range(lyz.size):
-                    if table[g][lxy.bottom] != lxz.bottom:
+    for x, y, z in product(objects, repeat=3):
+        lxy, lyz, lxz = homs[(x, y)], homs[(y, z)], homs[(x, z)]
+        table = tables[(x, y, z)]
+        for g in range(lyz.size):
+            if table[g][lxy.bottom] != lxz.bottom:
+                raise NotSupPreserving("g∘⊥ != ⊥", witness=(QArrow(y, z, g), "bottom-right"))
+            for f1 in range(lxy.size):
+                for f2 in range(lxy.size):
+                    if table[g][lxy.join2(f1, f2)] != lxz.join2(table[g][f1], table[g][f2]):
                         raise NotSupPreserving(
-                            "g∘⊥ != ⊥", witness=(QArrow(y, z, g), "bottom-right")
+                            "g∘(f1∨f2) != g∘f1 ∨ g∘f2",
+                            witness=(QArrow(y, z, g), QArrow(x, y, f1), QArrow(x, y, f2)),
                         )
-                    for f1 in range(lxy.size):
-                        for f2 in range(lxy.size):
-                            if table[g][lxy.join2(f1, f2)] != lxz.join2(table[g][f1], table[g][f2]):
-                                raise NotSupPreserving(
-                                    "g∘(f1∨f2) != g∘f1 ∨ g∘f2",
-                                    witness=(QArrow(y, z, g), QArrow(x, y, f1), QArrow(x, y, f2)),
-                                )
-                for f in range(lxy.size):
-                    if table[lyz.bottom][f] != lxz.bottom:
+        for f in range(lxy.size):
+            if table[lyz.bottom][f] != lxz.bottom:
+                raise NotSupPreserving("⊥∘f != ⊥", witness=(QArrow(x, y, f), "bottom-left"))
+            for g1 in range(lyz.size):
+                for g2 in range(lyz.size):
+                    if table[lyz.join2(g1, g2)][f] != lxz.join2(table[g1][f], table[g2][f]):
                         raise NotSupPreserving(
-                            "⊥∘f != ⊥", witness=(QArrow(x, y, f), "bottom-left")
+                            "(g1∨g2)∘f != g1∘f ∨ g2∘f",
+                            witness=(QArrow(y, z, g1), QArrow(y, z, g2), QArrow(x, y, f)),
                         )
-                    for g1 in range(lyz.size):
-                        for g2 in range(lyz.size):
-                            if table[lyz.join2(g1, g2)][f] != lxz.join2(table[g1][f], table[g2][f]):
-                                raise NotSupPreserving(
-                                    "(g1∨g2)∘f != g1∘f ∨ g2∘f",
-                                    witness=(QArrow(y, z, g1), QArrow(y, z, g2), QArrow(x, y, f)),
-                                )
 
 
 def from_quantale(lat: SupLattice, mult, unit: int, obj: str = "*") -> Quantaloid:

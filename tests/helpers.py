@@ -165,6 +165,17 @@ def relabelled_hom(q, key, perm):
     return validate_quantaloid(q.objects, homs, compose, q.identity)
 
 
+def full_subquantaloid(q, objects):
+    """The full sub-quantaloid of q on ``objects``: their homs, tables and identities."""
+    objects = tuple(objects)
+    return validate_quantaloid(
+        objects,
+        {(x, y): q.hom[(x, y)] for x in objects for y in objects},
+        {key: q.compose_table[key] for key in itertools.product(objects, repeat=3)},
+        {x: q.identity[x] for x in objects},
+    )
+
+
 def idempotent_matrices(k, n):
     """All n x n matrices over the k-chain quantale (meet) with A.A = A."""
     out = []

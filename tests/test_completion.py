@@ -79,6 +79,23 @@ def test_build_idm_tables_match_entrywise_reference(name):
 
 
 @pytest.mark.parametrize("name", list(IDM_BASES))
+def test_build_idm_shares_homs_and_tables(name):
+    # one hom-lattice object per (base pair, fixed set), and equal tables
+    # are one object, so the validator sees each distinct instance once
+    q = IDM_BASES[name]()
+    idm = build_idm(q)
+    dom = {idm.tag(e): e.dom for e in idm.objects}
+    lattices = {}
+    for (te, tf), lat in idm.quantaloid.hom.items():
+        lattices.setdefault((dom[te], dom[tf], idm.hom_elements[(te, tf)]), set()).add(id(lat))
+    assert all(len(ids) == 1 for ids in lattices.values())
+    tables = idm.quantaloid.compose_table.values()
+    assert len({id(t) for t in tables}) == len(set(tables))
+    if name == "relations":
+        assert (len(idm.quantaloid.hom), len(lattices)) == (169, 53)
+
+
+@pytest.mark.parametrize("name", list(IDM_BASES))
 def test_idm_homs_match_validated_lattices(name):
     # each hom is restricted from the base lattice; it must equal what
     # validating the base order on the fixed set from scratch, by either

@@ -27,12 +27,14 @@ from qsemicat.quantaloid import (
 )
 from helpers import (
     endomap_quantaloid,
+    full_subquantaloid,
     min_table,
     oracle_extension,
     oracle_lifting,
     reference_preserves_joins,
     reference_quantaloid_axioms,
     rel_quantaloid,
+    relabelled_hom,
     two_object_quantaloid,
 )
 
@@ -278,6 +280,10 @@ def _single_entry_mutations(q, limit):
     return out
 
 
+def _relabelled_idm():
+    return build_idm(relabelled_hom(rel_quantaloid(), ("X", "Y"), (3, 1, 2, 0))).quantaloid
+
+
 def _outcome(run):
     try:
         run()
@@ -299,6 +305,14 @@ MUTATION_CASES = {
     "idm:frame:square": (lambda: build_idm(builtin_quantaloid("frame:square")).quantaloid, None),
     # every rejection here walks the 13-object completion exhaustively twice
     "idm:relations": (lambda: build_idm(rel_quantaloid()).quantaloid, 20),
+    # moving bottom in hom(X, Y) gives content-equal tables over different
+    # hom-lattices, so a dedupe key that drops a lattice would merge them
+    "idm:relations-relabelled": (_relabelled_idm, 20),
+    # four of its objects, few enough to transplant every table (see below)
+    "idm:relations-relabelled:4": (
+        lambda: full_subquantaloid(_relabelled_idm(), ("X|0", "X|1", "Y|3", "Y|9")),
+        300,
+    ),
 }
 
 
@@ -359,5 +373,45 @@ def test_fast_path_decides_exactly_the_exhaustive_axioms(name):
         tables[key] = rows
         want = _outcome(lambda: _check_axioms_exhaustively(q.objects, q.hom, tables))
         assert _axioms_hold(q.objects, q.hom, tables) == (want is None), (key, g, f, new)
+        rejected += want is not None
+    assert rejected
+
+
+def _transplants(q, limit):
+    """Every (key, table) that puts another table of q at ``key``, where its
+    shape and range fit, or a fixed-seed sample of ``limit`` of them.
+
+    The table is the same object that q holds elsewhere, now over other
+    hom-lattices, so a validator that checks each distinct instance once
+    must still tell the two places apart."""
+    distinct = list(dict.fromkeys(q.compose_table.values()))
+    out = []
+    for key, table in q.compose_table.items():
+        size = q.hom[(key[0], key[2])].size
+        out.extend(
+            (key, other)
+            for other in distinct
+            if other != table
+            and (len(other), len(other[0])) == (len(table), len(table[0]))
+            and max(map(max, other)) < size
+        )
+    if limit is not None and len(out) > limit:
+        out = random.Random(0).sample(out, limit)
+    return out
+
+
+@pytest.mark.parametrize("name", ["relations", "idm:frame:square", "idm:relations-relabelled:4"])
+def test_validate_and_fast_path_agree_with_references_on_transplanted_tables(name):
+    build, limit = MUTATION_CASES[name]
+    q = build()
+    rejected = 0
+    for key, table in _transplants(q, limit):
+        tables = dict(q.compose_table)
+        tables[key] = table
+        want = _outcome(lambda: _check_axioms_exhaustively(q.objects, q.hom, tables))
+        assert _axioms_hold(q.objects, q.hom, tables) == (want is None), key
+        got = _outcome(lambda: validate_quantaloid(q.objects, q.hom, tables, q.identity))
+        want = _outcome(lambda: reference_quantaloid_axioms(q.objects, q.hom, tables, q.identity))
+        assert got == want, key
         rejected += want is not None
     assert rejected

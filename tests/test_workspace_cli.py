@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qsemicat import EnumerationCapExceeded, ParseError
+from qsemicat import EnumerationCapExceeded, ParseError, TypeMismatch
 from qsemicat.cli import main
 from qsemicat.workspace import load_workspace, parse_quantaloid, validate_report
 
@@ -321,6 +321,7 @@ def test_cmd_morita_exit_codes(tmp_path, capsys):
     assert main(["--json", "morita", path, "A", "A"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["morita"] is True and report["routes_agree"] is True
+    assert report["cross_check"] == "agreed"
 
     assert main(["--json", "morita", path, "A", "C"]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -339,6 +340,65 @@ def test_cmd_morita_exit_codes(tmp_path, capsys):
     }
     path = write_ws(tmp_path, nonreg, "nonreg.json")
     assert main(["morita", path, "S", "S"]) == 3
+
+
+INDISCRETE_WS = {
+    "quantaloids": {"Q": "3"},
+    "semicategories": {
+        "D": {
+            "base": "Q",
+            "objects": [{"name": "a", "type": "*"}, {"name": "b", "type": "*"}],
+            "hom": [["a", "a", 2], ["a", "b", 2], ["b", "a", 2], ["b", "b", 2]],
+        }
+    },
+}
+
+
+def test_capped_morita_search_is_reported_as_capped(tmp_path, capsys):
+    # D ⇸ D has 3^4 = 81 matrices: a cap of 50 stops the certificate search
+    # before it starts, while the skeleton route still decides
+    path = write_ws(tmp_path, INDISCRETE_WS)
+    assert main(["--json", "morita", path, "D", "D"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cross_check"] == "agreed" and report["certificate"] is not None
+
+    assert main(["--json", "--cap", "50", "morita", path, "D", "D"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "schema": 2,
+        "morita": True,
+        "skeleton_sizes": [3, 3],
+        "certificate": None,
+        "routes_agree": True,
+        "cross_check": "capped",
+    }
+    assert main(["--cap", "50", "morita", path, "D", "D"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "morita equivalent: True",
+        "skeleton sizes: 3 vs 3",
+        "certificate: none",
+        "routes agree: True",
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"homs": {"X>X": {"size": 2, "leq": [[0, 1]]}, "X>Z": "3"}}, ("X", "Z")),
+        ({"compose": {"X>X>X": [[0, 0], [0, 1]], "Z>Z>Z": [[5]]}}, ("Z", "Z", "Z")),
+        ({"id": {"X": 1, "Q": 7}}, "Q"),
+    ],
+    ids=["hom", "compose", "identity"],
+)
+def test_quantaloid_keys_naming_no_object_are_rejected(tmp_path, capsys, change, key):
+    with pytest.raises(TypeMismatch) as exc:
+        parse_quantaloid(explicit_quantaloid(**change))
+    assert exc.value.witness == key and "unknown object" in str(exc.value)
+    path = write_ws(tmp_path, {"quantaloids": {"Q": explicit_quantaloid(**change)}})
+    assert main(["--json", "validate", path]) == 1
+    [verdict] = json.loads(capsys.readouterr().out)["objects"]
+    assert not verdict["valid"] and verdict["error"].startswith("TypeMismatch")
+    assert verdict["witness"] == repr(key)
 
 
 def test_cmd_completion_idm_builtin(capsys):
@@ -406,4 +466,4 @@ def test_cli_entry_point_via_subprocess(tmp_path):
     )
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
-    assert report["morita"] is False and report["schema"] == 1
+    assert report["morita"] is False and report["schema"] == 2
