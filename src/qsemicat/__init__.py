@@ -81,6 +81,7 @@ from .presheaf import (
     QCategoryView,
     build_PA,
     build_RA,
+    build_RA_by_lifting,
     build_YA,
     enumerate_presheaves,
     is_colimit,

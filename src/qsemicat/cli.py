@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .completion import build_idm, verify_rsdist_is_idm_matr
 from .errors import (
@@ -49,6 +50,10 @@ def _emit(report, as_json, render):
             sys.stdout.write(line + "\n")
 
 
+def _workspace(args):
+    return load_workspace(load_path(args.workspace), args.cap)
+
+
 def cmd_validate(args) -> int:
     doc = load_path(args.workspace)
     _, verdicts = validate_report(doc, args.cap)
@@ -76,9 +81,7 @@ _CLASS_FILTERS = {
 
 
 def cmd_presheaves(args) -> int:
-    doc = load_path(args.workspace)
-    ws = load_workspace(doc, args.cap)
-    A = ws.semicategory(args.name)
+    A = _workspace(args).semicategory(args.name)
     variance = CONTRA if args.variance == "contra" else CO
     keep = _CLASS_FILTERS[args.cls]
     types = [args.type] if args.type else list(A.base.objects)
@@ -138,8 +141,7 @@ def cmd_presheaves(args) -> int:
 
 
 def cmd_morita(args) -> int:
-    doc = load_path(args.workspace)
-    ws = load_workspace(doc, args.cap)
+    ws = _workspace(args)
     A = ws.semicategory(args.first)
     B = ws.semicategory(args.second)
     result = morita_equivalent(A, B, args.cap)
@@ -155,39 +157,37 @@ def cmd_morita(args) -> int:
     return EXIT_OK if result.equivalent else EXIT_FAIL
 
 
-def cmd_completion(args) -> int:
-    if args.sub == "idm":
-        if args.workspace:
-            doc = load_path(args.workspace)
-            ws = load_workspace(doc, args.cap)
-            q = ws.quantaloid(args.name)
-        else:
-            q = parse_quantaloid(args.name)
-        idm = build_idm(q)
-        report = {
-            "schema": 1,
-            "objects": [
-                {"tag": idm.tag(e), "object": e.dom, "elem": e.elem} for e in idm.objects
-            ],
-            "homs": {
-                f"{t1}>{t2}": list(elems)
-                for (t1, t2), elems in sorted(idm.hom_elements.items())
-            },
-            "identities": dict(sorted(idm.quantaloid.identity.items())),
-        }
+def cmd_completion_idm(args) -> int:
+    if args.workspace:
+        q = _workspace(args).quantaloid(args.name)
+    else:
+        q = parse_quantaloid(args.name)
+    idm = build_idm(q)
+    report = {
+        "schema": 1,
+        "objects": [
+            {"tag": idm.tag(e), "object": e.dom, "elem": e.elem} for e in idm.objects
+        ],
+        "homs": {
+            f"{t1}>{t2}": list(elems)
+            for (t1, t2), elems in sorted(idm.hom_elements.items())
+        },
+        "identities": dict(sorted(idm.quantaloid.identity.items())),
+    }
 
-        def render(rep):
-            yield f"idempotents: {len(rep['objects'])}"
-            for o in rep["objects"]:
-                yield f"  {o['tag']} (element {o['elem']} on {o['object']})"
-            for key, elems in sorted(rep["homs"].items()):
-                yield f"  hom {key}: {elems}"
+    def render(rep):
+        yield f"idempotents: {len(rep['objects'])}"
+        for o in rep["objects"]:
+            yield f"  {o['tag']} (element {o['elem']} on {o['object']})"
+        for key, elems in sorted(rep["homs"].items()):
+            yield f"  hom {key}: {elems}"
 
-        _emit(report, args.json, render)
-        return EXIT_OK
+    _emit(report, args.json, render)
+    return EXIT_OK
 
-    doc = load_path(args.workspace)
-    ws = load_workspace(doc, args.cap)
+
+def cmd_completion_verify(args) -> int:
+    ws = _workspace(args)
     A = ws.semicategory(args.first)
     B = ws.semicategory(args.second)
     outcome = verify_rsdist_is_idm_matr(A, B, args.cap)
@@ -222,7 +222,9 @@ def _cap(text) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qsemicat",
         description="Validate, enumerate and compare quantaloid-enriched semicategories.",
@@ -260,19 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     c = comp.add_parser("idm", help="object/hom tables of the idempotent completion")
     c.add_argument("name", help="workspace quantaloid name or built-in constructor")
     c.add_argument("--workspace", default=None)
-    c.set_defaults(func=cmd_completion, sub="idm")
+    c.set_defaults(func=cmd_completion_idm)
     c = comp.add_parser("verify", help="check regular semidistributors against the idempotent recipe")
     c.add_argument("workspace")
     c.add_argument("first")
     c.add_argument("second")
-    c.set_defaults(func=cmd_completion, sub="verify")
+    c.set_defaults(func=cmd_completion_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except QsError as exc:

@@ -11,9 +11,11 @@ on a set is a symmetric regular semicategory over the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     ActionFailure,
+    CompositionFailure,
     EnumerationCapExceeded,
     MissingDirectedJoin,
     NotAPartialOrder,
@@ -22,6 +24,7 @@ from .errors import (
     NotTransitiveEq,
     TypeMismatch,
 )
+from .lattice import order_rows
 from .presheaf import (
     CO,
     CONTRA,
@@ -33,7 +36,6 @@ from .quantaloid import Quantaloid, builtin_quantaloid
 from .semicat import (
     SemiCategory,
     SemiDistributor,
-    _first_excess,
     is_regular_semidist,
     right_adjoint,
     validate_semicategory,
@@ -69,43 +71,39 @@ def validate_poset(elements, pairs) -> FinitePoset:
     for x, y in pairs:
         if x not in index or y not in index:
             raise TypeMismatch(f"pair ({x!r}, {y!r}) names unknown elements", witness=(x, y))
-    lat_pairs = [(index[x], index[y]) for x, y in pairs]
-    n = len(elements)
-    leq_matrix = [[i == j for j in range(n)] for i in range(n)]
-    for i, j in lat_pairs:
-        leq_matrix[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if leq_matrix[i][k]:
-                for j in range(n):
-                    if leq_matrix[k][j]:
-                        leq_matrix[i][j] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq_matrix[i][j] and leq_matrix[j][i]:
-                raise NotAPartialOrder(
-                    f"{elements[i]!r} and {elements[j]!r} are order-equivalent",
-                    witness=(elements[i], elements[j]),
-                )
+    up, _, equivalent = order_rows(len(elements), [(index[x], index[y]) for x, y in pairs])
+    if equivalent is not None:
+        x, y = (elements[i] for i in equivalent)
+        raise NotAPartialOrder(f"{x!r} and {y!r} are order-equivalent", witness=(x, y))
     leq = {
-        (elements[i], elements[j]): leq_matrix[i][j] for i in range(n) for j in range(n)
+        (x, y): bool(row >> j & 1) for x, row in zip(elements, up) for j, y in enumerate(elements)
     }
     return FinitePoset(elements, leq)
 
 
-def _check_transitive(elements, pairs):
-    rel = set(pairs)
+def _transitive_rows(elements, pairs):
+    """``(index, succ)`` for a relation checked to be transitive: ``index``
+    numbers the distinct ``elements``, then any other name in the pairs, and
+    bit j of ``succ[i]`` is set iff the i-th name is related to the j-th.  A
+    failure names the first (x, y) in pair order whose y has a successor z
+    that x lacks, and the first such (y, z) in pair order."""
+    pairs = list(pairs)
+    index = {x: i for i, x in enumerate(dict.fromkeys(chain(elements, *pairs)))}
+    succ = [0] * len(index)
     for x, y in pairs:
-        for y2, z in pairs:
-            if y2 == y and (x, z) not in rel:
-                raise NotTransitive(
-                    f"({x!r}, {y!r}) and ({y!r}, {z!r}) without ({x!r}, {z!r})",
-                    witness=(x, y, z),
-                )
-    return rel
+        succ[index[x]] |= 1 << index[y]
+    for x, y in pairs:
+        missing = succ[index[y]] & ~succ[index[x]]
+        if missing:
+            z = next(z for y2, z in pairs if y2 == y and missing >> index[z] & 1)
+            raise NotTransitive(
+                f"({x!r}, {y!r}) and ({y!r}, {z!r}) without ({x!r}, {z!r})",
+                witness=(x, y, z),
+            )
+    return index, succ
 
 
-def strict_order_to_semicat(elements, pairs, base: Quantaloid = None) -> SemiCategory:
+def strict_order_to_semicat(elements, pairs) -> SemiCategory:
     """A transitive relation as a semicategory over the two-element quantaloid.
 
     The hom entry at key (x, y) is top exactly when (x, y) is in the
@@ -113,10 +111,10 @@ def strict_order_to_semicat(elements, pairs, base: Quantaloid = None) -> SemiCat
     strict orders as the motivating case.
     """
     elements = tuple(dict.fromkeys(elements))
-    rel = _check_transitive(elements, [(x, y) for x, y in pairs])
-    q = base if base is not None else builtin_quantaloid("2")
+    index, succ = _transitive_rows(elements, pairs)
+    q = builtin_quantaloid("2")
     obj = q.objects[0]
-    hom = {(x, y): 1 if (x, y) in rel else 0 for x in elements for y in elements}
+    hom = {(x, y): succ[index[x]] >> index[y] & 1 for x in elements for y in elements}
     return validate_semicategory(q, [(x, obj) for x in elements], hom)
 
 
@@ -127,13 +125,13 @@ def has_interpolation(elements, pairs) -> bool:
     the associated semicategory; the three routes are asserted against each
     other in the test-suite.
     """
-    elements = tuple(dict.fromkeys(elements))
-    rel = _check_transitive(elements, [(x, y) for x, y in pairs])
-    succ = {x: set() for x in elements}
-    for x, y in rel:
-        succ[x].add(y)
-    for x, z in rel:
-        if not any(z in succ[y] for y in succ[x]):
+    _, succ = _transitive_rows(elements, pairs)
+    for row in succ:
+        through = 0  # the successors of row's successors
+        for j, row_j in enumerate(succ):
+            if row >> j & 1:
+                through |= row_j
+        if row & ~through:
             return False
     return True
 
@@ -187,30 +185,27 @@ def way_below(P: FinitePoset):
     return rel
 
 
-def _way_below_semicat(P: FinitePoset) -> SemiCategory:
-    return strict_order_to_semicat(P.elements, sorted(way_below(P)))
+def _way_below_subsets(P: FinitePoset, variance, keep):
+    """The supports of the kept presheaves of the way-below semicategory,
+    by size and then by their sorted elements."""
+    W = strict_order_to_semicat(P.elements, sorted(way_below(P)))
+    obj = W.base.objects[0]
+    subsets = [
+        frozenset(a for a in W.names if phi.value(a) == 1)
+        for phi in enumerate_presheaves(W, obj, variance)
+        if keep(phi)
+    ]
+    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
 def scott_opens(P: FinitePoset):
     """The Scott-open subsets: covariant regular presheaves of the way-below semicategory."""
-    W = _way_below_semicat(P)
-    obj = W.base.objects[0]
-    opens = []
-    for phi in enumerate_presheaves(W, obj, CO):
-        if is_regular_presheaf(phi):
-            opens.append(frozenset(a for a in W.names if phi.value(a) == 1))
-    return sorted(opens, key=lambda s: (len(s), sorted(s)))
+    return _way_below_subsets(P, CO, is_regular_presheaf)
 
 
 def scott_closeds(P: FinitePoset):
     """The Scott-closed subsets: contravariant Yoneda presheaves of the way-below semicategory."""
-    W = _way_below_semicat(P)
-    obj = W.base.objects[0]
-    closeds = []
-    for phi in enumerate_presheaves(W, obj, CONTRA):
-        if is_yoneda_presheaf(phi):
-            closeds.append(frozenset(a for a in W.names if phi.value(a) == 1))
-    return sorted(closeds, key=lambda s: (len(s), sorted(s)))
+    return _way_below_subsets(P, CONTRA, is_yoneda_presheaf)
 
 
 # -- Omega-sets ---------------------------------------------------------------
@@ -219,18 +214,17 @@ def scott_closeds(P: FinitePoset):
 class OmegaSet:
     """A set with an Omega-valued symmetric transitive equality."""
 
-    __slots__ = ("frame", "elements", "eq")
+    __slots__ = ("frame", "elements", "eq", "_semicat")
 
-    def __init__(self, frame, elements, eq):
+    def __init__(self, frame, elements, eq, semicat):
         self.frame = frame
         self.elements = elements
         self.eq = eq
+        self._semicat = semicat
 
     def as_semicategory(self) -> SemiCategory:
-        obj = self.frame.objects[0]
-        return validate_semicategory(
-            self.frame, [(x, obj) for x in self.elements], dict(self.eq)
-        )
+        """The equality as the semicategory over the frame, validated once."""
+        return self._semicat
 
     def __repr__(self):
         return f"OmegaSet({list(self.elements)})"
@@ -266,16 +260,16 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
         for y in elements:
             if full[(x, y)] != full[(y, x)]:
                 raise NotSymmetric(f"[{x!r}={y!r}] != [{y!r}={x!r}]", witness=(x, y))
-    # composition is meet, so the triangle law [x=y] ∧ [y=z] ≤ [x=z] is E⊗E ≤ E
-    t = (obj,) * len(elements)
-    dense = tuple(full[(x, y)] for x in elements for y in elements)
-    bad = _first_excess(frame, t, t, t, dense, dense, dense)
-    if bad is not None:
-        x, y, z = (elements[i] for i in bad)
+    # composition is meet, so the triangle law [x=y] ∧ [y=z] ≤ [x=z] is the
+    # semicategory axiom E⊗E ≤ E, whose witness is the first failing (x, y, z)
+    try:
+        semicat = validate_semicategory(frame, [(x, obj) for x in elements], full)
+    except CompositionFailure as exc:
+        x, y, z = exc.witness
         raise NotTransitiveEq(
             f"[{x!r}={y!r}] ∧ [{y!r}={z!r}] ≰ [{x!r}={z!r}]", witness=(x, y, z)
-        )
-    return OmegaSet(frame, elements, full)
+        ) from None
+    return OmegaSet(frame, elements, full, semicat)
 
 
 def omega_subsets(E: OmegaSet):
@@ -329,7 +323,7 @@ def scott_continuity_check(f, P: FinitePoset, Q: FinitePoset) -> ScottContinuity
     )
 
     WP = strict_order_to_semicat(P.elements, sorted(wb_p))
-    WQ = strict_order_to_semicat(Q.elements, sorted(wb_q), base=WP.base)
+    WQ = strict_order_to_semicat(Q.elements, sorted(wb_q))
     mat = {
         (b, a): 1 if (b, f[a]) in wb_q else 0 for b in Q.elements for a in P.elements
     }

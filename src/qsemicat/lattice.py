@@ -30,10 +30,7 @@ class SupLattice:
         self.bottom = bottom
         self._join2 = join2
         self._meet2 = meet2
-        top = bottom
-        for x in range(size):
-            top = join2[top][x]
-        self.top = top
+        self.top = self.join(range(size))
         self.join_irreducibles = tuple(
             x
             for x in range(size)
@@ -73,32 +70,12 @@ class SupLattice:
         return f"SupLattice(size={self.size})"
 
 
-def validate_sup_lattice(size: int, pairs) -> SupLattice:
-    """Build a sup-lattice from generating order pairs ``(i, j)`` meaning i <= j.
-
-    The reflexive-transitive closure of the pairs is taken first; a cycle
-    between distinct elements raises :class:`NotAPartialOrder`, and a subset
-    without a least upper bound raises :class:`MissingJoin` (the empty
-    subset, i.e. a missing bottom, or a pair suffice as witnesses: joins of
-    larger finite subsets follow by folding).  The first order-equivalent
-    pair (i < j) and the first pair without a join are named, each in
-    lexicographic order.
-
-    The order is held as int bitsets: ``up[i]`` has bit j set iff i <= j,
-    ``down[j]`` bit i.  Ranking the elements by a linear extension (fewer
-    elements below first, then by index) makes joins and meets single bit
-    operations:
-
-    * If i and j have a least upper bound u, every other upper bound v has
-      u < v, so strictly more elements below it, and u is the upper bound
-      of lowest rank.  So the lowest-ranked upper bound is the join exactly
-      when it lies below every upper bound, and the pair has no join
-      otherwise (or when it has no upper bound at all).
-    * In a lattice the meet is the greatest common lower bound, so by the
-      same argument the common lower bound of highest rank.
-    * Joins and meets are symmetric and i∨i = i, so the first pair without
-      a join in lexicographic order has i < j, and only those are searched.
-    """
+def order_rows(size: int, pairs):
+    """``(up, down, equivalent)`` for the reflexive-transitive closure of
+    order pairs ``(i, j)``, i <= j: ``up[i]`` has bit j set iff i <= j,
+    ``down[j]`` bit i, and ``equivalent`` is the first pair i < j with
+    j <= i, in lexicographic order, or None.  Raises ``ValueError`` on a
+    pair out of range."""
     if size < 0:
         raise ValueError("size must be non-negative")
     up = [1 << i for i in range(size)]
@@ -116,8 +93,39 @@ def validate_sup_lattice(size: int, pairs) -> SupLattice:
     for i in range(size):
         later = (up[i] & down[i]) >> (i + 1)
         if later:
-            j = i + (later & -later).bit_length()
-            raise NotAPartialOrder(f"elements {i} and {j} are order-equivalent", witness=(i, j))
+            return up, down, (i, i + (later & -later).bit_length())
+    return up, down, None
+
+
+def validate_sup_lattice(size: int, pairs) -> SupLattice:
+    """Build a sup-lattice from generating order pairs ``(i, j)`` meaning i <= j.
+
+    The reflexive-transitive closure of the pairs is taken first; a cycle
+    between distinct elements raises :class:`NotAPartialOrder`, and a subset
+    without a least upper bound raises :class:`MissingJoin` (the empty
+    subset, i.e. a missing bottom, or a pair suffice as witnesses: joins of
+    larger finite subsets follow by folding).  The first order-equivalent
+    pair (i < j) and the first pair without a join are named, each in
+    lexicographic order.
+
+    The order is held as the int bitsets of :func:`order_rows`.  Ranking
+    the elements by a linear extension (fewer elements below first, then by
+    index) makes joins and meets single bit operations:
+
+    * If i and j have a least upper bound u, every other upper bound v has
+      u < v, so strictly more elements below it, and u is the upper bound
+      of lowest rank.  So the lowest-ranked upper bound is the join exactly
+      when it lies below every upper bound, and the pair has no join
+      otherwise (or when it has no upper bound at all).
+    * In a lattice the meet is the greatest common lower bound, so by the
+      same argument the common lower bound of highest rank.
+    * Joins and meets are symmetric and i∨i = i, so the first pair without
+      a join in lexicographic order has i < j, and only those are searched.
+    """
+    up, down, equivalent = order_rows(size, pairs)
+    if equivalent is not None:
+        i, j = equivalent
+        raise NotAPartialOrder(f"elements {i} and {j} are order-equivalent", witness=(i, j))
 
     full = (1 << size) - 1
     bottom = next((b for b in range(size) if up[b] == full), None)

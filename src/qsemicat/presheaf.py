@@ -30,6 +30,7 @@ from .semicat import (
     _mat_compose,
     _mat_lift,
     is_regular_semicat,
+    lifting_rsdist,
     validate_semicategory,
     validate_semidistributor,
 )
@@ -300,30 +301,21 @@ def build_PA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) ->
     return _build_view(A, variance, cap, lambda phi: True)
 
 
-def build_RA(
-    A: SemiCategory,
-    variance: str = CONTRA,
-    cap: int = DEFAULT_CAP,
-    hom_route: str = "presheaf",
-) -> QCategoryView:
-    """The full subcategory of regular presheaves.
+def build_RA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
+    """The full subcategory of regular presheaves."""
+    return _build_view(A, variance, cap, is_regular_presheaf)
 
-    ``hom_route="lifting"`` recomputes every hom through the lifting in the
-    regular-semidistributor calculus instead of restricting the presheaf
-    homs; the two must agree for a regular carrier and the route exists as
-    an independent cross-check.
+
+def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryView:
+    """The contravariant :func:`build_RA` with every hom recomputed through
+    the lifting in the regular-semidistributor calculus.
+
+    For a regular carrier the two must agree; this route is the independent
+    cross-check of the presheaf homs.
     """
-    view = _build_view(A, variance, cap, is_regular_presheaf)
-    if hom_route == "presheaf":
-        return view
-    if hom_route != "lifting":
-        raise TypeMismatch(f"unknown hom_route {hom_route!r}")
-    if variance != CONTRA:
-        raise TypeMismatch("the lifting route describes contravariant homs only")
+    view = build_RA(A, CONTRA, cap)
     if not is_regular_semicat(A):
         raise NotRegular("lifting route needs a regular carrier", witness=A)
-    from .semicat import lifting_rsdist
-
     hom_elems = {}
     for tag1, _, psi in view.objects:
         sd_psi = psi.as_semidistributor()

@@ -61,14 +61,16 @@ class Quantaloid:
     def op(self) -> Quantaloid:
         """The dual quantaloid: hom^op(x, y) = hom(y, x), and g∘f there is f∘g here.
 
-        Built once and cached; it shares the hom-lattices with this one, and
-        its own dual is this quantaloid again.
+        Built once and cached; it shares the hom-lattices with this one, each
+        table object is transposed once, and its own dual is this one again.
         """
         if self._op is None:
+            distinct = {id(t): t for t in self.compose_table.values()}
+            transposed = {key: tuple(zip(*t)) for key, t in distinct.items()}
             self._op = Quantaloid(
                 self.objects,
                 {(y, x): lat for (x, y), lat in self.hom.items()},
-                {(z, y, x): tuple(zip(*t)) for (x, y, z), t in self.compose_table.items()},
+                {(z, y, x): transposed[id(t)] for (x, y, z), t in self.compose_table.items()},
                 self.identity,
             )
             self._op._op = self

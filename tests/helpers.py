@@ -15,6 +15,7 @@ from qsemicat import (
     NotAPartialOrder,
     NotSupPreserving,
     NotSymmetric,
+    NotTransitive,
     NotTransitiveEq,
     QArrow,
     QsError,
@@ -610,6 +611,64 @@ def reference_omega_set(frame, elements, eq):
                         f"[{x!r}={y!r}] ∧ [{y!r}={z!r}] ≰ [{x!r}={z!r}]", witness=(x, y, z)
                     )
     return elements, full
+
+
+def reference_poset(elements, pairs):
+    """The poset validation by Warshall closure and a pairwise antisymmetry
+    scan; returns the elements and the order, or raises as
+    ``validate_poset`` must."""
+    elements = tuple(dict.fromkeys(elements))
+    index = {x: i for i, x in enumerate(elements)}
+    for x, y in pairs:
+        if x not in index or y not in index:
+            raise TypeMismatch(f"pair ({x!r}, {y!r}) names unknown elements", witness=(x, y))
+    lat_pairs = [(index[x], index[y]) for x, y in pairs]
+    n = len(elements)
+    leq_matrix = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in lat_pairs:
+        leq_matrix[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if leq_matrix[i][k]:
+                for j in range(n):
+                    if leq_matrix[k][j]:
+                        leq_matrix[i][j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq_matrix[i][j] and leq_matrix[j][i]:
+                raise NotAPartialOrder(
+                    f"{elements[i]!r} and {elements[j]!r} are order-equivalent",
+                    witness=(elements[i], elements[j]),
+                )
+    leq = {
+        (elements[i], elements[j]): leq_matrix[i][j] for i in range(n) for j in range(n)
+    }
+    return elements, leq
+
+
+def reference_transitive(pairs):
+    """The transitivity check over every two pairs, in pair order; returns
+    the relation as a set, or raises as the relation builders of
+    ``qsemicat.instances`` must."""
+    rel = set(pairs)
+    for x, y in pairs:
+        for y2, z in pairs:
+            if y2 == y and (x, z) not in rel:
+                raise NotTransitive(
+                    f"({x!r}, {y!r}) and ({y!r}, {z!r}) without ({x!r}, {z!r})",
+                    witness=(x, y, z),
+                )
+    return rel
+
+
+def reference_interpolation(elements, pairs) -> bool:
+    """Interpolation by successor sets: every related (x, z) has a y with
+    x ~ y ~ z; ``pairs`` must relate ``elements`` only."""
+    rel = reference_transitive(pairs)
+    succ = {x: set() for x in elements}
+    for x, y in rel:
+        succ[x].add(y)
+    return all(any(z in succ[y] for y in succ[x]) for x, z in rel)
 
 
 def reference_colimit_compatibility(carrier, C, fmap):

@@ -91,6 +91,9 @@ def test_build_idm_shares_homs_and_tables(name):
     assert all(len(ids) == 1 for ids in lattices.values())
     tables = idm.quantaloid.compose_table.values()
     assert len({id(t) for t in tables}) == len(set(tables))
+    # the dual transposes each table object once and shares the transposes alike
+    dual = idm.quantaloid.op().compose_table.values()
+    assert len({id(t) for t in dual}) == len({id(t) for t in tables})
     if name == "relations":
         assert (len(idm.quantaloid.hom), len(lattices)) == (169, 53)
 

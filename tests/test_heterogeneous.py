@@ -13,6 +13,7 @@ from qsemicat import (
     CONTRA,
     build_PA,
     build_RA,
+    build_RA_by_lifting,
     build_YA,
     compose_semidist,
     enumerate_presheaves,
@@ -71,7 +72,7 @@ def test_mixed_type_presheaf_categories(carrier):
     ra = build_RA(A)
     ya = build_YA(A)
     assert ra.check() and ya.check()
-    assert build_RA(A, hom_route="lifting").hom_elems == ra.hom_elems
+    assert build_RA_by_lifting(A).hom_elems == ra.hom_elems
 
 
 def test_adjoint_triple_mixed_types(carrier):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,16 @@ from qsemicat import (
     validate_semidistributor,
     way_below,
 )
-from helpers import downsets_of_poset, outcome, reference_omega_set, upsets_of_poset
+import qsemicat.instances
+from helpers import (
+    downsets_of_poset,
+    outcome,
+    reference_interpolation,
+    reference_omega_set,
+    reference_poset,
+    reference_transitive,
+    upsets_of_poset,
+)
 
 
 def test_validate_poset():
@@ -49,6 +59,47 @@ def test_strict_order_examples():
 
     with pytest.raises(NotTransitive):
         strict_order_to_semicat(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+def _assert_former_loops_agree(elements, pairs):
+    # class, message and witness, or the result, of each relation builder
+    # against the loops it replaced
+    got = outcome(lambda: validate_poset(elements, pairs))
+    if not isinstance(got, tuple):
+        got = got.elements, got.leq
+    assert got == outcome(lambda: reference_poset(elements, pairs)), pairs
+    want = outcome(lambda: reference_transitive(pairs))
+    got = outcome(lambda: strict_order_to_semicat(elements, pairs).hom)
+    if isinstance(want, set):
+        assert got == {(x, y): int((x, y) in want) for x in elements for y in elements}, pairs
+        want = reference_interpolation(elements, pairs)
+    else:
+        assert got == want, pairs
+    assert outcome(lambda: has_interpolation(elements, pairs)) == want, pairs
+
+
+def test_relation_builders_match_former_loops_on_three_elements():
+    elements = ("a", "b", "c")
+    cells = list(itertools.product(elements, repeat=2))
+    for mask in range(1 << len(cells)):
+        pairs = [cell for k, cell in enumerate(cells) if mask >> k & 1]
+        _assert_former_loops_agree(elements, pairs)
+        _assert_former_loops_agree(elements, pairs[::-1])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_relation_builders_match_former_loops_on_a_seeded_sample(n):
+    rng = random.Random(n)
+    elements = tuple("abcde"[:n])
+    for trial in range(400):
+        rel = {cell for cell in itertools.product(elements, repeat=2) if rng.random() < 0.3}
+        if trial % 2:
+            # its transitive closure, so that the valid branches run too
+            for y in elements:
+                rel |= {(x, z) for x, y1 in rel if y1 == y for y2, z in rel if y2 == y}
+        pairs = sorted(rel)
+        rng.shuffle(pairs)
+        _assert_former_loops_agree(elements, pairs)
 
 
 def test_has_interpolation_examples():
@@ -203,6 +254,22 @@ def test_validate_omega_set_agrees_with_triangle_loop(name):
         assert got == want, eq
         seen.add(want[0] if isinstance(want[0], type) else None)
     assert seen == {None, NotSymmetric, NotTransitiveEq}
+
+
+def test_omega_set_is_validated_once(monkeypatch):
+    calls = []
+    real = qsemicat.instances.validate_semicategory
+    monkeypatch.setattr(
+        qsemicat.instances,
+        "validate_semicategory",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    eq = {("p", "p"): 2, ("q", "q"): 1, ("p", "q"): 1, ("q", "p"): 1}
+    E = validate_omega_set(builtin_quantaloid("3"), ["p", "q"], eq)
+    A = E.as_semicategory()
+    assert E.as_semicategory() is A and E.as_semicategory() is A
+    assert A.hom == E.eq
+    assert len(calls) == 1
 
 
 def test_omega_morphism_examples():

@@ -12,6 +12,7 @@ from qsemicat import (
     NotRegular,
     build_PA,
     build_RA,
+    build_RA_by_lifting,
     build_YA,
     builtin_quantaloid,
     enumerate_presheaves,
@@ -204,9 +205,9 @@ def test_build_views_three_chain():
 
 def test_build_RA_lifting_route_agrees():
     A = chain3_A()
-    assert build_RA(A).hom_elems == build_RA(A, hom_route="lifting").hom_elems
+    assert build_RA(A).hom_elems == build_RA_by_lifting(A).hom_elems
     C = chain3_C()
-    assert build_RA(C).hom_elems == build_RA(C, hom_route="lifting").hom_elems
+    assert build_RA(C).hom_elems == build_RA_by_lifting(C).hom_elems
 
 
 def test_PA_equals_PA_of_free_category():
