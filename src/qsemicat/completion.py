@@ -23,10 +23,11 @@ from .lattice import (
 )
 from .quantaloid import QArrow, Quantaloid, validate_quantaloid
 from .semicat import (
+    DEFAULT_CAP,
     SemiCategory,
     SemiDistributor,
+    _is_regular_flat,
     _product,
-    _sparse,
     identity_semidist,
     is_regular_semicat,
     is_regular_semidist,
@@ -58,36 +59,16 @@ class IdmQuantaloid:
     fixing condition.  ``quantaloid`` is the reindexed validated result.
     """
 
-    __slots__ = ("base", "objects", "hom_elements", "quantaloid", "_pos")
+    __slots__ = ("base", "objects", "hom_elements", "quantaloid")
 
-    def __init__(self, base, objects, hom_elements, quantaloid, pos):
+    def __init__(self, base, objects, hom_elements, quantaloid):
         self.base = base
         self.objects = objects
         self.hom_elements = hom_elements
         self.quantaloid = quantaloid
-        self._pos = pos
 
     def tag(self, e: QArrow) -> str:
         return _idm_tag(e)
-
-    def hom_subset(self, e: QArrow, f: QArrow):
-        """The base elements of hom(e.dom, f.dom) fixed by e and f."""
-        return self.hom_elements[(_idm_tag(e), _idm_tag(f))]
-
-    def encode(self, e: QArrow, f: QArrow, base_elem: int) -> QArrow:
-        """The arrow e -> f of the completion carried by a base element."""
-        key = (_idm_tag(e), _idm_tag(f))
-        pos = self._pos[key]
-        if base_elem not in pos:
-            raise TypeMismatch(
-                f"base element {base_elem} is not fixed by ({e}, {f})",
-                witness=(e, f, base_elem),
-            )
-        return QArrow(key[0], key[1], pos[base_elem])
-
-    def decode(self, arrow: QArrow) -> int:
-        """The base element carried by an arrow of the completion."""
-        return self.hom_elements[(arrow.dom, arrow.cod)][arrow.elem]
 
     def __repr__(self):
         return f"<idempotent completion on {len(self.objects)} objects>"
@@ -134,7 +115,7 @@ def build_idm(q: Quantaloid) -> IdmQuantaloid:
 
     identities = {te: pos[(te, te)][e.elem] for e, te in tagged}
     quant = validate_quantaloid([te for _, te in tagged], homs, compose, identities)
-    return IdmQuantaloid(q, tuple(objs), hom_elements, quant, pos)
+    return IdmQuantaloid(q, tuple(objs), hom_elements, quant)
 
 
 def idm_lifting(q: Quantaloid, e: QArrow, f: QArrow, g: QArrow, b: int, c: int) -> int:
@@ -221,7 +202,7 @@ class RsdistIdmReport:
 
 
 def verify_rsdist_is_idm_matr(
-    A: SemiCategory, B: SemiCategory, cap: int = 10**6
+    A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP
 ) -> RsdistIdmReport:
     """Check that regular semidistributors A -/-> B are exactly the matrices
     fixed by the idempotent hom matrices of A and B, and that composition
@@ -231,41 +212,42 @@ def verify_rsdist_is_idm_matr(
     if not is_regular_semicat(B):
         raise NotRegular("second semicategory is not regular", witness=B)
 
-    ida, idb = identity_semidist(A), identity_semidist(B)
-
-    def fixed_matrices(dom, cod, id_dom, id_cod):
-        # "regular": a semidistributor by the entrywise action inequalities
-        # and regular; "compatible": fixed by the identity semidistributors
+    def scan(dom, cod):
+        # every matrix dom -/-> cod, with its semidistributor when "regular":
+        # regular and a semidistributor by the entrywise action inequalities
         total, gen = matrix_space(dom, cod)
         if total > cap:
             raise SearchCapExceeded(
                 f"matrix space of size {total} exceeds cap {cap}", witness=total
             )
-        regular, compatible = [], []
         for mat in gen:
             cand = SemiDistributor(dom, cod, mat)
-            flat = cand.dense
+            phi = None
             if is_regular_semidist(cand):
                 try:
-                    regular.append(validate_semidistributor(dom, cod, mat))
+                    phi = validate_semidistributor(dom, cod, mat)
                 except ActionFailure:
                     pass
-            if _product(cand, id_dom) == flat and _product(id_cod, cand) == flat:
-                compatible.append(mat)
-        return regular, compatible
+            yield cand, phi
 
-    regular_ab, compatible_ab = fixed_matrices(A, B, ida, idb)
+    # "compatible": fixed by the identity semidistributors
+    ida, idb = identity_semidist(A), identity_semidist(B)
+    regular_ab, compatible_ab = [], []
+    for cand, phi in scan(A, B):
+        if phi is not None:
+            regular_ab.append(phi)
+        if _product(cand, ida) == cand.dense and _product(idb, cand) == cand.dense:
+            compatible_ab.append(cand.mat)
     if [phi.mat for phi in regular_ab] != compatible_ab:
         return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "hom sets differ")
 
     # the identities act as units on every phi, which was admitted to
     # compatible_ab by exactly that test; composites with the reverse homs
     # must stay in the hom
-    regular_ba, _ = fixed_matrices(B, A, idb, ida)
+    regular_ba = [psi for _, psi in scan(B, A) if psi is not None]
     for phi in regular_ab:
         for psi in regular_ba:
-            comp = SemiDistributor(A, A, _sparse(A, A, _product(psi, phi)))
-            if not is_regular_semidist(comp):
+            if not _is_regular_flat(A, A, _product(psi, phi)):
                 return RsdistIdmReport(
                     False, len(regular_ab), len(compatible_ab), "composite leaves the hom"
                 )

@@ -256,6 +256,9 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
             if not 0 <= e < lat.size:
                 raise TypeMismatch(f"[{x!r}={y!r}] = {e} out of range", witness=(x, y))
             full[(x, y)] = e
+    for key in eq:
+        if key not in full:
+            raise TypeMismatch(f"equality {key} names unknown elements", witness=key)
     for x in elements:
         for y in elements:
             if full[(x, y)] != full[(y, x)]:

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .quantaloid import QArrow, Quantaloid
 from .semicat import (
+    DEFAULT_CAP,
     SemiCategory,
     SemiDistributor,
     SemiFunctor,
@@ -37,8 +38,6 @@ from .semicat import (
 
 CONTRA = "contra"
 CO = "co"
-
-DEFAULT_CAP = 10**6
 
 
 def unit_category(q: Quantaloid, x, name: str = "*") -> SemiCategory:
@@ -73,12 +72,12 @@ class Presheaf:
             return QArrow(self.qtype, ta, self.value(a))
         return QArrow(ta, self.qtype, self.value(a))
 
-    def as_semidistributor(self, name: str = "*") -> SemiDistributor:
-        unit = unit_category(self.carrier.base, self.qtype, name)
+    def as_semidistributor(self) -> SemiDistributor:
+        unit = unit_category(self.carrier.base, self.qtype)
         if self.variance == CONTRA:
-            mat = {(a, name): v for a, v in zip(self.carrier.names, self.values)}
+            mat = {(a, "*"): v for a, v in zip(self.carrier.names, self.values)}
             return validate_semidistributor(unit, self.carrier, mat)
-        mat = {(name, a): v for a, v in zip(self.carrier.names, self.values)}
+        mat = {("*", a): v for a, v in zip(self.carrier.names, self.values)}
         return validate_semidistributor(self.carrier, unit, mat)
 
     def __eq__(self, other):
@@ -280,14 +279,14 @@ class QCategoryView:
         return f"<Q-category view on {len(self.objects)} objects>"
 
 
-def _build_view(A, variance, cap, keep, tag_prefix=""):
+def _build_view(A, variance, cap, keep):
     q = A.base
     objects = []
     for x in q.objects:
         idx = 0
         for phi in enumerate_presheaves(A, x, variance, cap):
             if keep(phi):
-                objects.append((f"{tag_prefix}{x}#{idx}", x, phi))
+                objects.append((f"{x}#{idx}", x, phi))
                 idx += 1
     hom_elems = {}
     for tag1, _, psi in objects:

@@ -454,21 +454,17 @@ def _check_axioms_exhaustively(objects, homs, tables) -> None:
                         )
 
 
-def from_quantale(lat: SupLattice, mult, unit: int, obj: str = "*") -> Quantaloid:
-    """Wrap a quantale (a sup-lattice with a multiplication) as a one-object quantaloid.
+def from_quantale(lat: SupLattice, mult, unit: int) -> Quantaloid:
+    """Wrap a quantale (a sup-lattice with a multiplication) as a one-object
+    quantaloid on the object ``"*"``.
 
-    ``mult`` is either a callable on element indices or a full table.
+    ``mult`` is a callable on element indices.
     """
-    if callable(mult):
-        table = [[mult(g, f) for f in range(lat.size)] for g in range(lat.size)]
-    else:
-        table = [list(row) for row in mult]
-    return validate_quantaloid(
-        (obj,), {(obj, obj): lat}, {(obj, obj, obj): table}, {obj: unit}
-    )
+    table = [[mult(g, f) for f in range(lat.size)] for g in range(lat.size)]
+    return validate_quantaloid(("*",), {("*", "*"): lat}, {("*", "*", "*"): table}, {"*": unit})
 
 
-def from_frame(lat: SupLattice, obj: str = "*") -> Quantaloid:
+def from_frame(lat: SupLattice) -> Quantaloid:
     """Wrap a frame as a one-object quantaloid with composition = meet, identity = top.
 
     Distributivity of binary meets over binary joins is checked first; for a
@@ -484,7 +480,7 @@ def from_frame(lat: SupLattice, obj: str = "*") -> Quantaloid:
                         f"meet does not distribute over join at ({x}, {y}, {z})",
                         witness=(x, y, z),
                     )
-    return from_quantale(lat, lat.meet2, lat.top, obj=obj)
+    return from_quantale(lat, lat.meet2, lat.top)
 
 
 @cache

@@ -28,6 +28,9 @@ from .errors import (
 )
 from .quantaloid import QArrow, Quantaloid
 
+# the default bound on every matrix space and presheaf candidate space
+DEFAULT_CAP = 10**6
+
 
 class TypedSet:
     """A finite set of named elements, each typed by an object of the base."""
@@ -44,10 +47,7 @@ class TypedSet:
         self._pos = {n: i for i, n in enumerate(names)}
 
     def type_of(self, name):
-        try:
-            return self.types[self._pos[name]]
-        except KeyError:
-            raise TypeMismatch(f"unknown element {name!r}", witness=name) from None
+        return self.types[self.index_of(name)]
 
     def index_of(self, name) -> int:
         try:
@@ -84,10 +84,11 @@ class SemiCategory:
     ``hom`` maps pairs (a1, a0) of object names to the element index of the
     hom-arrow A(a1, a0): t(a0) -> t(a1) in the base.  ``types`` and ``dense``
     hold the object types and the hom matrix as a flat row-major tuple, both
-    in object order, for the matrix kernels.
+    in object order, for the matrix kernels.  ``is_category`` and
+    ``is_regular`` (A⊗A = A) are decided by :func:`validate_semicategory`.
     """
 
-    __slots__ = ("base", "objects", "hom", "is_category", "types", "dense", "_op")
+    __slots__ = ("base", "objects", "hom", "is_category", "is_regular", "types", "dense", "_op")
 
     def __init__(self, base, objects, hom, is_category):
         self.base = base
@@ -102,11 +103,12 @@ class SemiCategory:
         """The dual A^op over the dual base: A^op(a1, a0) = A(a0, a1).
 
         Built once and cached; a covariant presheaf on A is a contravariant
-        one on A^op.
+        one on A^op.  A^op is regular iff A is.
         """
         if self._op is None:
             hom = {key: self.hom[key[::-1]] for key in self.hom}
             self._op = SemiCategory(self.base.op(), self.objects, hom, self.is_category)
+            self._op.is_regular = self.is_regular
             self._op._op = self
         return self._op
 
@@ -208,7 +210,7 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
     so the inequalities hold iff A⊗A ≤ A entrywise, which one product by
     :func:`_mat_compose` decides.  Only when it fails does
     :func:`_first_excess` walk the triples, to raise the first failure with
-    its witness.
+    its witness.  The same product decides regularity, A⊗A = A.
     """
     raw = objects.elements if isinstance(objects, TypedSet) else objects
     ts = validate_typed_set(raw, base)
@@ -227,6 +229,7 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
         raise CompositionFailure(
             f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})", witness=(a2, a1, a0)
         )
+    A.is_regular = product == dense
     return A
 
 
@@ -448,9 +451,9 @@ def lifting_dist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
 
 
 def is_regular_semicat(A: SemiCategory) -> bool:
-    """True iff the hom matrix is idempotent: A⊗A = A entrywise."""
-    t = A.types
-    return _mat_compose(A.base, t, t, t, A.dense, A.dense) == A.dense
+    """True iff the hom matrix is idempotent: A⊗A = A entrywise, as
+    decided by :func:`validate_semicategory`."""
+    return A.is_regular
 
 
 def is_regular_semidist(phi: SemiDistributor) -> bool:

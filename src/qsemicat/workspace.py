@@ -27,9 +27,9 @@ import json
 from .errors import EnumerationCapExceeded, ParseError, QsError
 from .instances import validate_omega_set, validate_poset
 from .lattice import named_lattice, validate_sup_lattice
-from .presheaf import DEFAULT_CAP
 from .quantaloid import Quantaloid, builtin_quantaloid, from_frame
 from .semicat import (
+    DEFAULT_CAP,
     validate_semicategory,
     validate_semidistributor,
     validate_semifunctor,

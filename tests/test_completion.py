@@ -301,3 +301,27 @@ def test_verify_rsdist_catches_a_kernel_that_fixes_everything(monkeypatch):
     assert not report.ok
     assert report.detail == "hom sets differ"
     assert report.compatible_matrices == 3 ** 4
+
+
+@pytest.mark.parametrize("pair, products", [(("A", "A"), 9), (("A", "C"), 9), (("C", "C"), 15)])
+def test_verify_rsdist_scans_each_matrix_space_once(monkeypatch, pair, products):
+    # one pass over A -/-> B decides both routes; B -/-> A keeps only the
+    # regular matrices, and each composite is decided without a semidistributor
+    from collections import Counter
+    from pathlib import Path
+
+    import qsemicat.completion as completion
+    from qsemicat.workspace import load_path, load_workspace
+
+    ws = load_workspace(load_path(Path(__file__).parent.parent / "demos" / "workspace.json"))
+    A, B = map(ws.semicategory, pair)
+    calls = Counter()
+    for name in ("_product", "matrix_space"):
+
+        def counted(*args, name=name, real=getattr(completion, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(completion, name, counted)
+    assert verify_rsdist_is_idm_matr(A, B).ok
+    assert calls == {"_product": products, "matrix_space": 2}

@@ -9,6 +9,7 @@ from qsemicat import (
     NotSymmetric,
     NotTransitive,
     NotTransitiveEq,
+    TypeMismatch,
     bottom_semidist,
     builtin_quantaloid,
     chain,
@@ -320,3 +321,11 @@ def test_continuity_implies_regular_graph():
         report = scott_continuity_check(f, chain3_poset, chain3_poset)
         if report.continuous:
             assert report.graph_is_semidistributor and report.graph_regular
+
+
+def test_omega_set_equality_naming_an_unknown_element_is_rejected():
+    frame = builtin_quantaloid("3")
+    eq = {("a", "a"): 2, ("b", "b"): 2, ("a", "zz"): 1}
+    with pytest.raises(TypeMismatch) as exc:
+        validate_omega_set(frame, ["a", "b"], eq)
+    assert exc.value.witness == ("a", "zz") and "unknown element" in str(exc.value)

@@ -29,6 +29,7 @@ from qsemicat import (
     validate_semidistributor,
     validate_semifunctor,
 )
+from qsemicat.semicat import _mat_compose
 from helpers import (
     all_semicats,
     chain3_A,
@@ -360,6 +361,30 @@ def test_regular_semicat_examples():
     assert not is_regular_semicat(strict_two_points())
     assert is_regular_semicat(chain3_C())
     assert is_regular_semicat(free_category(strict_two_points()))
+
+
+@pytest.mark.parametrize("qname", ["2", "3"])
+def test_regularity_is_recorded_at_validation(qname):
+    for A in all_semicats(qname, 2):
+        t = A.types
+        want = _mat_compose(A.base, t, t, t, A.dense, A.dense) == A.dense
+        D = A.op()
+        dual = _mat_compose(D.base, t, t, t, D.dense, D.dense) == D.dense
+        assert A.is_regular == D.is_regular == dual == want
+
+
+def test_is_regular_semicat_forms_no_product(monkeypatch):
+    import qsemicat.semicat as semicat
+
+    family = [chain3_A(), chain3_C(), strict_two_points()]
+    calls = []
+    real = semicat._mat_compose
+    monkeypatch.setattr(
+        semicat, "_mat_compose", lambda *args: calls.append(args) or real(*args)
+    )
+    assert [is_regular_semicat(A) for A in family] == [True, True, False]
+    assert [is_regular_semicat(A.op()) for A in family] == [True, True, False]
+    assert calls == []
 
 
 def test_regular_semidist_examples():

@@ -401,6 +401,15 @@ def test_quantaloid_keys_naming_no_object_are_rejected(tmp_path, capsys, change,
     assert verdict["witness"] == repr(key)
 
 
+def test_omega_set_equality_naming_no_element_is_rejected(tmp_path, capsys):
+    spec = {"frame": "3", "elements": ["a", "b"], "eq": [["a", "a", 2], ["a", "zz", 1]]}
+    path = write_ws(tmp_path, {"omega_sets": {"E": spec}})
+    assert main(["--json", "validate", path]) == 1
+    [verdict] = json.loads(capsys.readouterr().out)["objects"]
+    assert not verdict["valid"] and verdict["error"].startswith("TypeMismatch")
+    assert verdict["witness"] == repr(("a", "zz"))
+
+
 def test_cmd_completion_idm_builtin(capsys):
     assert main(["--json", "completion", "idm", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
