@@ -2,9 +2,11 @@
 
 Two regular semicategories are Morita equivalent when their categories of
 regular presheaves are equivalent; between finite skeletal Q-categories an
-equivalence is a type- and hom-preserving bijection, so the decision
-reduces to skeleton isomorphism.  An independent route searches for an
-isomorphism pair in the quantaloid of regular semidistributors; both
+equivalence is a type- and hom-preserving bijection.  The category RA of
+regular presheaves is skeletal by construction (1 ≤ ⋀ₐ[φ(a), ψ(a)] iff
+φ ≤ ψ pointwise, so isomorphic presheaves are equal), and the decision is
+an isomorphism search between RA and RB.  An independent route searches for
+an isomorphism pair in the quantaloid of regular semidistributors; both
 verdicts must agree wherever both complete.
 """
 
@@ -217,17 +219,16 @@ def _check_regular_pair(A, B):
 def morita_equivalent(A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP) -> MoritaResult:
     """Decide Morita equivalence of two regular semicategories.
 
-    The primary route compares skeletons of the regular-presheaf
-    categories; the certificate route searches for an isomorphism pair of
-    regular semidistributors.  ``cross_check`` is ``"agreed"`` or
-    ``"disagreed"`` when the search completed, and ``"capped"`` when it
-    exceeded ``cap`` and never ran; ``routes_agree`` is false only for
-    ``"disagreed"``.
+    The primary route compares the regular-presheaf categories, which are
+    skeletal by construction; the certificate route searches for an
+    isomorphism pair of regular semidistributors.  ``cross_check`` is
+    ``"agreed"`` or ``"disagreed"`` when the search completed, and
+    ``"capped"`` when it exceeded ``cap`` and never ran; ``routes_agree``
+    is false only for ``"disagreed"``.
     """
     _check_regular_pair(A, B)
-    _, ska = skeleton(build_RA(A, CONTRA, cap))
-    _, skb = skeleton(build_RA(B, CONTRA, cap))
-    equivalent = categories_isomorphic(ska, skb, cap)
+    ra, rb = build_RA(A, CONTRA, cap), build_RA(B, CONTRA, cap)
+    equivalent = categories_isomorphic(ra, rb, cap)
 
     try:
         certificate = rsdist_isomorphism_search(A, B, cap)
@@ -236,7 +237,7 @@ def morita_equivalent(A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP) 
     else:
         cross_check = "agreed" if (certificate is not None) == equivalent else "disagreed"
     return MoritaResult(
-        equivalent, (len(ska), len(skb)), certificate, cross_check != "disagreed", cross_check
+        equivalent, (len(ra), len(rb)), certificate, cross_check != "disagreed", cross_check
     )
 
 

@@ -51,9 +51,11 @@ class Presheaf:
     ``values`` is aligned with the carrier's object order.  Presheaves
     compare by exact value equality; isomorphism of presheaves is a
     question about the category they live in, not about their raw values.
+    ``_res`` keeps the residual once it is computed; equality and hashing
+    ignore it.
     """
 
-    __slots__ = ("carrier", "qtype", "variance", "values")
+    __slots__ = ("carrier", "qtype", "variance", "values", "_res")
 
     def __init__(self, carrier: SemiCategory, qtype, variance: str, values):
         if variance not in (CONTRA, CO):
@@ -62,6 +64,7 @@ class Presheaf:
         self.qtype = qtype
         self.variance = variance
         self.values = tuple(values)
+        self._res = None
 
     def value(self, a) -> int:
         return self.values[self.carrier.objects.index_of(a)]
@@ -180,9 +183,14 @@ def _act(phi: Presheaf):
 
 def _residual(phi: Presheaf):
     """The values of the residual of the carrier by phi: at a, the meet over b
-    of the lifting of A(b, a) into φ(b), which is the hom from A(-, a) to φ."""
-    C = _contra(phi.carrier, phi.variance)
-    return _mat_lift(C.base, C.types, C.types, (phi.qtype,), C.dense, phi.values)
+    of the lifting of A(b, a) into φ(b), which is the hom from A(-, a) to φ.
+
+    Computed once per presheaf and kept on it.
+    """
+    if phi._res is None:
+        C = _contra(phi.carrier, phi.variance)
+        phi._res = _mat_lift(C.base, C.types, C.types, (phi.qtype,), C.dense, phi.values)
+    return phi._res
 
 
 def is_yoneda_presheaf(phi: Presheaf) -> bool:
@@ -197,7 +205,9 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
     Must agree with :func:`is_regular_presheaf` on every enumerable
     instance; the two are independent routes to the same notion.  When
     ``against`` is given it replaces the internal enumeration (callers
-    sweeping one instance enumerate the presheaves once).
+    sweeping one instance enumerate the presheaves once, and each residual
+    is then computed once); its presheaves must live in phi's presheaf
+    category.
     """
     A = phi.carrier
     if against is None:
@@ -206,6 +216,8 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
             for x in A.base.objects
             for psi in enumerate_presheaves(A, x, phi.variance, cap)
         ]
+    elif any(psi.carrier != A or psi.variance != phi.variance for psi in against):
+        raise TypeMismatch("presheaves live in different presheaf categories")
     C = _contra(A, phi.variance)
     q, t, x = C.base, C.types, (phi.qtype,)
     for psi in against:
@@ -280,6 +292,9 @@ class QCategoryView:
 
 
 def _build_view(A, variance, cap, keep):
+    """The kept presheaves with every hom from one block residual: column i
+    of the matrix holds the values of object i, and [M, M](i, k) is the
+    contravariant hom from object k to object i."""
     q = A.base
     objects = []
     for x in q.objects:
@@ -288,11 +303,17 @@ def _build_view(A, variance, cap, keep):
             if keep(phi):
                 objects.append((f"{x}#{idx}", x, phi))
                 idx += 1
-    hom_elems = {}
-    for tag1, _, psi in objects:
-        for tag0, _, phi in objects:
-            hom_elems[(tag1, tag0)] = presheaf_hom_elem(psi, phi)
-    return QCategoryView(q, objects, hom_elems)
+    C = _contra(A, variance)
+    tags = [tag for tag, _, _ in objects]
+    types = tuple(x for _, x, _ in objects)
+    M = tuple(e for row in zip(*(phi.values for _, _, phi in objects)) for e in row)
+    homs = _mat_lift(C.base, types, C.types, types, M, M)
+    if variance == CO:
+        # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
+        n = len(tags)
+        homs = [e for i in range(n) for e in homs[i::n]]
+    keys = [(tag1, tag0) for tag1 in tags for tag0 in tags]
+    return QCategoryView(q, objects, dict(zip(keys, homs)))
 
 
 def build_PA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:

@@ -32,8 +32,13 @@ from qsemicat import (
 )
 from qsemicat.lattice import SupLattice, chain
 from qsemicat.morita import _check_regular_pair
-from qsemicat.presheaf import DEFAULT_CAP
-from qsemicat.semicat import _mat_compose
+from qsemicat.presheaf import (
+    DEFAULT_CAP,
+    _contra,
+    enumerate_presheaves,
+    presheaf_hom_elem,
+)
+from qsemicat.semicat import _mat_compose, _mat_lift
 
 NAMES = ("a", "b", "c", "d", "e")
 
@@ -266,6 +271,20 @@ def relations_family(q):
             continue
         out.append(validate_semicategory(q, elements, hom))
     return out
+
+
+def presheaf_families():
+    """The carriers the presheaf routes are compared on: the acceptance
+    families (every regular semicategory with at most three objects over
+    ``2`` and ``3``), every semicategory with at most two objects over ``2``
+    and ``3``, and the relations family, whose pools mix types."""
+    return {
+        "acceptance-2": regular_semicats("2", 3),
+        "acceptance-3": regular_semicats("3", 3),
+        "all-2": all_semicats("2", 2),
+        "all-3": all_semicats("3", 2),
+        "relations": relations_family(rel_quantaloid()),
+    }
 
 
 def transitive_relations(n):
@@ -840,3 +859,35 @@ def reference_rsdist_isomorphism_search(A, B, cap=DEFAULT_CAP):
             ):
                 return phi, psi
     return None
+
+
+def reference_regular_via_liftings(phi, against):
+    """The lifting route to regularity with a fresh residual of every ψ:
+    the hom from ψ to φ, directly and through the representables."""
+    C = _contra(phi.carrier, phi.variance)
+    q, t, x = C.base, C.types, (phi.qtype,)
+    for psi in against:
+        y = (psi.qtype,)
+        residual = _mat_lift(q, t, t, y, C.dense, psi.values)
+        if _mat_lift(q, x, t, y, phi.values, psi.values) != _mat_lift(
+            q, x, t, y, phi.values, residual
+        ):
+            return False
+    return True
+
+
+def reference_view(A, variance, keep):
+    """The objects and hom dict of a presheaf view, one
+    ``presheaf_hom_elem`` call per ordered pair of kept presheaves."""
+    objects = []
+    for x in A.base.objects:
+        idx = 0
+        for phi in enumerate_presheaves(A, x, variance):
+            if keep(phi):
+                objects.append((f"{x}#{idx}", x, phi))
+                idx += 1
+    hom_elems = {}
+    for tag1, _, psi in objects:
+        for tag0, _, phi in objects:
+            hom_elems[(tag1, tag0)] = presheaf_hom_elem(psi, phi)
+    return tuple(objects), hom_elems

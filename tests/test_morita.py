@@ -30,11 +30,12 @@ from qsemicat import (
     validate_semidistributor,
     validate_semifunctor,
 )
-from qsemicat.presheaf import CO
+from qsemicat.presheaf import CO, CONTRA
 from qsemicat.semicat import SemiDistributor
 from helpers import (
     chain3_A,
     chain3_C,
+    presheaf_families,
     reference_rsdist_isomorphism_search,
     regular_semicats,
     semicat_from_rows,
@@ -418,3 +419,16 @@ def test_view_is_validated_once(monkeypatch):
     skeleton(view)
     view.check()
     assert len(calls) == 1
+
+
+FAMILIES = presheaf_families()
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_regular_presheaf_category_is_a_skeletal_category(name, variance):
+    for A in FAMILIES[name]:
+        ra = build_RA(A, variance)
+        assert ra.check()
+        report, _ = skeleton(ra)
+        assert report.classes == tuple((tag,) for tag in ra.tags), A.hom

@@ -10,6 +10,7 @@ from qsemicat import (
     ActionFailure,
     NotACategory,
     NotRegular,
+    TypeMismatch,
     build_PA,
     build_RA,
     build_RA_by_lifting,
@@ -42,8 +43,11 @@ from helpers import (
     chain3_C,
     downsets,
     outcome,
+    presheaf_families,
     reference_colimit_compatibility,
     reference_presheaf_ok,
+    reference_regular_via_liftings,
+    reference_view,
     rel_quantaloid,
     relations_family,
     two_object_quantaloid,
@@ -466,3 +470,93 @@ def test_is_colimit_needs_category():
     f = validate_semifunctor(A, A, {"*": "*"})
     with pytest.raises(NotACategory):
         is_colimit(f, identity_semidist(A), f)
+
+
+FAMILIES = presheaf_families()
+SWEEPS = [(name, v) for name in FAMILIES for v in (CONTRA, CO)]
+
+
+@pytest.mark.parametrize("name, variance", SWEEPS)
+def test_via_liftings_sweep_matches_fresh_residual_reference(name, variance):
+    for A in FAMILIES[name]:
+        pool = [p for x in A.base.objects for p in enumerate_presheaves(A, x, variance)]
+        want = [reference_regular_via_liftings(p, pool) for p in pool]
+        assert [is_regular_via_liftings(p, against=pool) for p in pool] == want, A.hom
+
+
+@pytest.mark.parametrize("name, variance", SWEEPS)
+def test_views_match_pairwise_hom_reference(name, variance):
+    keeps = {build_PA: lambda p: True, build_RA: is_regular_presheaf, build_YA: is_yoneda_presheaf}
+    for A in FAMILIES[name]:
+        for build, keep in keeps.items():
+            view = build(A, variance)
+            objects, hom_elems = reference_view(A, variance, keep)
+            assert view.objects == objects, (A.hom, build.__name__)
+            assert list(view.hom_elems.items()) == list(hom_elems.items()), (
+                A.hom,
+                build.__name__,
+            )
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_via_liftings_sweep_computes_each_residual_once(monkeypatch, variance):
+    import qsemicat.presheaf as presheaf
+
+    A = validate_semicategory(
+        Q3, [("a", "*"), ("b", "*")], {("a", "a"): 2, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 2}
+    )
+    C = _contra(A, variance)
+    residuals = []
+    real = presheaf._mat_lift
+
+    def counting(q, tr, tm, tc, L, R):
+        if L is C.dense:
+            residuals.append(R)
+        return real(q, tr, tm, tc, L, R)
+
+    monkeypatch.setattr(presheaf, "_mat_lift", counting)
+    pool = enumerate_presheaves(A, "*", variance)
+    assert len(pool) > 2
+    yon = [is_yoneda_presheaf(p) for p in pool]
+    via = [is_regular_via_liftings(p, against=pool) for p in pool]
+    ks = [map_k(A, p) for p in pool if is_regular_presheaf(p)]
+    assert sorted(residuals) == sorted(p.values for p in pool)
+    assert via == [is_regular_presheaf(p) for p in pool]
+    assert set(ks) == {p for p, y in zip(pool, yon) if y}
+
+
+def test_presheaf_equality_ignores_the_kept_residual():
+    A = chain3_A()
+    fresh, used = enumerate_presheaves(A, "*"), enumerate_presheaves(A, "*")
+    for p in used:
+        is_yoneda_presheaf(p)
+    for p, q in zip(fresh, used):
+        assert p == q and hash(p) == hash(q)
+        assert p in {q} and q in {p}
+
+
+def _all_ones_two_objects():
+    return validate_semicategory(
+        Q3, [("a", "*"), ("b", "*")], {(x, y): 1 for x in "ab" for y in "ab"}
+    )
+
+
+def test_via_liftings_rejects_a_pool_on_another_carrier():
+    A = _all_ones_two_objects()
+    discrete = validate_semicategory(
+        Q3, [("a", "*"), ("b", "*")], {("a", "a"): 2, ("a", "b"): 0, ("b", "a"): 0, ("b", "b"): 2}
+    )
+    ps = enumerate_presheaves(A, "*")
+    assert [is_regular_presheaf(p) for p in ps] == [True, True, False, False, False]
+    pool = enumerate_presheaves(discrete, "*")
+    for p in ps:
+        with pytest.raises(TypeMismatch, match="different presheaf categories"):
+            is_regular_via_liftings(p, against=pool)
+
+
+def test_via_liftings_rejects_a_pool_of_the_other_variance():
+    A = _all_ones_two_objects()
+    pool = enumerate_presheaves(A, "*", CO)
+    for p in enumerate_presheaves(A, "*"):
+        with pytest.raises(TypeMismatch, match="different presheaf categories"):
+            is_regular_via_liftings(p, against=pool)
