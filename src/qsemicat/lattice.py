@@ -8,6 +8,8 @@ brute-forces over elements, so nothing here is lazy.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import MissingJoin, NotAPartialOrder
 
 
@@ -214,8 +216,13 @@ _NAMED = {
 }
 
 
+@cache
 def named_lattice(name: str) -> SupLattice:
-    """Look up one of the built-in lattices: 2, 3, 4, square, diamond."""
+    """Look up one of the built-in lattices: 2, 3, 4, square, diamond.
+
+    Each name is built once; lattices are immutable, so every caller shares
+    the one instance.
+    """
     try:
         return _NAMED[name]()
     except KeyError:

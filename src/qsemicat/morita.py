@@ -57,17 +57,18 @@ def are_isomorphic_objects(view: QCategoryView, a, b) -> bool:
     sc = view.as_semicategory()
     if not sc.is_category:
         raise NotACategory("object isomorphism lives in a category", witness=view)
-    return _isomorphic(view, a, b)
+    return _isomorphic(view, view.index_of(a), view.index_of(b))
 
 
-def _isomorphic(view: QCategoryView, a, b) -> bool:
-    """Same type, and the identity below the hom both ways, in a view known to be a category."""
-    t = view.type_of(a)
-    if view.type_of(b) != t:
+def _isomorphic(view: QCategoryView, i, k) -> bool:
+    """Same type, and the identity below the hom both ways, between objects
+    i and k of a view known to be a category."""
+    t = view.objects[i][1]
+    if view.objects[k][1] != t:
         return False
-    q = view.base
+    q, n, dense = view.base, len(view), view.dense
     le, one = q.hom_lat(t, t).le, q.identity[t]
-    return le(one, view.hom_elems[(b, a)]) and le(one, view.hom_elems[(a, b)])
+    return le(one, dense[k * n + i]) and le(one, dense[i * n + k])
 
 
 def skeleton(view: QCategoryView):
@@ -79,20 +80,23 @@ def skeleton(view: QCategoryView):
     if not sc.is_category:
         raise NotACategory("skeletons live in a category", witness=view)
     classes = []
-    for tag in view.tags:
-        home = next((cls for cls in classes if _isomorphic(view, tag, cls[0])), None)
+    for i in range(len(view)):
+        home = next((cls for cls in classes if _isomorphic(view, i, cls[0])), None)
         if home is None:
-            classes.append([tag])
+            classes.append([i])
         else:
-            home.append(tag)
-    reps = tuple(cls[0] for cls in classes)
-    report = SkeletonReport(tuple(tuple(cls) for cls in classes), reps)
-    keep = set(reps)
-    objects = [(tag, t, p) for tag, t, p in view.objects if tag in keep]
-    hom_elems = {
-        (t1, t0): e for (t1, t0), e in view.hom_elems.items() if t1 in keep and t0 in keep
-    }
-    return report, QCategoryView(view.base, objects, hom_elems)
+            home.append(i)
+    tags = view.tags
+    report = SkeletonReport(
+        tuple(tuple(tags[i] for i in cls) for cls in classes),
+        tuple(tags[cls[0]] for cls in classes),
+    )
+    # every class is founded by its lowest index, so keep is increasing
+    keep = [cls[0] for cls in classes]
+    n, dense = len(view), view.dense
+    objects = [view.objects[i] for i in keep]
+    homs = tuple(dense[i * n + k] for i in keep for k in keep)
+    return report, QCategoryView(view.base, objects, homs)
 
 
 def categories_isomorphic(c: QCategoryView, d: QCategoryView, cap: int = DEFAULT_CAP) -> bool:
@@ -105,22 +109,23 @@ def categories_isomorphic(c: QCategoryView, d: QCategoryView, cap: int = DEFAULT
         raise TypeMismatch("views live over different base quantaloids")
     by_type_c = {}
     by_type_d = {}
-    for tag in c.tags:
-        by_type_c.setdefault(c.type_of(tag), []).append(tag)
-    for tag in d.tags:
-        by_type_d.setdefault(d.type_of(tag), []).append(tag)
+    for a, (_, t, _) in enumerate(c.objects):
+        by_type_c.setdefault(t, []).append(a)
+    for b, (_, t, _) in enumerate(d.objects):
+        by_type_d.setdefault(t, []).append(b)
     if {t: len(v) for t, v in by_type_c.items()} != {t: len(v) for t, v in by_type_d.items()}:
         return False
 
-    order = list(c.tags)
+    # equal type counts, so both views have n objects
+    n, C, D = len(c), c.dense, d.dense
     nodes = 0
 
-    def extend(i, assignment, used):
+    def extend(a, assignment, used):
+        """Map object a of c and the ones after it, in object order."""
         nonlocal nodes
-        if i == len(order):
+        if a == n:
             return True
-        a = order[i]
-        for b in by_type_d.get(c.type_of(a), []):
+        for b in by_type_d.get(c.objects[a][1], []):
             if b in used:
                 continue
             nodes += 1
@@ -130,16 +135,13 @@ def categories_isomorphic(c: QCategoryView, d: QCategoryView, cap: int = DEFAULT
                 )
             ok = True
             for a0, b0 in assignment.items():
-                if (
-                    c.hom_elems[(a, a0)] != d.hom_elems[(b, b0)]
-                    or c.hom_elems[(a0, a)] != d.hom_elems[(b0, b)]
-                ):
+                if C[a * n + a0] != D[b * n + b0] or C[a0 * n + a] != D[b0 * n + b]:
                     ok = False
                     break
-            if ok and c.hom_elems[(a, a)] == d.hom_elems[(b, b)]:
+            if ok and C[a * n + a] == D[b * n + b]:
                 assignment[a] = b
                 used.add(b)
-                if extend(i + 1, assignment, used):
+                if extend(a + 1, assignment, used):
                     return True
                 del assignment[a]
                 used.discard(b)

@@ -27,13 +27,16 @@ from .semicat import (
     SemiCategory,
     SemiDistributor,
     SemiFunctor,
+    _dense_matrix,
     _first_excess,
+    _lift_entry,
     _mat_compose,
     _mat_lift,
     is_regular_semicat,
     lifting_rsdist,
     validate_semicategory,
     validate_semidistributor,
+    validate_typed_set,
 )
 
 CONTRA = "contra"
@@ -142,12 +145,13 @@ def enumerate_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = 
 
 def yoneda(A: SemiCategory, a) -> Presheaf:
     """The representable contravariant presheaf A(-, a) of type t(a)."""
-    return Presheaf(A, A.type_of(a), CONTRA, (A.hom[(x, a)] for x in A.names))
+    return Presheaf(A, A.type_of(a), CONTRA, A.dense[A.objects.index_of(a) :: len(A.types)])
 
 
 def yoneda_covariant(A: SemiCategory, a) -> Presheaf:
     """The representable covariant presheaf A(a, -) of type t(a)."""
-    return Presheaf(A, A.type_of(a), CO, (A.hom[(a, x)] for x in A.names))
+    n, i = len(A.types), A.objects.index_of(a)
+    return Presheaf(A, A.type_of(a), CO, A.dense[i * n : (i + 1) * n])
 
 
 def presheaf_hom_elem(psi: Presheaf, phi: Presheaf) -> int:
@@ -158,7 +162,7 @@ def presheaf_hom_elem(psi: Presheaf, phi: Presheaf) -> int:
     if phi.variance == CO:
         # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
         psi, phi = phi, psi
-    return _mat_lift(C.base, (psi.qtype,), C.types, (phi.qtype,), psi.values, phi.values)[0]
+    return _lift_entry(C.base, psi.qtype, C.types, phi.qtype, psi.values, phi.values)
 
 
 def presheaf_hom(psi: Presheaf, phi: Presheaf) -> QArrow:
@@ -219,12 +223,12 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
     elif any(psi.carrier != A or psi.variance != phi.variance for psi in against):
         raise TypeMismatch("presheaves live in different presheaf categories")
     C = _contra(A, phi.variance)
-    q, t, x = C.base, C.types, (phi.qtype,)
+    q, t, x, values = C.base, C.types, phi.qtype, phi.values
     for psi in against:
         # the hom from psi to phi, directly and through the representables
-        y = (psi.qtype,)
-        if _mat_lift(q, x, t, y, phi.values, psi.values) != _mat_lift(
-            q, x, t, y, phi.values, _residual(psi)
+        y = psi.qtype
+        if _lift_entry(q, x, t, y, values, psi.values) != _lift_entry(
+            q, x, t, y, values, _residual(psi)
         ):
             return False
     return True
@@ -236,29 +240,52 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
 class QCategoryView:
     """A finite Q-category materialised from computed data.
 
-    Objects carry a tag, a type and a payload (e.g. a presheaf); homs are
-    explicit arrows.  ``check`` verifies the category axioms exhaustively.
-    The view is treated as immutable: it is validated once, on first use.
+    Objects carry a tag, a type and a payload (e.g. a presheaf).  ``dense``
+    holds the homs as a flat row-major tuple in object order: entry (i, k)
+    is the hom from object k to object i.  ``homs`` is that tuple, or a dict
+    keyed (tag1, tag0), which is range-checked, completed with bottoms and
+    flattened as :func:`validate_semicategory` does with a hom dict;
+    ``hom_elems``, the dict form, is formed from ``dense`` on first read and
+    kept.  ``check`` verifies the category axioms exhaustively.  The view is
+    treated as immutable: it is validated once, on first use.
     """
 
-    __slots__ = ("base", "objects", "hom_elems", "_index", "_semicat")
+    __slots__ = ("base", "objects", "dense", "_index", "_hom_elems", "_semicat")
 
-    def __init__(self, base, objects, hom_elems):
+    def __init__(self, base, objects, homs):
         self.base = base
         self.objects = tuple(objects)
-        self.hom_elems = hom_elems
-        self._index = {tag: (tag, t, p) for tag, t, p in self.objects}
+        self._index = {tag: i for i, (tag, _, _) in enumerate(self.objects)}
+        if isinstance(homs, dict):
+            ts = validate_typed_set(self._elements(), base)
+            homs = _dense_matrix(base, ts, ts, homs, "hom entry")
+        self.dense = homs
+        self._hom_elems = None
         self._semicat = None
+
+    def _elements(self):
+        return [(tag, t) for tag, t, _ in self.objects]
 
     @property
     def tags(self):
         return tuple(tag for tag, _, _ in self.objects)
 
+    @property
+    def hom_elems(self) -> dict:
+        if self._hom_elems is None:
+            tags = self.tags
+            keys = ((tag1, tag0) for tag1 in tags for tag0 in tags)
+            self._hom_elems = dict(zip(keys, self.dense))
+        return self._hom_elems
+
+    def index_of(self, tag) -> int:
+        return self._index[tag]
+
     def type_of(self, tag):
-        return self._index[tag][1]
+        return self.objects[self._index[tag]][1]
 
     def payload(self, tag):
-        return self._index[tag][2]
+        return self.objects[self._index[tag]][2]
 
     def tag_of(self, payload):
         for tag, _, p in self.objects:
@@ -267,14 +294,13 @@ class QCategoryView:
         raise KeyError(f"no object with payload {payload!r}")
 
     def hom(self, tag1, tag0) -> QArrow:
-        return QArrow(self.type_of(tag0), self.type_of(tag1), self.hom_elems[(tag1, tag0)])
+        i, k = self._index[tag1], self._index[tag0]
+        return QArrow(self.objects[k][1], self.objects[i][1], self.dense[i * len(self) + k])
 
     def as_semicategory(self) -> SemiCategory:
         """The view as a validated semicategory, built on the first call and kept."""
         if self._semicat is None:
-            self._semicat = validate_semicategory(
-                self.base, [(tag, t) for tag, t, _ in self.objects], dict(self.hom_elems)
-            )
+            self._semicat = validate_semicategory(self.base, self._elements(), self.dense)
         return self._semicat
 
     def check(self):
@@ -304,16 +330,14 @@ def _build_view(A, variance, cap, keep):
                 objects.append((f"{x}#{idx}", x, phi))
                 idx += 1
     C = _contra(A, variance)
-    tags = [tag for tag, _, _ in objects]
     types = tuple(x for _, x, _ in objects)
     M = tuple(e for row in zip(*(phi.values for _, _, phi in objects)) for e in row)
     homs = _mat_lift(C.base, types, C.types, types, M, M)
     if variance == CO:
         # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
-        n = len(tags)
-        homs = [e for i in range(n) for e in homs[i::n]]
-    keys = [(tag1, tag0) for tag1 in tags for tag0 in tags]
-    return QCategoryView(q, objects, dict(zip(keys, homs)))
+        n = len(objects)
+        homs = tuple(e for i in range(n) for e in homs[i::n])
+    return QCategoryView(q, objects, homs)
 
 
 def build_PA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:

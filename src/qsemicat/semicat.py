@@ -81,33 +81,43 @@ class TypedSet:
 class SemiCategory:
     """A validated semicategory over a quantaloid.
 
-    ``hom`` maps pairs (a1, a0) of object names to the element index of the
-    hom-arrow A(a1, a0): t(a0) -> t(a1) in the base.  ``types`` and ``dense``
-    hold the object types and the hom matrix as a flat row-major tuple, both
-    in object order, for the matrix kernels.  ``is_category`` and
-    ``is_regular`` (A⊗A = A) are decided by :func:`validate_semicategory`.
+    ``types`` and ``dense`` hold the object types and the hom matrix as a
+    flat row-major tuple, both in object order: entry (i, j) is the element
+    index of the hom-arrow A(a_i, a_j): t(a_j) -> t(a_i) in the base.
+    ``dense`` is the stored form; ``hom``, the same matrix as a dict keyed
+    by pairs (a1, a0) of object names, is formed from it on first read and
+    kept.  ``is_category`` and ``is_regular`` (A⊗A = A) are decided by
+    :func:`validate_semicategory`.
     """
 
-    __slots__ = ("base", "objects", "hom", "is_category", "is_regular", "types", "dense", "_op")
+    __slots__ = ("base", "objects", "is_category", "is_regular", "types", "dense", "_hom", "_op")
 
-    def __init__(self, base, objects, hom, is_category):
+    def __init__(self, base, objects, dense, is_category):
         self.base = base
         self.objects = objects
-        self.hom = hom
         self.is_category = is_category
         self.types = objects.types
-        self.dense = tuple(hom[(a1, a0)] for a1 in objects.names for a0 in objects.names)
+        self.dense = dense
+        self._hom = None
         self._op = None
+
+    @property
+    def hom(self) -> dict:
+        if self._hom is None:
+            self._hom = _sparse(self, self, self.dense)
+        return self._hom
 
     def op(self) -> SemiCategory:
         """The dual A^op over the dual base: A^op(a1, a0) = A(a0, a1).
 
-        Built once and cached; a covariant presheaf on A is a contravariant
-        one on A^op.  A^op is regular iff A is.
+        Built once and cached by transposing ``dense``; a covariant
+        presheaf on A is a contravariant one on A^op.  A^op is regular iff
+        A is.
         """
         if self._op is None:
-            hom = {key: self.hom[key[::-1]] for key in self.hom}
-            self._op = SemiCategory(self.base.op(), self.objects, hom, self.is_category)
+            n, dense = len(self.types), self.dense
+            flipped = tuple(e for j in range(n) for e in dense[j::n])
+            self._op = SemiCategory(self.base.op(), self.objects, flipped, self.is_category)
             self._op.is_regular = self.is_regular
             self._op._op = self
         return self._op
@@ -120,7 +130,8 @@ class SemiCategory:
         return self.objects.type_of(a)
 
     def hom_arrow(self, a1, a0) -> QArrow:
-        return QArrow(self.type_of(a0), self.type_of(a1), self.hom[(a1, a0)])
+        j, i = self.objects.index_of(a0), self.objects.index_of(a1)
+        return QArrow(self.types[j], self.types[i], self.dense[i * len(self.types) + j])
 
     def __eq__(self, other):
         if self is other:
@@ -130,7 +141,7 @@ class SemiCategory:
         return (
             self.base == other.base
             and self.objects == other.objects
-            and self.hom == other.hom
+            and self.dense == other.dense
         )
 
     def __repr__(self):
@@ -206,6 +217,8 @@ def validate_typed_set(elements, base: Quantaloid) -> TypedSet:
 def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
     """Check the composition-inequalities; omitted hom entries default to bottom.
 
+    ``hom`` is a dict keyed by pairs (a1, a0) of object names, or the flat
+    row-major tuple that :attr:`SemiCategory.dense` holds.
     A(a2, a1)∘A(a1, a0) ≤ A(a2, a0) for every a1 iff the join over a1 is,
     so the inequalities hold iff A⊗A ≤ A entrywise, which one product by
     :func:`_mat_compose` decides.  Only when it fails does
@@ -214,12 +227,11 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
     """
     raw = objects.elements if isinstance(objects, TypedSet) else objects
     ts = validate_typed_set(raw, base)
-    full = _full_matrix(base, ts, ts, hom, "hom entry")
+    dense = _dense_matrix(base, ts, ts, hom, "hom entry")
+    t, n = ts.types, len(ts)
     is_cat = all(
-        base.hom_lat(ta, ta).le(base.identity[ta], full[(a, a)]) for a, ta in ts.elements
+        base.hom[(ta, ta)].leq[base.identity[ta]][dense[i * (n + 1)]] for i, ta in enumerate(t)
     )
-    A = SemiCategory(base, ts, full, is_cat)
-    t, dense = A.types, A.dense
     joins = [base.hom[(t0, t2)]._join2 for t2 in t for t0 in t]
     product = _mat_compose(base, t, t, t, dense, dense)
     # p ≤ v iff p ∨ v == v
@@ -229,28 +241,39 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
         raise CompositionFailure(
             f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})", witness=(a2, a1, a0)
         )
+    A = SemiCategory(base, ts, dense, is_cat)
     A.is_regular = product == dense
     return A
 
 
-def _full_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> dict:
-    """``mat`` on rows × cols with bottom in every omitted entry.
+def _dense_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> tuple:
+    """``mat`` on rows × cols as a range-checked flat row-major tuple.
 
-    Each entry is range-checked in its hom-lattice and every key of ``mat``
-    must name a row and a column; ``what`` names the entries in errors.
+    ``mat`` is either that tuple already (or a list), or a dict keyed
+    (row, column) with bottom in every omitted entry, whose every key, in
+    the caller's order, must then name a row and a column.  Entries are
+    range-checked in their hom-lattices in row-major order, before the
+    keys; ``what`` names the entries in errors.
     """
-    full = {}
-    for r, tr in rows.elements:
-        for c, tc in cols.elements:
-            lat = q.hom_lat(tc, tr)
-            e = mat.get((r, c), lat.bottom)
-            if not 0 <= e < lat.size:
-                raise TypeMismatch(f"{what} ({r!r}, {c!r}) = {e} out of range", witness=(r, c))
-            full[(r, c)] = e
-    for key in mat:
-        if key not in full:
-            raise TypeMismatch(f"{what} {key} names unknown objects", witness=key)
-    return full
+    cells = [(r, c, q.hom[(tc, tr)]) for r, tr in rows.elements for c, tc in cols.elements]
+    keyed = not isinstance(mat, (tuple, list))
+    if not keyed:
+        if len(mat) != len(cells):
+            raise TypeMismatch(
+                f"{what} matrix has {len(mat)} entries, not {len(cells)}", witness=len(mat)
+            )
+        flat = tuple(mat)
+    else:
+        get = mat.get
+        flat = tuple(get((r, c), lat.bottom) for r, c, lat in cells)
+    for (r, c, lat), e in zip(cells, flat):
+        if not 0 <= e < lat.size:
+            raise TypeMismatch(f"{what} ({r!r}, {c!r}) = {e} out of range", witness=(r, c))
+    if keyed:
+        for key in mat:
+            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in rows and key[1] in cols):
+                raise TypeMismatch(f"{what} {key} names unknown objects", witness=key)
+    return flat
 
 
 def _first_excess(q, tr, tm, tc, L, R, V):
@@ -280,12 +303,10 @@ def is_category(A: SemiCategory) -> bool:
 
 def free_category(A: SemiCategory) -> SemiCategory:
     """Join an identity onto every endo-hom; off-diagonal homs are untouched."""
-    hom = dict(A.hom)
-    for a in A.names:
-        t = A.type_of(a)
-        lat = A.base.hom_lat(t, t)
-        hom[(a, a)] = lat.join2(hom[(a, a)], A.base.identity[t])
-    return validate_semicategory(A.base, A.objects, hom)
+    q, n, dense = A.base, len(A.types), list(A.dense)
+    for i, t in enumerate(A.types):
+        dense[i * (n + 1)] = q.hom[(t, t)].join2(dense[i * (n + 1)], q.identity[t])
+    return validate_semicategory(q, A.objects, dense)
 
 
 def _require_same_base(x, y, what):
@@ -298,7 +319,8 @@ def validate_semidistributor(dom: SemiCategory, cod: SemiCategory, mat) -> SemiD
     omitted entries default to bottom."""
     _require_same_base(dom, cod, "semidistributor endpoints")
     q, ta, tb = dom.base, dom.types, cod.types
-    phi = SemiDistributor(dom, cod, _full_matrix(q, cod.objects, dom.objects, mat, "entry"))
+    flat = _dense_matrix(q, cod.objects, dom.objects, mat, "entry")
+    phi = SemiDistributor(dom, cod, _sparse(cod, dom, flat))
     bad = _first_excess(q, tb, ta, ta, phi.dense, dom.dense, phi.dense)
     if bad is not None:
         b, a1, a0 = cod.names[bad[0]], dom.names[bad[1]], dom.names[bad[2]]
@@ -332,7 +354,7 @@ def bottom_semidist(dom: SemiCategory, cod: SemiCategory) -> SemiDistributor:
 
 def identity_semidist(A: SemiCategory) -> SemiDistributor:
     """The hom matrix of A as an endo-semidistributor (not in general a unit)."""
-    return SemiDistributor(A, A, dict(A.hom))
+    return SemiDistributor(A, A, _sparse(A, A, A.dense))
 
 
 def _mat_compose(q, tr, tm, tc, L, R) -> tuple:
@@ -359,28 +381,45 @@ def _mat_compose(q, tr, tm, tc, L, R) -> tuple:
     return tuple(out)
 
 
+def _lift_plan(q, dom, cod, tm):
+    """The meet table, the top and the base lifting tables, one per middle
+    type, of the residuation kernel's entries hom(dom, cod); built once per
+    quantaloid and kept."""
+    lat = q.hom[(dom, cod)]
+    tables = [q._lift_table(dom, cod, m) for m in tm]
+    plan = q._lift_plans[(dom, cod, tm)] = (lat._meet2, lat.top, tables)
+    return plan
+
+
 def _mat_lift(q, tr, tm, tc, L, R) -> tuple:
     """The residuation kernel: [L, R](r, c) = meet over m of the base lifting
     of L(m, r) into R(m, c).
 
     ``L`` is |tm|×|tr| and ``R`` is |tm|×|tc|; the result is |tr|×|tc|, all
-    flat row-major tuples as for :func:`_mat_compose`.
+    flat row-major tuples as for :func:`_mat_compose`.  This is the block
+    loop; :func:`_lift_entry` is the entry loop over the same plans.
     """
     nr, nc = len(tr), len(tc)
+    plans = q._lift_plans
     out = []
     for i, cod in enumerate(tr):
         col = L[i::nr]
         for k, dom in enumerate(tc):
-            plan = q._lift_plans.get((dom, cod, tm))
-            if plan is None:
-                lat = q.hom[(dom, cod)]
-                tables = [q._lift_table(dom, cod, m) for m in tm]
-                plan = q._lift_plans[(dom, cod, tm)] = (lat._meet2, lat.top, tables)
-            meet, acc, tables = plan
+            meet, acc, tables = plans.get((dom, cod, tm)) or _lift_plan(q, dom, cod, tm)
             for table, c, b in zip(tables, col, R[k::nc]):
                 acc = meet[acc][table[c][b]]
             out.append(acc)
     return tuple(out)
+
+
+def _lift_entry(q, cod, tm, dom, L, R) -> int:
+    """One entry of the residuation kernel: ``_mat_lift(q, (cod,), tm, (dom,), L, R)[0]``
+    for the types ``cod`` and ``dom`` and the |tm|-vectors ``L`` and ``R``,
+    without the block loop's slicing."""
+    meet, acc, tables = q._lift_plans.get((dom, cod, tm)) or _lift_plan(q, dom, cod, tm)
+    for table, c, b in zip(tables, L, R):
+        acc = meet[acc][table[c][b]]
+    return acc
 
 
 def _sparse(cod: SemiCategory, dom: SemiCategory, flat) -> dict:

@@ -115,6 +115,18 @@ def parse_lattice(spec, where="lattice", cap=DEFAULT_CAP):
         raise ParseError(f"{where}: {exc}", witness=spec) from None
 
 
+def _frame(spec, where, cap) -> Quantaloid:
+    """The frame of an Omega-set as a one-object quantaloid.  A built-in
+    lattice name resolves through :func:`builtin_quantaloid`, so each named
+    frame is checked and built once per process."""
+    if isinstance(spec, str):
+        try:
+            return builtin_quantaloid(f"frame:{spec}")
+        except KeyError as exc:
+            raise ParseError(f"{where}: {exc}", witness=spec) from None
+    return from_frame(parse_lattice(spec, where, cap))
+
+
 def parse_quantaloid(spec, where="quantaloid", cap=DEFAULT_CAP) -> Quantaloid:
     if isinstance(spec, str):
         try:
@@ -246,7 +258,7 @@ def plan_workspace(doc, cap=DEFAULT_CAP):
     for name, spec in _iter_entries(doc, "omega_sets"):
         def build_o(ws, name=name, spec=spec):
             where = f"omega_sets.{name}"
-            frame = from_frame(parse_lattice(_need(spec, "frame", where), f"{where}.frame", cap))
+            frame = _frame(_need(spec, "frame", where), f"{where}.frame", cap)
             elements = [str(x) for x in _need_list(spec, "elements", where)]
             eq = _triples(spec, "eq", where)
             ws.omega_sets[name] = validate_omega_set(frame, elements, eq)

@@ -38,7 +38,9 @@ from qsemicat.presheaf import (
     enumerate_presheaves,
     presheaf_hom_elem,
 )
+from qsemicat.quantaloid import from_frame
 from qsemicat.semicat import _mat_compose, _mat_lift
+from qsemicat.workspace import parse_lattice
 
 NAMES = ("a", "b", "c", "d", "e")
 
@@ -891,3 +893,43 @@ def reference_view(A, variance, keep):
         for tag0, _, phi in objects:
             hom_elems[(tag1, tag0)] = presheaf_hom_elem(psi, phi)
     return tuple(objects), hom_elems
+
+
+def reference_full_matrix(q, rows, cols, mat, what):
+    """The former dict route of the validators: ``mat`` on rows × cols as a
+    dict with bottom in every omitted entry.
+
+    Each entry is range-checked in its hom-lattice and every key of ``mat``
+    must name a row and a column; raises the first failure with its witness,
+    exactly as ``semicat._dense_matrix`` must.
+    """
+    full = {}
+    for r, tr in rows.elements:
+        for c, tc in cols.elements:
+            lat = q.hom_lat(tc, tr)
+            e = mat.get((r, c), lat.bottom)
+            if not 0 <= e < lat.size:
+                raise TypeMismatch(f"{what} ({r!r}, {c!r}) = {e} out of range", witness=(r, c))
+            full[(r, c)] = e
+    for key in mat:
+        if key not in full:
+            raise TypeMismatch(f"{what} {key} names unknown objects", witness=key)
+    return full
+
+
+def reference_dual_hom(A):
+    """The former dual of a semicategory, built as a dict: A^op(a1, a0) = A(a0, a1)."""
+    return {key: A.hom[key[::-1]] for key in A.hom}
+
+
+def reference_skeleton_homs(view, reps):
+    """The former hom dict of a skeleton: the view's dict restricted to the
+    representatives, in the view's order."""
+    keep = set(reps)
+    return {(t1, t0): e for (t1, t0), e in view.hom_elems.items() if t1 in keep and t0 in keep}
+
+
+def reference_frame(spec, where, cap=DEFAULT_CAP):
+    """The former Omega-set frame: the lattice parsed afresh, then checked
+    to be a frame and wrapped as a quantaloid."""
+    return from_frame(parse_lattice(spec, where, cap))
