@@ -26,6 +26,7 @@ from .semicat import (
     DEFAULT_CAP,
     SemiCategory,
     SemiDistributor,
+    _flats,
     _is_regular_flat,
     _product,
     identity_semidist,
@@ -215,17 +216,17 @@ def verify_rsdist_is_idm_matr(
     def scan(dom, cod):
         # every matrix dom -/-> cod, with its semidistributor when "regular":
         # regular and a semidistributor by the entrywise action inequalities
-        total, gen = matrix_space(dom, cod)
+        total, _ = matrix_space(dom, cod)
         if total > cap:
             raise SearchCapExceeded(
                 f"matrix space of size {total} exceeds cap {cap}", witness=total
             )
-        for mat in gen:
-            cand = SemiDistributor(dom, cod, mat)
+        for flat in _flats(dom, cod):
+            cand = SemiDistributor(dom, cod, flat)
             phi = None
             if is_regular_semidist(cand):
                 try:
-                    phi = validate_semidistributor(dom, cod, mat)
+                    phi = validate_semidistributor(dom, cod, flat)
                 except ActionFailure:
                     pass
             yield cand, phi
@@ -237,8 +238,8 @@ def verify_rsdist_is_idm_matr(
         if phi is not None:
             regular_ab.append(phi)
         if _product(cand, ida) == cand.dense and _product(idb, cand) == cand.dense:
-            compatible_ab.append(cand.mat)
-    if [phi.mat for phi in regular_ab] != compatible_ab:
+            compatible_ab.append(cand.dense)
+    if [phi.dense for phi in regular_ab] != compatible_ab:
         return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "hom sets differ")
 
     # the identities act as units on every phi, which was admitted to

@@ -327,11 +327,9 @@ def scott_continuity_check(f, P: FinitePoset, Q: FinitePoset) -> ScottContinuity
 
     WP = strict_order_to_semicat(P.elements, sorted(wb_p))
     WQ = strict_order_to_semicat(Q.elements, sorted(wb_q))
-    mat = {
-        (b, a): 1 if (b, f[a]) in wb_q else 0 for b in Q.elements for a in P.elements
-    }
+    flat = tuple(int((b, f[a]) in wb_q) for b in Q.elements for a in P.elements)
     try:
-        graph = validate_semidistributor(WP, WQ, mat)
+        graph = validate_semidistributor(WP, WQ, flat)
     except ActionFailure:
         return ScottContinuityReport(continuous, False, False)
     return ScottContinuityReport(continuous, True, is_regular_semidist(graph))

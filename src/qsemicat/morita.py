@@ -32,7 +32,6 @@ from .semicat import (
     _mat_compose,
     _mat_lift,
     _regular_flats,
-    _sparse,
     # unused here since the search scans lazily; kept because bench/ wraps it
     # as a module-boundary name of this module
     enumerate_regular_semidists,  # noqa: F401
@@ -179,8 +178,8 @@ def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAU
             and _mat_compose(q, tb, ta, tb, phi, psi) == B.dense
         ):
             return (
-                validate_semidistributor(A, B, _sparse(B, A, phi)),
-                validate_semidistributor(B, A, _sparse(A, B, psi)),
+                validate_semidistributor(A, B, phi),
+                validate_semidistributor(B, A, psi),
             )
     return None
 
@@ -273,7 +272,7 @@ class InducedFunctor:
         if psi.carrier != B or psi.variance != CONTRA:
             raise TypeMismatch("presheaf does not live on the codomain carrier")
         lifted = lifting_dist(self.phi, psi.as_semidistributor())
-        core = Presheaf(A, psi.qtype, CONTRA, (lifted.mat[(a, "*")] for a in A.names))
+        core = Presheaf(A, psi.qtype, CONTRA, lifted.dense)
         return map_j(A, core)
 
 
@@ -292,20 +291,20 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
     """
     _check_regular_pair(A, B)
     apply = F if callable(F) else (lambda t, _m=dict(F): _m[t])
-    mat = {}
+    columns = []
     for a in A.names:
         image = apply(yoneda(A, a))
         if not isinstance(image, Presheaf) or image.carrier != B:
             raise TypeMismatch(f"image of the representable at {a!r} is not a presheaf on the codomain")
-        for b in B.names:
-            mat[(b, a)] = image.value(b)
-    cand = SemiDistributor(A, B, mat)
+        columns.append(image.values)
+    flat = tuple(e for row in zip(*columns) for e in row)
+    cand = SemiDistributor(A, B, flat)
     if not is_regular_semidist(cand):
         raise NotCocontinuous(
             "map of representables does not give a regular semidistributor",
             witness=cand,
         )
-    phi = validate_semidistributor(A, B, mat)
+    phi = validate_semidistributor(A, B, flat)
     functor = InducedFunctor(phi)
     for x in A.base.objects:
         for theta in enumerate_presheaves(A, x, CONTRA, cap):

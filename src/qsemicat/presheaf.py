@@ -79,12 +79,10 @@ class Presheaf:
         return QArrow(ta, self.qtype, self.value(a))
 
     def as_semidistributor(self) -> SemiDistributor:
+        # the values are a column on the carrier, or a row when covariant
         unit = unit_category(self.carrier.base, self.qtype)
-        if self.variance == CONTRA:
-            mat = {(a, "*"): v for a, v in zip(self.carrier.names, self.values)}
-            return validate_semidistributor(unit, self.carrier, mat)
-        mat = {("*", a): v for a, v in zip(self.carrier.names, self.values)}
-        return validate_semidistributor(self.carrier, unit, mat)
+        ends = (unit, self.carrier) if self.variance == CONTRA else (self.carrier, unit)
+        return validate_semidistributor(*ends, self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Presheaf):
@@ -360,13 +358,12 @@ def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryVie
     view = build_RA(A, CONTRA, cap)
     if not is_regular_semicat(A):
         raise NotRegular("lifting route needs a regular carrier", witness=A)
-    hom_elems = {}
-    for tag1, _, psi in view.objects:
+    homs = []
+    for _, _, psi in view.objects:
         sd_psi = psi.as_semidistributor()
-        for tag0, _, phi in view.objects:
-            lifted = lifting_rsdist(sd_psi, phi.as_semidistributor())
-            hom_elems[(tag1, tag0)] = next(iter(lifted.mat.values()))
-    return QCategoryView(view.base, view.objects, hom_elems)
+        for _, _, phi in view.objects:
+            homs.append(lifting_rsdist(sd_psi, phi.as_semidistributor()).dense[0])
+    return QCategoryView(view.base, view.objects, tuple(homs))
 
 
 def build_YA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
@@ -464,7 +461,11 @@ def is_colimit(G: SemiFunctor, phi: SemiDistributor, F: SemiFunctor) -> bool:
         raise NotACategory("colimits are tested in a category", witness=C)
     if G.dom != phi.dom or F.dom != phi.cod:
         raise TypeMismatch("weight endpoints do not match the functors")
-    A, B = phi.dom, phi.cod
-    R = tuple(C.hom[(F.map[b], c)] for b in B.names for c in C.names)
-    expected = tuple(C.hom[(G.map[a], c)] for a in A.names for c in C.names)
-    return _mat_lift(C.base, A.types, B.types, C.types, phi.dense, R) == expected
+    n = len(C.types)
+
+    def rows(H):
+        """The rows C(Hx, -) for x in the domain of H, in its object order."""
+        at = (C.objects.index_of(H.map[x]) for x in H.dom.names)
+        return tuple(e for i in at for e in C.dense[i * n : (i + 1) * n])
+
+    return _mat_lift(C.base, phi.dom.types, phi.cod.types, C.types, phi.dense, rows(F)) == rows(G)

@@ -152,30 +152,44 @@ class SemiCategory:
 class SemiDistributor:
     """A validated semidistributor between semicategories over one base.
 
-    ``mat`` maps pairs (b, a) to the element index of Phi(b, a): t(a) -> t(b);
-    ``dense`` holds the same matrix as a flat row-major tuple in object
-    order, as :attr:`SemiCategory.dense` does.
+    ``dense`` holds the matrix as a flat row-major tuple in object order, as
+    :attr:`SemiCategory.dense` does: entry (i, j) is the element index of
+    Phi(b_i, a_j): t(a_j) -> t(b_i).  ``dense`` is the stored form; ``mat``,
+    the same matrix as a dict keyed by pairs (b, a) of object names, is
+    formed from it on first read and kept.  The constructor takes the flat
+    tuple, or that dict complete.
     """
 
-    __slots__ = ("dom", "cod", "mat", "dense")
+    __slots__ = ("dom", "cod", "dense", "_mat")
 
-    def __init__(self, dom, cod, mat):
+    def __init__(self, dom, cod, dense):
+        if isinstance(dense, dict):
+            mat = dense
+            dense = (mat[(b, a)] for b in cod.names for a in dom.names)
         self.dom = dom
         self.cod = cod
-        self.mat = mat
-        self.dense = tuple(mat[(b, a)] for b in cod.names for a in dom.names)
+        self.dense = tuple(dense)
+        self._mat = None
+
+    @property
+    def mat(self) -> dict:
+        if self._mat is None:
+            self._mat = _sparse(self.cod, self.dom, self.dense)
+        return self._mat
 
     @property
     def base(self):
         return self.dom.base
 
     def arrow(self, b, a) -> QArrow:
-        return QArrow(self.dom.type_of(a), self.cod.type_of(b), self.mat[(b, a)])
+        j, i = self.dom.objects.index_of(a), self.cod.objects.index_of(b)
+        ta = self.dom.types
+        return QArrow(ta[j], self.cod.types[i], self.dense[i * len(ta) + j])
 
     def __eq__(self, other):
         if not isinstance(other, SemiDistributor):
             return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and self.mat == other.mat
+        return self.dom == other.dom and self.cod == other.cod and self.dense == other.dense
 
     def __repr__(self):
         return f"<semidistributor {list(self.dom.names)} -/-> {list(self.cod.names)}>"
@@ -316,11 +330,11 @@ def _require_same_base(x, y, what):
 
 def validate_semidistributor(dom: SemiCategory, cod: SemiCategory, mat) -> SemiDistributor:
     """Check the action-inequalities Φ⊗A ≤ Φ and B⊗Φ ≤ Φ, entry by entry;
-    omitted entries default to bottom."""
+    ``mat`` is a flat row-major tuple as :attr:`SemiDistributor.dense` is, or
+    a dict keyed (b, a) whose omitted entries default to bottom."""
     _require_same_base(dom, cod, "semidistributor endpoints")
     q, ta, tb = dom.base, dom.types, cod.types
-    flat = _dense_matrix(q, cod.objects, dom.objects, mat, "entry")
-    phi = SemiDistributor(dom, cod, _sparse(cod, dom, flat))
+    phi = SemiDistributor(dom, cod, _dense_matrix(q, cod.objects, dom.objects, mat, "entry"))
     bad = _first_excess(q, tb, ta, ta, phi.dense, dom.dense, phi.dense)
     if bad is not None:
         b, a1, a0 = cod.names[bad[0]], dom.names[bad[1]], dom.names[bad[2]]
@@ -343,18 +357,12 @@ def validate_semidistributor(dom: SemiCategory, cod: SemiCategory, mat) -> SemiD
 
 def bottom_semidist(dom: SemiCategory, cod: SemiCategory) -> SemiDistributor:
     _require_same_base(dom, cod, "semidistributor endpoints")
-    q = dom.base
-    mat = {
-        (b, a): q.hom_lat(dom.type_of(a), cod.type_of(b)).bottom
-        for b in cod.names
-        for a in dom.names
-    }
-    return SemiDistributor(dom, cod, mat)
+    return SemiDistributor(dom, cod, (lat.bottom for lat in _entry_lats(dom, cod)))
 
 
 def identity_semidist(A: SemiCategory) -> SemiDistributor:
     """The hom matrix of A as an endo-semidistributor (not in general a unit)."""
-    return SemiDistributor(A, A, _sparse(A, A, A.dense))
+    return SemiDistributor(A, A, A.dense)
 
 
 def _mat_compose(q, tr, tm, tc, L, R) -> tuple:
@@ -437,8 +445,7 @@ def compose_semidist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistribu
     """(Ψ⊗Φ)(c, a) = join over b of Ψ(c, b)∘Φ(b, a)."""
     if psi.dom != phi.cod:
         raise TypeMismatch("composition needs cod(Φ) = dom(Ψ)")
-    mat = _sparse(psi.cod, phi.dom, _product(psi, phi))
-    return validate_semidistributor(phi.dom, psi.cod, mat)
+    return validate_semidistributor(phi.dom, psi.cod, _product(psi, phi))
 
 
 def sup_semidist(family, dom: SemiCategory = None, cod: SemiCategory = None) -> SemiDistributor:
@@ -455,25 +462,17 @@ def sup_semidist(family, dom: SemiCategory = None, cod: SemiCategory = None) -> 
     first = family[0]
     if any(p.dom != first.dom or p.cod != first.cod for p in family):
         raise TypeMismatch("supremum of semidistributors with different endpoints")
-    q = first.base
-    mat = {}
-    for b in first.cod.names:
-        for a in first.dom.names:
-            lat = q.hom_lat(first.dom.type_of(a), first.cod.type_of(b))
-            mat[(b, a)] = lat.join(p.mat[(b, a)] for p in family)
-    return validate_semidistributor(first.dom, first.cod, mat)
+    entries = zip(_entry_lats(first.dom, first.cod), *(p.dense for p in family))
+    flat = tuple(lat.join(column) for lat, *column in entries)
+    return validate_semidistributor(first.dom, first.cod, flat)
 
 
 def leq_semidist(lo: SemiDistributor, hi: SemiDistributor) -> bool:
     """Entrywise order on parallel semidistributors."""
     if lo.dom != hi.dom or lo.cod != hi.cod:
         raise TypeMismatch("cannot compare semidistributors with different endpoints")
-    q = lo.base
-    return all(
-        q.hom_lat(lo.dom.type_of(a), lo.cod.type_of(b)).le(lo.mat[(b, a)], hi.mat[(b, a)])
-        for b in lo.cod.names
-        for a in lo.dom.names
-    )
+    entries = zip(_entry_lats(lo.dom, lo.cod), lo.dense, hi.dense)
+    return all(lat.le(x, y) for lat, x, y in entries)
 
 
 def lifting_dist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
@@ -486,7 +485,7 @@ def lifting_dist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
         raise TypeMismatch("lifting needs a common codomain")
     A, B, C = phi.dom, phi.cod, psi.dom
     flat = _mat_lift(phi.base, C.types, B.types, A.types, psi.dense, phi.dense)
-    return validate_semidistributor(A, C, _sparse(C, A, flat))
+    return validate_semidistributor(A, C, flat)
 
 
 def is_regular_semicat(A: SemiCategory) -> bool:
@@ -552,24 +551,22 @@ def validate_semifunctor(dom: SemiCategory, cod: SemiCategory, mapping) -> SemiF
             raise TypeMismatch(f"image {fa!r} is not an object of the codomain", witness=(a, fa))
         if dom.type_of(a) != cod.type_of(fa):
             raise TypeMismatch(f"t({fa!r}) != t({a!r})", witness=(a, fa))
-    q = dom.base
-    for a1 in dom.names:
-        for a0 in dom.names:
-            t0, t1 = dom.type_of(a0), dom.type_of(a1)
-            if not q.hom_lat(t0, t1).le(
-                dom.hom[(a1, a0)], cod.hom[(mapping[a1], mapping[a0])]
-            ):
-                raise ActionFailure(
-                    f"A({a1!r},{a0!r}) ≰ B(F{a1!r},F{a0!r})", witness=(a1, a0)
-                )
+    q, t, n, m = dom.base, dom.types, len(dom.types), len(cod.types)
+    img = [cod.objects.index_of(mapping[a]) for a in dom.names]
+    for i, a1 in enumerate(dom.names):
+        for j, a0 in enumerate(dom.names):
+            if not q.hom_lat(t[j], t[i]).le(dom.dense[i * n + j], cod.dense[img[i] * m + img[j]]):
+                raise ActionFailure(f"A({a1!r},{a0!r}) ≰ B(F{a1!r},F{a0!r})", witness=(a1, a0))
     return SemiFunctor(dom, cod, mapping)
 
 
 def graph_semidists(F: SemiFunctor):
     """The semidistributors B(-, F-): A -/-> B and B(F-, -): B -/-> A."""
     A, B = F.dom, F.cod
-    fwd = {(b, a): B.hom[(b, F.map[a])] for b in B.names for a in A.names}
-    bwd = {(a, b): B.hom[(F.map[a], b)] for a in A.names for b in B.names}
+    m, dense = len(B.types), B.dense
+    img = [B.objects.index_of(F.map[a]) for a in A.names]
+    fwd = tuple(dense[i * m + k] for i in range(m) for k in img)
+    bwd = tuple(e for k in img for e in dense[k * m : (k + 1) * m])
     return (
         validate_semidistributor(A, B, fwd),
         validate_semidistributor(B, A, bwd),
@@ -610,10 +607,16 @@ def right_adjoint(phi: SemiDistributor):
 # -- enumeration helpers -----------------------------------------------------
 
 
-def _entry_sizes(dom: SemiCategory, cod: SemiCategory) -> list:
-    """The hom-lattice size of every entry of a matrix dom -/-> cod, row-major."""
+def _entry_lats(dom: SemiCategory, cod: SemiCategory) -> list:
+    """The hom-lattice of every entry of a matrix dom -/-> cod, row-major."""
     q = dom.base
-    return [q.hom_lat(ta, tb).size for tb in cod.types for ta in dom.types]
+    return [q.hom_lat(ta, tb) for tb in cod.types for ta in dom.types]
+
+
+def _flats(dom: SemiCategory, cod: SemiCategory):
+    """Every matrix dom -/-> cod as a flat row-major tuple, in lexicographic
+    entry order."""
+    return itertools.product(*(range(lat.size) for lat in _entry_lats(dom, cod)))
 
 
 def matrix_space(dom: SemiCategory, cod: SemiCategory):
@@ -623,13 +626,8 @@ def matrix_space(dom: SemiCategory, cod: SemiCategory):
     consuming the generator.
     """
     _require_same_base(dom, cod, "matrix endpoints")
-    sizes = _entry_sizes(dom, cod)
-
-    def gen():
-        for flat in itertools.product(*map(range, sizes)):
-            yield _sparse(cod, dom, flat)
-
-    return math.prod(sizes), gen()
+    total = math.prod(lat.size for lat in _entry_lats(dom, cod))
+    return total, (_sparse(cod, dom, flat) for flat in _flats(dom, cod))
 
 
 def _regular_flats(dom: SemiCategory, cod: SemiCategory):
@@ -638,9 +636,7 @@ def _regular_flats(dom: SemiCategory, cod: SemiCategory):
     Scans the matrix space in the lexicographic order of :func:`matrix_space`
     and keeps Φ with Φ⊗A = Φ and B⊗Φ = Φ; callers enforce their own caps.
     """
-    for flat in itertools.product(*map(range, _entry_sizes(dom, cod))):
-        if _is_regular_flat(dom, cod, flat):
-            yield flat
+    return (flat for flat in _flats(dom, cod) if _is_regular_flat(dom, cod, flat))
 
 
 def enumerate_regular_semidists(dom: SemiCategory, cod: SemiCategory, cap: int):
@@ -650,7 +646,4 @@ def enumerate_regular_semidists(dom: SemiCategory, cod: SemiCategory, cap: int):
         raise SearchCapExceeded(
             f"matrix space of size {total} exceeds cap {cap}", witness=total
         )
-    return [
-        validate_semidistributor(dom, cod, _sparse(cod, dom, flat))
-        for flat in _regular_flats(dom, cod)
-    ]
+    return [validate_semidistributor(dom, cod, flat) for flat in _regular_flats(dom, cod)]

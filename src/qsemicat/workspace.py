@@ -76,7 +76,8 @@ def _elem(value, where):
 
 
 def _triples(spec, key, where):
-    """The ``[x, y, elem]`` entries listed under ``key``, keyed ``(x, y)``."""
+    """The ``[x, y, elem]`` entries listed under ``key``, keyed ``(x, y)``;
+    a pair listed twice is an error witnessed by the pair."""
     entries = spec.get(key, [])
     if not isinstance(entries, list):
         raise ParseError(f"{where}: {key!r} must be a list of triples", witness=entries)
@@ -85,7 +86,11 @@ def _triples(spec, key, where):
         if not isinstance(triple, list) or len(triple) != 3:
             raise ParseError(f"{where}: bad {key} triple {triple!r}", witness=triple)
         x, y, elem = triple
-        out[(str(x), str(y))] = _elem(elem, where)
+        pair = (str(x), str(y))
+        elem = _elem(elem, where)
+        if pair in out:
+            raise ParseError(f"{where}: {key} entry {pair!r} listed twice", witness=pair)
+        out[pair] = elem
     return out
 
 

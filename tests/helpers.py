@@ -39,7 +39,7 @@ from qsemicat.presheaf import (
     presheaf_hom_elem,
 )
 from qsemicat.quantaloid import from_frame
-from qsemicat.semicat import _mat_compose, _mat_lift
+from qsemicat.semicat import SemiFunctor, _mat_compose, _mat_lift, _require_same_base
 from qsemicat.workspace import parse_lattice
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -933,3 +933,28 @@ def reference_frame(spec, where, cap=DEFAULT_CAP):
     """The former Omega-set frame: the lattice parsed afresh, then checked
     to be a frame and wrapped as a quantaloid."""
     return from_frame(parse_lattice(spec, where, cap))
+
+
+def reference_semifunctor(dom, cod, mapping):
+    """The former dict route of ``validate_semifunctor``: the type checks,
+    then the action inequalities read from the hom dicts of both ends."""
+    _require_same_base(dom, cod, "semifunctor endpoints")
+    mapping = dict(mapping)
+    if set(mapping) != set(dom.names):
+        raise TypeMismatch("object map does not cover the domain", witness=sorted(mapping))
+    for a, fa in mapping.items():
+        if fa not in cod.objects:
+            raise TypeMismatch(f"image {fa!r} is not an object of the codomain", witness=(a, fa))
+        if dom.type_of(a) != cod.type_of(fa):
+            raise TypeMismatch(f"t({fa!r}) != t({a!r})", witness=(a, fa))
+    q = dom.base
+    for a1 in dom.names:
+        for a0 in dom.names:
+            t0, t1 = dom.type_of(a0), dom.type_of(a1)
+            if not q.hom_lat(t0, t1).le(
+                dom.hom[(a1, a0)], cod.hom[(mapping[a1], mapping[a0])]
+            ):
+                raise ActionFailure(
+                    f"A({a1!r},{a0!r}) ≰ B(F{a1!r},F{a0!r})", witness=(a1, a0)
+                )
+    return SemiFunctor(dom, cod, mapping)

@@ -1,27 +1,46 @@
 """Hom matrices stored dense: the flat row-major tuple is the only stored
-form of a semicategory's or a view's homs, the dict forms are built on
-demand, and single presheaf homs go through the residuation kernel's entry
-loop.  Each is compared with the former dict route kept in ``helpers``.
+form of a semicategory's, a semidistributor's or a view's matrix, the dict
+forms are built on demand, and single presheaf homs go through the
+residuation kernel's entry loop.  Each is compared with the former dict
+route kept in ``helpers``.
 """
+
+import itertools
 
 import pytest
 
 from qsemicat import (
     CO,
     CONTRA,
+    ActionFailure,
     CompositionFailure,
     NotAFrame,
     ParseError,
+    QArrow,
+    SemiDistributor,
     TypeMismatch,
     build_PA,
     build_RA,
+    build_RA_by_lifting,
     builtin_quantaloid,
+    compose_semidist,
     enumerate_presheaves,
+    enumerate_regular_semidists,
+    identity_semidist,
     is_regular_via_liftings,
+    leq_semidist,
+    lifting_dist,
+    lifting_rsdist,
+    matrix_space,
     presheaf_hom_elem,
+    right_adjoint,
+    rsdist_isomorphism_search,
     skeleton,
+    sup_semidist,
     validate_semicategory,
     validate_semidistributor,
+    validate_semifunctor,
+    verify_rsdist_is_idm_matr,
 )
 from qsemicat.lattice import named_lattice
 from qsemicat.presheaf import QCategoryView, _contra
@@ -36,7 +55,10 @@ from helpers import (
     reference_full_matrix,
     reference_semicategory_axioms,
     reference_semidistributor,
+    reference_semifunctor,
     reference_skeleton_homs,
+    rel_quantaloid,
+    relations_family,
 )
 
 FAMILIES = presheaf_families()
@@ -228,3 +250,91 @@ def test_named_frame_errors_match_the_former_route(name, error):
     _, (verdict,) = validate_report(doc)
     assert verdict["error"] == f"{error.__name__}: {want[1]}"
     assert verdict["witness"] == repr(want[2])
+
+
+def _semidists(dom, cod):
+    """Every semidistributor dom -/-> cod, by validating its matrix space."""
+    out = []
+    for mat in matrix_space(dom, cod)[1]:
+        try:
+            out.append(validate_semidistributor(dom, cod, mat))
+        except ActionFailure:
+            pass
+    return out
+
+
+def test_arrows_read_the_stored_matrix_on_a_heterogeneous_family():
+    # objects of types X and Y, whose hom-lattices have 2, 4, 4 and 16 elements
+    q = rel_quantaloid()
+    U = validate_semicategory(q, [("w", "Y")], {})
+    for A in relations_family(q):
+        names = A.names + ("zz",)
+        for a1, a0 in itertools.product(names, repeat=2):
+            want = outcome(lambda: QArrow(A.type_of(a0), A.type_of(a1), A.hom[(a1, a0)]))
+            assert outcome(lambda: A.hom_arrow(a1, a0)) == want
+        for phi in [identity_semidist(A)] + _semidists(A, U) + _semidists(U, A):
+            for b, a in itertools.product(phi.cod.names + ("zz",), phi.dom.names + ("zz",)):
+                want = outcome(
+                    lambda: QArrow(phi.dom.type_of(a), phi.cod.type_of(b), phi.mat[(b, a)])
+                )
+                assert outcome(lambda: phi.arrow(b, a)) == want
+
+
+def test_semidistributor_calculus_forms_no_dict(monkeypatch):
+    import qsemicat.semicat as semicat
+
+    A = validate_semicategory(
+        Q3, [("a", "*"), ("b", "*")], {("a", "a"): 2, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 2}
+    )
+    formed = []
+    real = semicat._sparse
+
+    def counting(cod, dom, flat):
+        formed.append((cod, dom))
+        return real(cod, dom, flat)
+
+    monkeypatch.setattr(semicat, "_sparse", counting)
+    phis = enumerate_regular_semidists(A, A, 10**4)
+    assert len(phis) > 2
+    for psi in phis:
+        for phi in phis:
+            compose_semidist(psi, phi)
+            lifting_dist(psi, phi)
+            lifting_rsdist(psi, phi)
+            leq_semidist(psi, phi)
+        right_adjoint(psi)
+    sup_semidist(phis)
+    assert rsdist_isomorphism_search(A, A) is not None
+    assert verify_rsdist_is_idm_matr(A, A).ok
+    build_RA_by_lifting(A)
+    assert formed == []
+    # read on demand, and then kept
+    phi = phis[-1]
+    assert phi.mat == dict(zip(itertools.product(A.names, A.names), phi.dense))
+    assert phi.mat is phi.mat
+    assert formed == [(A, A)]
+    assert SemiDistributor(A, A, phi.mat) == SemiDistributor(A, A, phi.dense) == phi
+
+
+def _object_maps(dom, cod):
+    """Every map from the objects of dom to those of cod or an unknown name,
+    and the maps that leave out one object."""
+    images = cod.names + ("zz",)
+    for values in itertools.product(images, repeat=len(dom.names)):
+        yield dict(zip(dom.names, values))
+    for a in dom.names:
+        yield {x: cod.names[0] for x in dom.names if x != a}
+
+
+def test_semifunctor_validation_matches_the_former_dict_route():
+    q = rel_quantaloid()
+    U = validate_semicategory(q, [("w", "Y")], {})
+    families = [all_semicats("3", 2), relations_family(q)[::10] + [U]]
+    verdicts = set()
+    for family in families:
+        for dom, cod in itertools.product(family, repeat=2):
+            for mapping in _object_maps(dom, cod):
+                want = outcome(lambda: reference_semifunctor(dom, cod, mapping))
+                assert outcome(lambda: validate_semifunctor(dom, cod, mapping)) == want
+                verdicts.add(want[0] if isinstance(want, tuple) else "valid")
+    assert verdicts == {"valid", ActionFailure, TypeMismatch}

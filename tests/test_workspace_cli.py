@@ -476,3 +476,32 @@ def test_cli_entry_point_via_subprocess(tmp_path):
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert report["morita"] is False and report["schema"] == 2
+
+
+@pytest.mark.parametrize(
+    "section, name, field, kind",
+    [
+        ("semicategories", "A", "hom", "semicategory"),
+        ("semidistributors", "Phi", "mat", "semidistributor"),
+        ("omega_sets", "E", "eq", "omega_set"),
+    ],
+)
+def test_pair_listed_twice_is_rejected(tmp_path, capsys, section, name, field, kind):
+    # [x, y, elem] entries are a matrix: a second entry for the same pair is
+    # refused, whether its element agrees with the first or not
+    for second in (1, 0):
+        doc = json.loads(json.dumps(THREE_CHAIN_WS))
+        doc[section][name][field].append(["*", "*", second])
+        with pytest.raises(ParseError) as exc:
+            load_workspace(doc)
+        assert exc.value.witness == ("*", "*")
+        assert str(exc.value) == f"{section}.{name}: {field} entry ('*', '*') listed twice"
+        path = write_ws(tmp_path, doc)
+        assert main(["--json", "validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        [bad] = [v for v in report["objects"] if (v["kind"], v["name"]) == (kind, name)]
+        assert not bad["valid"]
+        assert bad["error"] == f"ParseError: {exc.value}"
+        assert bad["witness"] == repr(("*", "*"))
+        assert main(["validate", path]) == 1
+        assert "INVALID" in capsys.readouterr().out
