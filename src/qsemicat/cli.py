@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import compress
 
 from .completion import build_idm, verify_rsdist_is_idm_matr
 from .errors import (
@@ -83,7 +84,6 @@ _CLASS_FILTERS = {
 def cmd_presheaves(args) -> int:
     A = _workspace(args).semicategory(args.name)
     variance = CONTRA if args.variance == "contra" else CO
-    keep = _CLASS_FILTERS[args.cls]
     types = [args.type] if args.type else list(A.base.objects)
     for t in types:
         if t not in A.base.objects:
@@ -94,9 +94,10 @@ def cmd_presheaves(args) -> int:
     listed, kept = [], []
     for t in types:
         pool = enumerate_presheaves(A, t, variance, args.cap)
-        for cls, pred in _CLASS_FILTERS.items():
-            class_counts[cls][str(t)] = sum(1 for phi in pool if pred(phi))
-        found = [phi for phi in pool if keep(phi)]
+        hits = {cls: [pred(phi) for phi in pool] for cls, pred in _CLASS_FILTERS.items()}
+        for cls, flags in hits.items():
+            class_counts[cls][str(t)] = sum(flags)
+        found = list(compress(pool, hits[args.cls]))
         counts[str(t)] = len(found)
         kept.extend(found)
         for i, phi in enumerate(found):

@@ -114,7 +114,8 @@ def strict_order_to_semicat(elements, pairs) -> SemiCategory:
     index, succ = _transitive_rows(elements, pairs)
     q = builtin_quantaloid("2")
     obj = q.objects[0]
-    hom = {(x, y): succ[index[x]] >> index[y] & 1 for x in elements for y in elements}
+    # flat: TypedSet names objects by str(x), which a dict keyed by x would miss
+    hom = tuple(succ[index[x]] >> index[y] & 1 for x in elements for y in elements)
     return validate_semicategory(q, [(x, obj) for x in elements], hom)
 
 
@@ -187,11 +188,12 @@ def way_below(P: FinitePoset):
 
 def _way_below_subsets(P: FinitePoset, variance, keep):
     """The supports of the kept presheaves of the way-below semicategory,
-    by size and then by their sorted elements."""
+    as sets of the poset's own elements, by size and then by their sorted
+    elements."""
     W = strict_order_to_semicat(P.elements, sorted(way_below(P)))
     obj = W.base.objects[0]
     subsets = [
-        frozenset(a for a in W.names if phi.value(a) == 1)
+        frozenset(a for a, v in zip(P.elements, phi.values) if v == 1)
         for phi in enumerate_presheaves(W, obj, variance)
         if keep(phi)
     ]

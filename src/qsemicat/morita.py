@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotACategory, NotCocontinuous, NotRegular, SearchCapExceeded, TypeMismatch
+from .errors import NotCocontinuous, NotRegular, SearchCapExceeded, TypeMismatch
 from .presheaf import (
     CONTRA,
     DEFAULT_CAP,
@@ -53,9 +53,7 @@ class SkeletonReport:
 
 def are_isomorphic_objects(view: QCategoryView, a, b) -> bool:
     """Two objects of a Q-category are isomorphic iff the identities factor both ways."""
-    sc = view.as_semicategory()
-    if not sc.is_category:
-        raise NotACategory("object isomorphism lives in a category", witness=view)
+    view.check()
     return _isomorphic(view, view.index_of(a), view.index_of(b))
 
 
@@ -75,9 +73,7 @@ def skeleton(view: QCategoryView):
 
     Returns the report and the full subcategory on the representatives.
     """
-    sc = view.as_semicategory()
-    if not sc.is_category:
-        raise NotACategory("skeletons live in a category", witness=view)
+    view.check()
     classes = []
     for i in range(len(view)):
         home = next((cls for cls in classes if _isomorphic(view, i, cls[0])), None)
@@ -284,16 +280,16 @@ def induced_functor(phi: SemiDistributor) -> InducedFunctor:
 def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP):
     """Recover the regular semidistributor whose induced functor is F.
 
-    ``F`` maps regular contravariant presheaves on A to regular presheaves
-    on B.  The candidate matrix reads F off the representables; F must then
-    agree with the induced functor on every enumerated regular presheaf,
-    otherwise :class:`NotCocontinuous` reports a witness.
+    ``F`` is a callable sending regular contravariant presheaves on A to
+    regular presheaves on B.  The candidate matrix reads F off the
+    representables; F must then agree with the induced functor on every
+    enumerated regular presheaf, otherwise :class:`NotCocontinuous` reports
+    a witness.
     """
     _check_regular_pair(A, B)
-    apply = F if callable(F) else (lambda t, _m=dict(F): _m[t])
     columns = []
     for a in A.names:
-        image = apply(yoneda(A, a))
+        image = F(yoneda(A, a))
         if not isinstance(image, Presheaf) or image.carrier != B:
             raise TypeMismatch(f"image of the representable at {a!r} is not a presheaf on the codomain")
         columns.append(image.values)
@@ -310,7 +306,7 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
         for theta in enumerate_presheaves(A, x, CONTRA, cap):
             if not is_regular_presheaf(theta):
                 continue
-            if apply(theta) != functor(theta):
+            if F(theta) != functor(theta):
                 raise NotCocontinuous(
                     "object map disagrees with the induced functor", witness=theta
                 )

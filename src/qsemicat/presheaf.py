@@ -32,6 +32,7 @@ from .semicat import (
     _lift_entry,
     _mat_compose,
     _mat_lift,
+    _sparse,
     is_regular_semicat,
     lifting_rsdist,
     validate_semicategory,
@@ -45,7 +46,7 @@ CO = "co"
 
 def unit_category(q: Quantaloid, x, name: str = "*") -> SemiCategory:
     """The one-object category on x whose single hom-arrow is the identity."""
-    return validate_semicategory(q, [(name, x)], {(name, name): q.identity[x]})
+    return validate_semicategory(q, [(name, x)], (q.identity[x],))
 
 
 class Presheaf:
@@ -238,52 +239,40 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
 class QCategoryView:
     """A finite Q-category materialised from computed data.
 
-    Objects carry a tag, a type and a payload (e.g. a presheaf).  ``dense``
-    holds the homs as a flat row-major tuple in object order: entry (i, k)
-    is the hom from object k to object i.  ``homs`` is that tuple, or a dict
-    keyed (tag1, tag0), which is range-checked, completed with bottoms and
-    flattened as :func:`validate_semicategory` does with a hom dict;
-    ``hom_elems``, the dict form, is formed from ``dense`` on first read and
-    kept.  ``check`` verifies the category axioms exhaustively.  The view is
-    treated as immutable: it is validated once, on first use.
+    Objects carry a tag, a type and a payload (e.g. a presheaf); tags and
+    types are checked once, at construction, as a :class:`TypedSet`.
+    ``dense`` holds the homs as a flat row-major tuple in object order:
+    entry (i, k) is the hom from object k to object i.  ``homs`` is that
+    tuple, or a dict keyed (tag1, tag0), flattened as
+    :func:`validate_semicategory` flattens a hom dict; ``hom_elems``, the
+    dict form, is formed from ``dense`` on first read and kept.  ``check``
+    verifies the category axioms exhaustively, once, on first use.
     """
 
-    __slots__ = ("base", "objects", "dense", "_index", "_hom_elems", "_semicat")
+    __slots__ = ("base", "objects", "dense", "_typed", "_hom_elems", "_semicat")
 
     def __init__(self, base, objects, homs):
         self.base = base
         self.objects = tuple(objects)
-        self._index = {tag: i for i, (tag, _, _) in enumerate(self.objects)}
+        ts = self._typed = validate_typed_set([(tag, t) for tag, t, _ in self.objects], base)
         if isinstance(homs, dict):
-            ts = validate_typed_set(self._elements(), base)
             homs = _dense_matrix(base, ts, ts, homs, "hom entry")
         self.dense = homs
         self._hom_elems = None
         self._semicat = None
 
-    def _elements(self):
-        return [(tag, t) for tag, t, _ in self.objects]
-
     @property
     def tags(self):
-        return tuple(tag for tag, _, _ in self.objects)
+        return self._typed.names
 
     @property
     def hom_elems(self) -> dict:
         if self._hom_elems is None:
-            tags = self.tags
-            keys = ((tag1, tag0) for tag1 in tags for tag0 in tags)
-            self._hom_elems = dict(zip(keys, self.dense))
+            self._hom_elems = _sparse(self._typed, self._typed, self.dense)
         return self._hom_elems
 
     def index_of(self, tag) -> int:
-        return self._index[tag]
-
-    def type_of(self, tag):
-        return self.objects[self._index[tag]][1]
-
-    def payload(self, tag):
-        return self.objects[self._index[tag]][2]
+        return self._typed.index_of(tag)
 
     def tag_of(self, payload):
         for tag, _, p in self.objects:
@@ -291,14 +280,10 @@ class QCategoryView:
                 return tag
         raise KeyError(f"no object with payload {payload!r}")
 
-    def hom(self, tag1, tag0) -> QArrow:
-        i, k = self._index[tag1], self._index[tag0]
-        return QArrow(self.objects[k][1], self.objects[i][1], self.dense[i * len(self) + k])
-
     def as_semicategory(self) -> SemiCategory:
         """The view as a validated semicategory, built on the first call and kept."""
         if self._semicat is None:
-            self._semicat = validate_semicategory(self.base, self._elements(), self.dense)
+            self._semicat = validate_semicategory(self.base, self._typed, self.dense)
         return self._semicat
 
     def check(self):

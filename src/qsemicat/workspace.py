@@ -23,6 +23,7 @@ Formats:
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .errors import EnumerationCapExceeded, ParseError, QsError
 from .instances import validate_omega_set, validate_poset
@@ -298,11 +299,22 @@ def validate_report(doc, cap=DEFAULT_CAP):
     return ws, verdicts
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key listed twice (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ParseError(f"duplicate key {key!r}", witness=key)
+    return obj
+
+
 def load_path(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except ParseError as exc:  # a duplicate key
+        raise ParseError(f"invalid JSON in {path}: {exc}", witness=exc.witness) from None

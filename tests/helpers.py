@@ -6,6 +6,7 @@ that every law is checked by two unrelated routes.
 """
 
 import itertools
+import json
 
 from qsemicat import (
     ActionFailure,
@@ -958,3 +959,16 @@ def reference_semifunctor(dom, cod, mapping):
                     f"A({a1!r},{a0!r}) ≰ B(F{a1!r},F{a0!r})", witness=(a1, a0)
                 )
     return SemiFunctor(dom, cod, mapping)
+
+
+def dumps_repeating_key(node, target, key, value):
+    """``node`` as JSON text in which the object ``target`` (found by
+    identity) lists ``key`` a second time, mapped to ``value``; ``json.dumps``
+    cannot write a repeated key."""
+    if isinstance(node, dict):
+        items = list(node.items()) + ([(key, value)] if node is target else [])
+        inner = (f"{json.dumps(k)}: {dumps_repeating_key(v, target, key, value)}" for k, v in items)
+        return "{" + ", ".join(inner) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(dumps_repeating_key(v, target, key, value) for v in node) + "]"
+    return json.dumps(node)

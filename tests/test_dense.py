@@ -23,6 +23,7 @@ from qsemicat import (
     build_RA,
     build_RA_by_lifting,
     builtin_quantaloid,
+    categories_isomorphic,
     compose_semidist,
     enumerate_presheaves,
     enumerate_regular_semidists,
@@ -189,13 +190,19 @@ def test_dual_matches_the_former_dict_built_dual(name):
 def test_view_dicts_match_the_former_dicts(variance):
     for A in FAMILIES["acceptance-3"][::7] + FAMILIES["relations"]:
         view = build_PA(A, variance)
-        tags = view.tags
+        # the former tags, index and dict, read off the object triples
+        tags = tuple(tag for tag, _, _ in view.objects)
         keys = [(t1, t0) for t1 in tags for t0 in tags]
+        assert view.tags == tags
+        assert [view.index_of(tag) for tag in tags] == list(range(len(view)))
+        with pytest.raises(TypeMismatch):
+            view.index_of("no such tag")
         assert list(view.hom_elems.items()) == list(zip(keys, view.dense))
         assert view.as_semicategory().dense == view.dense
         # a view given its homs as a dict holds the same matrix
         again = QCategoryView(view.base, view.objects, dict(reversed(view.hom_elems.items())))
-        assert again.dense == view.dense
+        assert again.dense == view.dense and again.tags == view.tags
+        assert list(again.hom_elems.items()) == list(view.hom_elems.items())
         ra = build_RA(A, variance)
         report, sk = skeleton(ra)
         want = reference_skeleton_homs(ra, report.representatives)
@@ -203,8 +210,18 @@ def test_view_dicts_match_the_former_dicts(variance):
         assert sk.tags == report.representatives
 
 
+@pytest.mark.parametrize("homs", [(2, 2, 2, 2), {}])
+@pytest.mark.parametrize("types", [("*", "*"), ("*", "X")])
+def test_view_refuses_duplicate_tags_and_unknown_types_at_construction(types, homs):
+    # a duplicate tag when the types agree, an unknown type otherwise
+    tags = ("a", "a") if types[1] == "*" else ("a", "b")
+    with pytest.raises(TypeMismatch):
+        QCategoryView(Q3, [(tag, t, None) for tag, t in zip(tags, types)], homs)
+
+
 @pytest.mark.parametrize("variance", [CONTRA, CO])
 def test_sweep_forms_no_hom_dict(monkeypatch, variance):
+    import qsemicat.presheaf as presheaf
     import qsemicat.semicat as semicat
 
     A = validate_semicategory(
@@ -219,18 +236,23 @@ def test_sweep_forms_no_hom_dict(monkeypatch, variance):
         return real(cod, dom, flat)
 
     monkeypatch.setattr(semicat, "_sparse", counting)
+    monkeypatch.setattr(presheaf, "_sparse", counting)
     pool = _pool(A, variance)
     assert len(pool) > 2
     homs = [[presheaf_hom_elem(p1, p0) for p0 in pool] for p1 in pool]
     via = [is_regular_via_liftings(p, against=pool) for p in pool]
-    report, _ = skeleton(build_RA(A, variance))
+    ra = build_RA(A, variance)
+    report, sk = skeleton(ra)
+    assert categories_isomorphic(ra, sk)
     assert len(report.classes) == sum(via) and len(homs) == len(pool)
-    assert not [pair for pair in formed if pair[0] in (A, D) or pair[1] in (A, D)]
+    assert formed == []
     # read on demand, and then kept
+    assert ra.hom_elems is ra.hom_elems
+    assert [(cod.names, dom.names) for cod, dom in formed] == [(ra.tags, ra.tags)]
     assert A.hom == {("a", "a"): 2, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 2}
     assert D.hom == {("a", "a"): 2, ("a", "b"): 0, ("b", "a"): 1, ("b", "b"): 2}
     assert A.hom is A.hom
-    assert formed == [(A, A), (D, D)]
+    assert formed[1:] == [(A, A), (D, D)]
 
 
 def test_named_lattices_and_frames_are_built_once():

@@ -313,6 +313,31 @@ def test_scott_continuity_between_different_posets():
     assert not crossing.continuous  # l and r are incomparable
 
 
+@pytest.mark.parametrize(
+    "elements, pairs",
+    [
+        ([0, 1], [(0, 1)]),
+        ([0, 1, 2], [(0, 1), (1, 2)]),
+        ([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        ([0, 1, 2], [(0, 2)]),
+    ],
+)
+def test_scott_on_integer_elements_matches_a_string_copy(elements, pairs):
+    P = validate_poset(elements, pairs)
+    S = validate_poset([str(x) for x in elements], [(str(x), str(y)) for x, y in pairs])
+    wb = sorted(way_below(P))
+    W = strict_order_to_semicat(S.elements, [(str(x), str(y)) for x, y in wb])
+    assert strict_order_to_semicat(elements, wb) == W
+    for found, want in ((scott_opens(P), scott_opens(S)), (scott_closeds(P), scott_closeds(S))):
+        # the subsets hold the poset's own elements
+        assert all(isinstance(x, int) for subset in found for x in subset)
+        assert [frozenset(map(str, subset)) for subset in found] == want
+    for img in itertools.product(elements, repeat=len(elements)):
+        f = dict(zip(elements, img))
+        g = {str(x): str(y) for x, y in f.items()}
+        assert scott_continuity_check(f, P, P) == scott_continuity_check(g, S, S), f
+
+
 def test_continuity_implies_regular_graph():
     chain3_poset = validate_poset(["0", "1", "2"], [("0", "1"), ("1", "2")])
     maps = itertools.product(["0", "1", "2"], repeat=3)

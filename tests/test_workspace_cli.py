@@ -5,6 +5,7 @@ import pytest
 from qsemicat import EnumerationCapExceeded, ParseError, TypeMismatch
 from qsemicat.cli import main
 from qsemicat.workspace import load_workspace, parse_quantaloid, validate_report
+from helpers import dumps_repeating_key
 
 THREE_CHAIN_WS = {
     "quantaloids": {"Q": "3"},
@@ -505,3 +506,45 @@ def test_pair_listed_twice_is_rejected(tmp_path, capsys, section, name, field, k
         assert bad["witness"] == repr(("*", "*"))
         assert main(["validate", path]) == 1
         assert "INVALID" in capsys.readouterr().out
+
+
+EXPLICIT_Q = {
+    "objects": ["X"],
+    "homs": {"X>X": {"size": 2, "leq": [[0, 1]]}},
+    "compose": {"X>X>X": [[0, 0], [0, 1]]},
+    "id": {"X": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "where, key, first",
+    [
+        # a semifunctor map sending "a" to an unknown object, then to "a"
+        (("semifunctors", "F", "map"), "a", "zz"),
+        # a composition table breaking the unit law, then a lawful one
+        (("quantaloids", "R", "compose"), "X>X>X", [[1, 1], [1, 1]]),
+        # a section naming one semicategory twice, with the same spec
+        (("semicategories",), "A", None),
+    ],
+)
+def test_duplicate_json_key_is_refused(tmp_path, capsys, where, key, first):
+    doc = json.loads(json.dumps(THREE_CHAIN_WS))
+    doc["quantaloids"]["R"] = json.loads(json.dumps(EXPLICIT_Q))
+    doc["semicategories"]["A"]["objects"].append({"name": "a", "type": "*"})
+    doc["semifunctors"]["F"] = {"dom": "A", "cod": "A", "map": {"*": "*", "a": "a"}}
+    # json keeps the last of repeated keys, and the last value is the valid one
+    assert main(["--json", "validate", write_ws(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    target = doc
+    for step in where:
+        target = target[step]
+    last = target[key]
+    if first is not None:
+        target[key] = first
+    path = tmp_path / "dup.json"
+    path.write_text(dumps_repeating_key(doc, target, key, last))
+    for argv in (["validate", str(path)], ["--json", "morita", str(path), "A", "A"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ParseError: invalid JSON in {path}: duplicate key {key!r} (witness: {key!r})\n"

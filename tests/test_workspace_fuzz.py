@@ -10,6 +10,7 @@ import tempfile
 from hypothesis import given, strategies as st
 
 from qsemicat.cli import main
+from helpers import dumps_repeating_key
 
 BASE = {
     "quantaloids": {
@@ -100,3 +101,41 @@ def test_malformed_workspace_exits_cleanly(doc, command, as_json):
             code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def _objects(node):
+    """The nonempty JSON objects within ``node``, ``node`` included."""
+    if isinstance(node, dict):
+        if node:
+            yield node
+        for value in node.values():
+            yield from _objects(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _objects(value)
+
+
+@st.composite
+def repeated_key_docs(draw):
+    """The base workspace as JSON text with one key of one object written twice,
+    mapped to its own value or to arbitrary JSON."""
+    target = draw(st.sampled_from(list(_objects(BASE))))
+    key = draw(st.sampled_from(sorted(target)))
+    value = draw(st.just(target[key]) | json_values)
+    return dumps_repeating_key(BASE, target, key, value)
+
+
+@given(text=repeated_key_docs(), command=st.sampled_from(COMMANDS), as_json=st.booleans())
+def test_repeated_key_is_a_parse_error(text, command, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ws.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = (["--json"] if as_json else []) + [arg.format(path=path) for arg in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"ParseError: invalid JSON in {path}: duplicate key ")
+    assert err.getvalue().count("\n") == 1
