@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Scott opens and closeds as presheaves on the way-below relation.
 
-The way-below relation of a poset, computed here by exhausting directed
-subsets, is transitive and interpolative, hence a regular semicategory
-over the two-element quantaloid.  Its covariant regular presheaves are
-the Scott-open subsets and its contravariant Yoneda presheaves the
-Scott-closed ones.  On a finite poset way-below collapses to the order,
-so opens are the up-sets and closeds the down-sets; interpolation in
-general is exactly regularity of the relation.
+The way-below relation of a poset is transitive and interpolative, hence
+a regular semicategory over the two-element quantaloid.  Its covariant
+regular presheaves are the Scott-open subsets and its contravariant Yoneda
+presheaves the Scott-closed ones.  On a finite poset every directed subset
+holds its join, so way-below is the order itself, opens are the up-sets
+and closeds the down-sets; interpolation in general is exactly regularity
+of the relation.
 """
 
 from qsemicat import (

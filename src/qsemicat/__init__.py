@@ -13,7 +13,6 @@ from .errors import (
     AssocFailure,
     CompositionFailure,
     EnumerationCapExceeded,
-    MissingDirectedJoin,
     MissingJoin,
     NotACategory,
     NotAFrame,
@@ -120,7 +119,6 @@ from .completion import (
 from .instances import (
     FinitePoset,
     OmegaSet,
-    directed_subsets,
     has_interpolation,
     is_omega_morphism,
     omega_subsets,

@@ -83,7 +83,6 @@ _CLASS_FILTERS = {
 
 def cmd_presheaves(args) -> int:
     A = _workspace(args).semicategory(args.name)
-    variance = CONTRA if args.variance == "contra" else CO
     types = [args.type] if args.type else list(A.base.objects)
     for t in types:
         if t not in A.base.objects:
@@ -93,7 +92,7 @@ def cmd_presheaves(args) -> int:
     class_counts = {cls: {} for cls in _CLASS_FILTERS}
     listed, kept = [], []
     for t in types:
-        pool = enumerate_presheaves(A, t, variance, args.cap)
+        pool = enumerate_presheaves(A, t, args.variance, args.cap)
         hits = {cls: [pred(phi) for phi in pool] for cls, pred in _CLASS_FILTERS.items()}
         for cls, flags in hits.items():
             class_counts[cls][str(t)] = sum(flags)
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap", type=_cap, default=DEFAULT_CAP, help="enumeration/search bound (at least 1)"
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="reserved; no randomized behavior")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate every object of a workspace")
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--class", dest="cls", choices=sorted(_CLASS_FILTERS), default="all"
     )
-    p.add_argument("--variance", choices=["contra", "co"], default="contra")
+    p.add_argument("--variance", choices=[CONTRA, CO], default=CONTRA)
     p.add_argument("--matrices", action="store_true", help="include the hom matrix")
     p.set_defaults(func=cmd_presheaves)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ActionFailure, NotIdempotent, NotRegular, SearchCapExceeded, TypeMismatch
+from .errors import ActionFailure, NotIdempotent, SearchCapExceeded, TypeMismatch
 from .lattice import (
     join_closed_sublattice,
     # unused here since homs are restricted from the base; kept because bench/ wraps it
@@ -26,11 +26,12 @@ from .semicat import (
     DEFAULT_CAP,
     SemiCategory,
     SemiDistributor,
+    _check_regular_pair,
     _flats,
     _is_regular_flat,
     _product,
     identity_semidist,
-    is_regular_semicat,
+    is_regular_semicat,  # noqa: F401 -- unused; bench/ wraps it as a name of this module
     is_regular_semidist,
     matrix_space,
     validate_semidistributor,
@@ -208,10 +209,7 @@ def verify_rsdist_is_idm_matr(
     """Check that regular semidistributors A -/-> B are exactly the matrices
     fixed by the idempotent hom matrices of A and B, and that composition
     and identities agree with the completion's recipe."""
-    if not is_regular_semicat(A):
-        raise NotRegular("first semicategory is not regular", witness=A)
-    if not is_regular_semicat(B):
-        raise NotRegular("second semicategory is not regular", witness=B)
+    _check_regular_pair(A, B)
 
     def scan(dom, cod):
         # every matrix dom -/-> cod, with its semidistributor when "regular":

@@ -82,10 +82,6 @@ class NotTransitiveEq(QsError):
     """An equality matrix fails the triangle law; witness is a triple."""
 
 
-class MissingDirectedJoin(QsError):
-    """A directed subset has no join; witness is the subset."""
-
-
 class EnumerationCapExceeded(QsError):
     """An enumeration would exceed the configured cap; witness is the size."""
 

@@ -2,10 +2,11 @@
 
 Transitive relations are semicategories over the two-element quantaloid,
 interpolation is idempotence of the relation matrix, the way-below relation
-of a finite poset is computed by exhausting directed subsets, and Scott
-opens and closeds fall out as the covariant regular and contravariant
-Yoneda presheaves of the way-below semicategory.  An Omega-valued equality
-on a set is a symmetric regular semicategory over the frame.
+of a finite poset is its order (every finite directed set holds its join),
+and Scott opens and closeds fall out as the covariant regular and
+contravariant Yoneda presheaves of the way-below semicategory.  An
+Omega-valued equality on a set is a symmetric regular semicategory over the
+frame.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from itertools import chain
 from .errors import (
     ActionFailure,
     CompositionFailure,
-    EnumerationCapExceeded,
-    MissingDirectedJoin,
     NotAPartialOrder,
     NotSymmetric,
     NotTransitive,
@@ -36,13 +35,12 @@ from .quantaloid import Quantaloid, builtin_quantaloid
 from .semicat import (
     SemiCategory,
     SemiDistributor,
+    TypedSet,
     is_regular_semidist,
     right_adjoint,
     validate_semicategory,
     validate_semidistributor,
 )
-
-WAY_BELOW_MAX = 12
 
 
 class FinitePoset:
@@ -67,6 +65,7 @@ class FinitePoset:
 def validate_poset(elements, pairs) -> FinitePoset:
     """Build a poset from generating pairs (x, y) meaning x <= y."""
     elements = tuple(dict.fromkeys(elements))
+    TypedSet((x, None) for x in elements)  # refuses two elements with one object name str(x)
     index = {x: i for i, x in enumerate(elements)}
     for x, y in pairs:
         if x not in index or y not in index:
@@ -137,67 +136,30 @@ def has_interpolation(elements, pairs) -> bool:
     return True
 
 
-def directed_subsets(P: FinitePoset):
-    """All nonempty directed subsets with their joins.
-
-    Raises :class:`MissingDirectedJoin` when a directed subset has no least
-    upper bound (impossible for finite posets, where directed sets have
-    maxima, but checked rather than assumed).
-    """
-    n = len(P.elements)
-    if n > WAY_BELOW_MAX:
-        raise EnumerationCapExceeded(
-            f"{n} elements exceed the way-below bound {WAY_BELOW_MAX}", witness=n
-        )
-    out = []
-    for mask in range(1, 1 << n):
-        subset = [P.elements[i] for i in range(n) if mask >> i & 1]
-        if not all(
-            any(P.le(x, u) and P.le(y, u) for u in subset) for x in subset for y in subset
-        ):
-            continue
-        ubs = [u for u in P.elements if all(P.le(x, u) for x in subset)]
-        join = next((u for u in ubs if all(P.le(u, v) for v in ubs)), None)
-        if join is None:
-            raise MissingDirectedJoin(
-                f"directed subset {subset} has no join", witness=tuple(subset)
-            )
-        out.append((tuple(subset), join))
-    return out
-
-
 def way_below(P: FinitePoset):
-    """The way-below relation, by brute force over directed subsets.
+    """The way-below relation of a finite poset, which is its order.
 
-    x is way below y iff every directed subset whose join dominates y
-    already contains an element above x.  On a finite poset this collapses
-    to the order itself.
+    x is way below y iff every directed subset D with y ≤ ⋁D holds an
+    element above x, and a finite directed set holds its join.  The
+    directed set {y} shows that x ≤ y is needed; x ≤ y ≤ ⋁D ∈ D shows that
+    it is enough.
     """
-    dirs = directed_subsets(P)
-    rel = set()
-    for x in P.elements:
-        for y in P.elements:
-            if all(
-                any(P.le(x, d) for d in subset)
-                for subset, join in dirs
-                if P.le(y, join)
-            ):
-                rel.add((x, y))
-    return rel
+    return {pair for pair, below in P.leq.items() if below}
 
 
 def _way_below_subsets(P: FinitePoset, variance, keep):
     """The supports of the kept presheaves of the way-below semicategory,
-    as sets of the poset's own elements, by size and then by their sorted
-    elements."""
-    W = strict_order_to_semicat(P.elements, sorted(way_below(P)))
+    as sets of the poset's own elements, by size and then by the positions
+    of their elements in ``P.elements``."""
+    W = strict_order_to_semicat(P.elements, way_below(P))
     obj = W.base.objects[0]
-    subsets = [
-        frozenset(a for a, v in zip(P.elements, phi.values) if v == 1)
+    supports = [
+        tuple(i for i, v in enumerate(phi.values) if v == 1)
         for phi in enumerate_presheaves(W, obj, variance)
         if keep(phi)
     ]
-    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
+    supports.sort(key=lambda s: (len(s), s))
+    return [frozenset(P.elements[i] for i in s) for s in supports]
 
 
 def scott_opens(P: FinitePoset):
@@ -327,8 +289,8 @@ def scott_continuity_check(f, P: FinitePoset, Q: FinitePoset) -> ScottContinuity
         for b in Q.elements
     )
 
-    WP = strict_order_to_semicat(P.elements, sorted(wb_p))
-    WQ = strict_order_to_semicat(Q.elements, sorted(wb_q))
+    WP = strict_order_to_semicat(P.elements, wb_p)
+    WQ = strict_order_to_semicat(Q.elements, wb_q)
     flat = tuple(int((b, f[a]) in wb_q) for b in Q.elements for a in P.elements)
     try:
         graph = validate_semidistributor(WP, WQ, flat)

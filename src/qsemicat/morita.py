@@ -29,6 +29,7 @@ from .presheaf import (
 from .semicat import (
     SemiCategory,
     SemiDistributor,
+    _check_regular_pair,
     _mat_compose,
     _mat_lift,
     _regular_flats,
@@ -204,13 +205,6 @@ class MoritaResult:
             "routes_agree": self.routes_agree,
             "cross_check": self.cross_check,
         }
-
-
-def _check_regular_pair(A, B):
-    if not is_regular_semicat(A):
-        raise NotRegular("first semicategory is not regular", witness=A)
-    if not is_regular_semicat(B):
-        raise NotRegular("second semicategory is not regular", witness=B)
 
 
 def morita_equivalent(A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP) -> MoritaResult:

@@ -52,7 +52,8 @@ def unit_category(q: Quantaloid, x, name: str = "*") -> SemiCategory:
 class Presheaf:
     """A presheaf on a semicategory, stored as its tuple of value elements.
 
-    ``values`` is aligned with the carrier's object order.  Presheaves
+    ``values`` is aligned with the carrier's object order, one value per
+    object (checked at construction).  Presheaves
     compare by exact value equality; isomorphism of presheaves is a
     question about the category they live in, not about their raw values.
     ``_res`` keeps the residual once it is computed; equality and hashing
@@ -68,6 +69,11 @@ class Presheaf:
         self.qtype = qtype
         self.variance = variance
         self.values = tuple(values)
+        if len(self.values) != len(carrier.types):
+            raise TypeMismatch(
+                f"presheaf has {len(self.values)} values, not {len(carrier.types)}",
+                witness=len(self.values),
+            )
         self._res = None
 
     def value(self, a) -> int:
@@ -240,7 +246,8 @@ class QCategoryView:
     """A finite Q-category materialised from computed data.
 
     Objects carry a tag, a type and a payload (e.g. a presheaf); tags and
-    types are checked once, at construction, as a :class:`TypedSet`.
+    types are checked once, at construction, as a :class:`TypedSet`, and so
+    is the length of ``homs``.
     ``dense`` holds the homs as a flat row-major tuple in object order:
     entry (i, k) is the hom from object k to object i.  ``homs`` is that
     tuple, or a dict keyed (tag1, tag0), flattened as
@@ -257,6 +264,11 @@ class QCategoryView:
         ts = self._typed = validate_typed_set([(tag, t) for tag, t, _ in self.objects], base)
         if isinstance(homs, dict):
             homs = _dense_matrix(base, ts, ts, homs, "hom entry")
+        elif len(homs) != len(ts) ** 2:
+            raise TypeMismatch(
+                f"hom entry matrix has {len(homs)} entries, not {len(ts) ** 2}",
+                witness=len(homs),
+            )
         self.dense = homs
         self._hom_elems = None
         self._semicat = None

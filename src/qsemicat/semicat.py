@@ -512,6 +512,13 @@ def _is_regular_flat(A: SemiCategory, B: SemiCategory, flat) -> bool:
     )
 
 
+def _check_regular_pair(A, B):
+    if not is_regular_semicat(A):
+        raise NotRegular("first semicategory is not regular", witness=A)
+    if not is_regular_semicat(B):
+        raise NotRegular("second semicategory is not regular", witness=B)
+
+
 def _require_regular(*items):
     for item in items:
         if isinstance(item, SemiCategory):

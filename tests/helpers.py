@@ -454,6 +454,48 @@ def all_posets(n):
     return out
 
 
+def reference_directed_subsets(P):
+    """All nonempty directed subsets of a finite poset with their joins.
+
+    Raises AssertionError when a directed subset has no least upper bound
+    (impossible for finite posets, where directed sets have maxima, but
+    checked rather than assumed).
+    """
+    n = len(P.elements)
+    out = []
+    for mask in range(1, 1 << n):
+        subset = [P.elements[i] for i in range(n) if mask >> i & 1]
+        if not all(
+            any(P.le(x, u) and P.le(y, u) for u in subset) for x in subset for y in subset
+        ):
+            continue
+        ubs = [u for u in P.elements if all(P.le(x, u) for x in subset)]
+        join = next((u for u in ubs if all(P.le(u, v) for v in ubs)), None)
+        if join is None:
+            raise AssertionError(f"directed subset {subset} has no join")
+        out.append((tuple(subset), join))
+    return out
+
+
+def reference_way_below(P):
+    """The way-below relation by its definition, over all directed subsets.
+
+    x is way below y iff every directed subset whose join dominates y
+    already contains an element above x.
+    """
+    dirs = reference_directed_subsets(P)
+    rel = set()
+    for x in P.elements:
+        for y in P.elements:
+            if all(
+                any(P.le(x, d) for d in subset)
+                for subset, join in dirs
+                if P.le(y, join)
+            ):
+                rel.add((x, y))
+    return rel
+
+
 def reference_quantaloid_axioms(objects, homs, tables, idents):
     """The exhaustive unit, associativity and sup-preservation loops.
 

@@ -66,6 +66,7 @@ from helpers import (
     chain3_A,
     chain3_C,
     downsets_of_poset,
+    reference_way_below,
     regular_semicats,
     rows_to_pairs,
     transitive_relations,
@@ -370,6 +371,7 @@ def test_criterion_10_scott_identification():
             ]
             P = validate_poset(elements, pairs)
             wb = way_below(P)
+            assert wb == reference_way_below(P)
             assert wb == {
                 (x, y) for x in elements for y in elements if P.le(x, y)
             }

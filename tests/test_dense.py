@@ -219,6 +219,12 @@ def test_view_refuses_duplicate_tags_and_unknown_types_at_construction(types, ho
         QCategoryView(Q3, [(tag, t, None) for tag, t in zip(tags, types)], homs)
 
 
+def test_view_refuses_a_short_hom_tuple_at_construction():
+    with pytest.raises(TypeMismatch) as exc:
+        QCategoryView(Q3, [("a", "*", None), ("b", "*", None)], (2,))
+    assert exc.value.witness == 1
+
+
 @pytest.mark.parametrize("variance", [CONTRA, CO])
 def test_sweep_forms_no_hom_dict(monkeypatch, variance):
     import qsemicat.presheaf as presheaf

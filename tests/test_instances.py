@@ -13,7 +13,6 @@ from qsemicat import (
     bottom_semidist,
     builtin_quantaloid,
     chain,
-    directed_subsets,
     from_frame,
     has_interpolation,
     is_omega_morphism,
@@ -33,6 +32,7 @@ import qsemicat.instances
 from helpers import (
     downsets_of_poset,
     outcome,
+    reference_directed_subsets,
     reference_interpolation,
     reference_omega_set,
     reference_poset,
@@ -144,14 +144,19 @@ def test_way_below_on_finite_posets_is_leq():
 
 def test_directed_subsets_have_maxima():
     P = validate_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    for subset, join in directed_subsets(P):
+    for subset, join in reference_directed_subsets(P):
         assert join in subset  # finite directed sets peak
 
 
-def test_way_below_cap():
-    many = validate_poset([str(i) for i in range(13)], [])
+def test_way_below_and_scott_opens_past_twelve_elements():
+    names = [f"{i:02}" for i in range(13)]
+    chain13 = validate_poset(names, list(zip(names, names[1:])))
+    assert len(way_below(chain13)) == 91
+    assert scott_opens(chain13) == [frozenset(names[k:]) for k in range(13, -1, -1)]
+    # the presheaf cap still bounds the Scott material: 2**20 candidate opens
+    antichain = validate_poset([str(i) for i in range(20)], [])
     with pytest.raises(EnumerationCapExceeded):
-        way_below(many)
+        scott_opens(antichain)
 
 
 def test_scott_opens_and_closeds_two_chain():
@@ -336,6 +341,23 @@ def test_scott_on_integer_elements_matches_a_string_copy(elements, pairs):
         f = dict(zip(elements, img))
         g = {str(x): str(y) for x, y in f.items()}
         assert scott_continuity_check(f, P, P) == scott_continuity_check(g, S, S), f
+
+
+def test_scott_on_mixed_type_elements():
+    P = validate_poset([0, "a"], [(0, "a")])
+    assert scott_opens(P) == [frozenset(), frozenset({"a"}), frozenset({0, "a"})]
+    assert scott_closeds(P) == [frozenset(), frozenset({0}), frozenset({0, "a"})]
+    S = validate_poset(["0", "a"], [("0", "a")])
+    for img in itertools.product(P.elements, repeat=2):
+        f = dict(zip(P.elements, img))
+        g = {str(x): str(y) for x, y in f.items()}
+        assert scott_continuity_check(f, P, P) == scott_continuity_check(g, S, S), f
+
+
+def test_poset_elements_with_colliding_names_are_refused():
+    with pytest.raises(TypeMismatch) as exc:
+        validate_poset([1, "1"], [])
+    assert exc.value.witness == "1"
 
 
 def test_continuity_implies_regular_graph():

@@ -10,6 +10,7 @@ from qsemicat import (
     ActionFailure,
     NotACategory,
     NotRegular,
+    Presheaf,
     TypeMismatch,
     build_PA,
     build_RA,
@@ -539,6 +540,12 @@ def _all_ones_two_objects():
     return validate_semicategory(
         Q3, [("a", "*"), ("b", "*")], {(x, y): 1 for x in "ab" for y in "ab"}
     )
+
+
+def test_presheaf_with_too_few_values_is_refused_at_construction():
+    with pytest.raises(TypeMismatch) as exc:
+        Presheaf(_all_ones_two_objects(), "*", CONTRA, (1,))
+    assert exc.value.witness == 1
 
 
 def test_via_liftings_rejects_a_pool_on_another_carrier():

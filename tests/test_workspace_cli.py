@@ -458,9 +458,12 @@ def test_reports_are_deterministic(tmp_path, capsys):
     assert outputs[1] == outputs[3]
 
 
-def test_seed_flag_is_accepted(tmp_path):
+def test_seed_flag_is_a_usage_error(tmp_path, capsys):
     path = write_ws(tmp_path, THREE_CHAIN_WS)
-    assert main(["--seed", "7", "validate", path]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "validate", path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_entry_point_via_subprocess(tmp_path):
