@@ -63,8 +63,10 @@ class FinitePoset:
 
 
 def validate_poset(elements, pairs) -> FinitePoset:
-    """Build a poset from generating pairs (x, y) meaning x <= y."""
+    """Build a poset from generating pairs (x, y) meaning x <= y; ``pairs``
+    may be any iterable."""
     elements = tuple(dict.fromkeys(elements))
+    pairs = list(pairs)
     TypedSet((x, None) for x in elements)  # refuses two elements with one object name str(x)
     index = {x: i for i, x in enumerate(elements)}
     for x, y in pairs:

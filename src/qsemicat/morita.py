@@ -250,7 +250,7 @@ class InducedFunctor:
 
     def __call__(self, theta: Presheaf) -> Presheaf:
         A, B = self.phi.dom, self.phi.cod
-        if theta.carrier != A or theta.variance != CONTRA:
+        if (theta.carrier is not A and theta.carrier != A) or theta.variance != CONTRA:
             raise TypeMismatch("presheaf does not live on the domain carrier")
         x = theta.qtype
         values = _mat_compose(A.base, B.types, A.types, (x,), self.phi.dense, theta.values)
@@ -259,7 +259,7 @@ class InducedFunctor:
     def right(self, psi: Presheaf) -> Presheaf:
         """The right adjoint RB -> RA: the lifting of psi through the semidistributor."""
         A, B = self.phi.dom, self.phi.cod
-        if psi.carrier != B or psi.variance != CONTRA:
+        if (psi.carrier is not B and psi.carrier != B) or psi.variance != CONTRA:
             raise TypeMismatch("presheaf does not live on the codomain carrier")
         lifted = lifting_dist(self.phi, psi.as_semidistributor())
         core = Presheaf(A, psi.qtype, CONTRA, lifted.dense)
@@ -284,7 +284,7 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
     columns = []
     for a in A.names:
         image = F(yoneda(A, a))
-        if not isinstance(image, Presheaf) or image.carrier != B:
+        if not isinstance(image, Presheaf) or (image.carrier is not B and image.carrier != B):
             raise TypeMismatch(f"image of the representable at {a!r} is not a presheaf on the codomain")
         columns.append(image.values)
     flat = tuple(e for row in zip(*columns) for e in row)

@@ -30,6 +30,7 @@ from .semicat import (
     _dense_matrix,
     _first_excess,
     _lift_entry,
+    _lift_plan,
     _mat_compose,
     _mat_lift,
     _sparse,
@@ -56,11 +57,11 @@ class Presheaf:
     object (checked at construction).  Presheaves
     compare by exact value equality; isomorphism of presheaves is a
     question about the category they live in, not about their raw values.
-    ``_res`` keeps the residual once it is computed; equality and hashing
-    ignore it.
+    ``_action`` and ``_res`` keep the action and the residual once each is
+    computed; equality and hashing ignore them.
     """
 
-    __slots__ = ("carrier", "qtype", "variance", "values", "_res")
+    __slots__ = ("carrier", "qtype", "variance", "values", "_action", "_res")
 
     def __init__(self, carrier: SemiCategory, qtype, variance: str, values):
         if variance not in (CONTRA, CO):
@@ -74,6 +75,7 @@ class Presheaf:
                 f"presheaf has {len(self.values)} values, not {len(carrier.types)}",
                 witness=len(self.values),
             )
+        self._action = None
         self._res = None
 
     def value(self, a) -> int:
@@ -98,7 +100,7 @@ class Presheaf:
             self.qtype == other.qtype
             and self.variance == other.variance
             and self.values == other.values
-            and self.carrier == other.carrier
+            and (self.carrier is other.carrier or self.carrier == other.carrier)
         )
 
     def __hash__(self):
@@ -161,9 +163,10 @@ def yoneda_covariant(A: SemiCategory, a) -> Presheaf:
 
 def presheaf_hom_elem(psi: Presheaf, phi: Presheaf) -> int:
     """The element of the presheaf-category hom from phi to psi."""
-    if psi.carrier != phi.carrier or psi.variance != phi.variance:
+    A = phi.carrier
+    if (psi.carrier is not A and psi.carrier != A) or psi.variance != phi.variance:
         raise TypeMismatch("presheaves live in different presheaf categories")
-    C = _contra(phi.carrier, phi.variance)
+    C = _contra(A, phi.variance)
     if phi.variance == CO:
         # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
         psi, phi = phi, psi
@@ -185,9 +188,14 @@ def is_regular_presheaf(phi: Presheaf) -> bool:
 
 
 def _act(phi: Presheaf):
-    """The values of A⊗φ (contravariant) or φ⊗A (covariant)."""
-    C = _contra(phi.carrier, phi.variance)
-    return _mat_compose(C.base, C.types, C.types, (phi.qtype,), C.dense, phi.values)
+    """The values of A⊗φ (contravariant) or φ⊗A (covariant).
+
+    Computed once per presheaf and kept on it.
+    """
+    if phi._action is None:
+        C = _contra(phi.carrier, phi.variance)
+        phi._action = _mat_compose(C.base, C.types, C.types, (phi.qtype,), C.dense, phi.values)
+    return phi._action
 
 
 def _residual(phi: Presheaf):
@@ -215,8 +223,8 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
     instance; the two are independent routes to the same notion.  When
     ``against`` is given it replaces the internal enumeration (callers
     sweeping one instance enumerate the presheaves once, and each residual
-    is then computed once); its presheaves must live in phi's presheaf
-    category.
+    is then computed once); it may be any iterable, and its presheaves must
+    live in phi's presheaf category.
     """
     A = phi.carrier
     if against is None:
@@ -225,15 +233,24 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
             for x in A.base.objects
             for psi in enumerate_presheaves(A, x, phi.variance, cap)
         ]
-    elif any(psi.carrier != A or psi.variance != phi.variance for psi in against):
-        raise TypeMismatch("presheaves live in different presheaf categories")
+    else:
+        against = list(against)
+        if any(
+            (psi.carrier is not A and psi.carrier != A) or psi.variance != phi.variance
+            for psi in against
+        ):
+            raise TypeMismatch("presheaves live in different presheaf categories")
     C = _contra(A, phi.variance)
     q, t, x, values = C.base, C.types, phi.qtype, phi.values
+    plans = {}  # the lifting plan of the entries hom(y, x), by the type y of psi
     for psi in against:
         # the hom from psi to phi, directly and through the representables
         y = psi.qtype
-        if _lift_entry(q, x, t, y, values, psi.values) != _lift_entry(
-            q, x, t, y, values, _residual(psi)
+        plan = plans.get(y)
+        if plan is None:
+            plan = plans[y] = q._lift_plans.get((y, x, t)) or _lift_plan(q, y, x, t)
+        if _lift_entry(q, x, t, y, values, psi.values, plan) != _lift_entry(
+            q, x, t, y, values, _residual(psi), plan
         ):
             return False
     return True
@@ -381,7 +398,7 @@ def map_j(A: SemiCategory, psi: Presheaf) -> Presheaf:
     """
     if not is_regular_semicat(A):
         raise NotRegular("j is only an adjoint for a regular carrier", witness=A)
-    if psi.carrier != A:
+    if psi.carrier is not A and psi.carrier != A:
         raise TypeMismatch("presheaf does not live on the given carrier")
     return Presheaf(A, psi.qtype, psi.variance, _act(psi))
 
@@ -390,7 +407,7 @@ def map_k(A: SemiCategory, theta: Presheaf) -> Presheaf:
     """Send a regular presheaf to the Yoneda presheaf with the same homs."""
     if not is_regular_semicat(A):
         raise NotRegular("k needs a regular carrier", witness=A)
-    if theta.carrier != A:
+    if theta.carrier is not A and theta.carrier != A:
         raise TypeMismatch("presheaf does not live on the given carrier")
     if not is_regular_presheaf(theta):
         raise NotRegular("k is defined on regular presheaves", witness=theta)
@@ -421,7 +438,7 @@ def weighted_colimit_RA(theta: SemiDistributor, fmap) -> dict:
     q = carrier.base
     for c in C.names:
         phi = fmap[c]
-        if phi.carrier != carrier or phi.variance != CONTRA:
+        if (phi.carrier is not carrier and phi.carrier != carrier) or phi.variance != CONTRA:
             raise TypeMismatch(f"image of {c!r} lives in a different category", witness=c)
         if phi.qtype != C.type_of(c):
             raise TypeMismatch(f"image of {c!r} has type {phi.qtype!r} != t({c!r})", witness=c)

@@ -420,11 +420,12 @@ def _mat_lift(q, tr, tm, tc, L, R) -> tuple:
     return tuple(out)
 
 
-def _lift_entry(q, cod, tm, dom, L, R) -> int:
+def _lift_entry(q, cod, tm, dom, L, R, plan=None) -> int:
     """One entry of the residuation kernel: ``_mat_lift(q, (cod,), tm, (dom,), L, R)[0]``
     for the types ``cod`` and ``dom`` and the |tm|-vectors ``L`` and ``R``,
-    without the block loop's slicing."""
-    meet, acc, tables = q._lift_plans.get((dom, cod, tm)) or _lift_plan(q, dom, cod, tm)
+    without the block loop's slicing.  A caller that has already looked up
+    the plan of (dom, cod, tm) passes it as ``plan``."""
+    meet, acc, tables = plan or q._lift_plans.get((dom, cod, tm)) or _lift_plan(q, dom, cod, tm)
     for table, c, b in zip(tables, L, R):
         acc = meet[acc][table[c][b]]
     return acc

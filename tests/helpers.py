@@ -7,6 +7,7 @@ that every law is checked by two unrelated routes.
 
 import itertools
 import json
+import random
 
 from qsemicat import (
     ActionFailure,
@@ -276,17 +277,41 @@ def relations_family(q):
     return out
 
 
+def regular_one_type_semicats(q, max_objects):
+    """Every regular semicategory with up to max_objects objects, all of the
+    first type of ``q``, in lexicographic order of the hom matrix."""
+    x = q.objects[0]
+    k = q.hom_lat(x, x).size
+    out = []
+    for n in range(1, max_objects + 1):
+        elements = [(name, x) for name in NAMES[:n]]
+        for flat in itertools.product(range(k), repeat=n * n):
+            try:
+                A = validate_semicategory(q, elements, flat)
+            except CompositionFailure:
+                continue
+            if A.is_regular:
+                out.append(A)
+    return out
+
+
 def presheaf_families():
     """The carriers the presheaf routes are compared on: the acceptance
     families (every regular semicategory with at most three objects over
     ``2`` and ``3``), every semicategory with at most two objects over ``2``
-    and ``3``, and the relations family, whose pools mix types."""
+    and ``3``, the relations family, whose pools mix types, and a fixed
+    sample of 40 of the 307 regular semicategories with at most two objects
+    over the endomap quantale, where composition does not commute, so a
+    lifting taken with its arguments swapped gives a different answer."""
     return {
         "acceptance-2": regular_semicats("2", 3),
         "acceptance-3": regular_semicats("3", 3),
         "all-2": all_semicats("2", 2),
         "all-3": all_semicats("3", 2),
         "relations": relations_family(rel_quantaloid()),
+        "endomaps": random.Random(0).sample(
+            regular_one_type_semicats(endomap_quantaloid(), 2), 40
+        ),
     }
 
 

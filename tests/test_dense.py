@@ -45,7 +45,7 @@ from qsemicat import (
 )
 from qsemicat.lattice import named_lattice
 from qsemicat.presheaf import QCategoryView, _contra
-from qsemicat.semicat import _lift_entry, _mat_lift, validate_typed_set
+from qsemicat.semicat import _lift_entry, _lift_plan, _mat_lift, validate_typed_set
 from qsemicat.workspace import load_workspace, validate_report
 from helpers import (
     all_semicats,
@@ -77,11 +77,13 @@ def test_lift_entry_is_one_entry_of_the_block_kernel(name):
             C = _contra(A, variance)
             q, t = C.base, C.types
             pool = _pool(A, variance)
+            plans = {(x, y): _lift_plan(q, y, x, t) for x in q.objects for y in q.objects}
             for psi in pool:
                 for phi in pool:
                     x, y = psi.qtype, phi.qtype
                     want = _mat_lift(q, (x,), t, (y,), psi.values, phi.values)[0]
                     assert _lift_entry(q, x, t, y, psi.values, phi.values) == want
+                    assert _lift_entry(q, x, t, y, psi.values, phi.values, plans[x, y]) == want
 
 
 def _former_route(q, elements, hom):

@@ -48,6 +48,13 @@ def test_validate_poset():
         validate_poset(["x", "y"], [("x", "y"), ("y", "x")])
 
 
+def test_validate_poset_reads_a_one_shot_iterable():
+    want = validate_poset(["a", "b"], [("a", "b")])
+    got = validate_poset(["a", "b"], (p for p in [("a", "b")]))
+    assert want.leq[("a", "b")] and not want.leq[("b", "a")]
+    assert got.elements == want.elements and got.leq == want.leq
+
+
 def test_strict_order_examples():
     A = strict_order_to_semicat(["a", "b"], [("a", "b")])
     assert not is_regular_semicat(A)

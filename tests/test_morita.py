@@ -5,6 +5,8 @@ import pytest
 from qsemicat import (
     NotCocontinuous,
     NotRegular,
+    Presheaf,
+    TypeMismatch,
     are_isomorphic_objects,
     bottom_semidist,
     build_PA,
@@ -334,6 +336,24 @@ def test_induced_functor_right_adjoint_hom_equalities():
     for psi in reg:
         lifted = lifting_rsdist(phi, psi.as_semidistributor())
         assert f.right(psi).values == tuple(lifted.mat[(a, "*")] for a in A.names)
+
+
+def test_induced_functor_accepts_presheaves_on_an_equal_copy():
+    A, copy, other = chain3_A(), chain3_A(), chain3_C()
+    assert A == copy and A is not copy
+    f = induced_functor(identity_semidist(A))
+    ps, qs = enumerate_presheaves(A, "*"), enumerate_presheaves(copy, "*")
+    assert [f(q) for q in qs] == [f(p) for p in ps]
+    assert [f.right(q) for q in qs] == [f.right(p) for p in ps]
+
+    def on_copy(theta):
+        return Presheaf(copy, "*", CONTRA, f(theta).values)
+
+    assert distributor_from_cocont(on_copy, A, A) == identity_semidist(A)
+    q = enumerate_presheaves(other, "*")[0]
+    for g in (f, f.right):
+        with pytest.raises(TypeMismatch, match="does not live on the"):
+            g(q)
 
 
 def test_induced_functors_of_graphs_are_adjoint():

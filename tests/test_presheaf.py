@@ -536,6 +536,88 @@ def test_presheaf_equality_ignores_the_kept_residual():
         assert p in {q} and q in {p}
 
 
+def test_presheaf_equality_ignores_the_kept_action():
+    A = chain3_A()
+    fresh, used = enumerate_presheaves(A, "*"), enumerate_presheaves(A, "*")
+    for p in used:
+        is_regular_presheaf(p)
+    for p, q in zip(fresh, used):
+        assert p == q and hash(p) == hash(q)
+        assert p in {q} and q in {p}
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_sweep_forms_each_action_once(monkeypatch, variance):
+    import qsemicat.presheaf as presheaf
+
+    A = _all_ones_two_objects()
+    C = _contra(A, variance)
+    actions = []
+    real = presheaf._mat_compose
+
+    def counting(q, tr, tm, tc, L, R):
+        if L is C.dense:
+            actions.append(R)
+        return real(q, tr, tm, tc, L, R)
+
+    monkeypatch.setattr(presheaf, "_mat_compose", counting)
+    pool = enumerate_presheaves(A, "*", variance)
+    reg = [is_regular_presheaf(p) for p in pool]
+    js = [map_j(A, p) for p in pool]
+    ks = [map_k(A, p) for p, r in zip(pool, reg) if r]
+    assert sorted(actions) == sorted(p.values for p in pool)
+    assert 0 < sum(reg) < len(pool)
+    assert all(is_regular_presheaf(j) for j in js)
+    assert ks and all(is_yoneda_presheaf(k) for k in ks)
+
+
+def _copies_of_one_carrier():
+    """The same semicategory validated twice: equal, but distinct objects."""
+    elements = [("a", "*"), ("b", "*")]
+    hom = {("a", "a"): 2, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 2}
+    return validate_semicategory(Q3, elements, hom), validate_semicategory(Q3, elements, hom)
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_carrier_checks_accept_an_equal_copy(variance):
+    A, copy = _copies_of_one_carrier()
+    assert A == copy and A is not copy
+    ps, qs = enumerate_presheaves(A, "*", variance), enumerate_presheaves(copy, "*", variance)
+    assert ps == qs
+    assert [[presheaf_hom(q, p) for p in ps] for q in qs] == [
+        [presheaf_hom(q, p) for p in ps] for q in ps
+    ]
+    assert [is_regular_via_liftings(p, against=qs) for p in ps] == [
+        is_regular_via_liftings(p, against=ps) for p in ps
+    ]
+    assert [map_j(A, q) for q in qs] == [map_j(A, p) for p in ps]
+    regular = [(p, q) for p, q in zip(ps, qs) if is_regular_presheaf(p)]
+    assert regular
+    assert [map_k(A, q) for _, q in regular] == [map_k(A, p) for p, _ in regular]
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_carrier_checks_refuse_a_different_carrier(variance):
+    A, _ = _copies_of_one_carrier()
+    other = _all_ones_two_objects()
+    p, q = enumerate_presheaves(A, "*", variance)[0], enumerate_presheaves(other, "*", variance)[0]
+    with pytest.raises(TypeMismatch, match="different presheaf categories"):
+        presheaf_hom(q, p)
+    with pytest.raises(TypeMismatch, match="different presheaf categories"):
+        presheaf_hom(p, q)
+    for f in (map_j, map_k):
+        with pytest.raises(TypeMismatch, match="given carrier"):
+            f(A, q)
+
+
+def test_via_liftings_reads_a_one_shot_iterable():
+    A = chain3_A()
+    ps = enumerate_presheaves(A, "*", CONTRA)
+    want = [is_regular_via_liftings(p, against=ps) for p in ps]
+    assert want == [True, True, False]
+    assert [is_regular_via_liftings(p, against=iter(ps)) for p in ps] == want
+
+
 def _all_ones_two_objects():
     return validate_semicategory(
         Q3, [("a", "*"), ("b", "*")], {(x, y): 1 for x in "ab" for y in "ab"}
