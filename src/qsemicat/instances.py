@@ -27,9 +27,8 @@ from .lattice import order_rows
 from .presheaf import (
     CO,
     CONTRA,
-    enumerate_presheaves,
-    is_regular_presheaf,
-    is_yoneda_presheaf,
+    _regular_presheaves,
+    _yoneda_presheaves,
 )
 from .quantaloid import Quantaloid, builtin_quantaloid
 from .semicat import (
@@ -149,16 +148,15 @@ def way_below(P: FinitePoset):
     return {pair for pair, below in P.leq.items() if below}
 
 
-def _way_below_subsets(P: FinitePoset, variance, keep):
-    """The supports of the kept presheaves of the way-below semicategory,
-    as sets of the poset's own elements, by size and then by the positions
-    of their elements in ``P.elements``."""
+def _way_below_subsets(P: FinitePoset, variance, presheaves):
+    """The supports of the presheaves that ``presheaves`` lists on the
+    way-below semicategory, as sets of the poset's own elements, by size and
+    then by the positions of their elements in ``P.elements``."""
     W = strict_order_to_semicat(P.elements, way_below(P))
     obj = W.base.objects[0]
     supports = [
         tuple(i for i, v in enumerate(phi.values) if v == 1)
-        for phi in enumerate_presheaves(W, obj, variance)
-        if keep(phi)
+        for phi in presheaves(W, obj, variance)
     ]
     supports.sort(key=lambda s: (len(s), s))
     return [frozenset(P.elements[i] for i in s) for s in supports]
@@ -166,12 +164,12 @@ def _way_below_subsets(P: FinitePoset, variance, keep):
 
 def scott_opens(P: FinitePoset):
     """The Scott-open subsets: covariant regular presheaves of the way-below semicategory."""
-    return _way_below_subsets(P, CO, is_regular_presheaf)
+    return _way_below_subsets(P, CO, _regular_presheaves)
 
 
 def scott_closeds(P: FinitePoset):
     """The Scott-closed subsets: contravariant Yoneda presheaves of the way-below semicategory."""
-    return _way_below_subsets(P, CONTRA, is_yoneda_presheaf)
+    return _way_below_subsets(P, CONTRA, _yoneda_presheaves)
 
 
 # -- Omega-sets ---------------------------------------------------------------
@@ -245,9 +243,7 @@ def omega_subsets(E: OmegaSet):
     """The subobjects of an Omega-set: regular contravariant presheaves on it."""
     A = E.as_semicategory()
     obj = E.frame.objects[0]
-    return [
-        phi for phi in enumerate_presheaves(A, obj, CONTRA) if is_regular_presheaf(phi)
-    ]
+    return _regular_presheaves(A, obj, CONTRA)
 
 
 def is_omega_morphism(phi: SemiDistributor) -> bool:

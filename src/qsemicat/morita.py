@@ -20,9 +20,8 @@ from .presheaf import (
     DEFAULT_CAP,
     Presheaf,
     QCategoryView,
+    _regular_presheaves,
     build_RA,
-    enumerate_presheaves,
-    is_regular_presheaf,
     map_j,
     yoneda,
 )
@@ -297,9 +296,7 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
     phi = validate_semidistributor(A, B, flat)
     functor = InducedFunctor(phi)
     for x in A.base.objects:
-        for theta in enumerate_presheaves(A, x, CONTRA, cap):
-            if not is_regular_presheaf(theta):
-                continue
+        for theta in _regular_presheaves(A, x, CONTRA, cap):
             if F(theta) != functor(theta):
                 raise NotCocontinuous(
                     "object map disagrees with the induced functor", witness=theta

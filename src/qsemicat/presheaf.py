@@ -11,8 +11,8 @@ maps j and k plus weighted colimits computed without units.
 
 from __future__ import annotations
 
-import itertools
 import math
+from operator import getitem
 
 from .errors import (
     ActionFailure,
@@ -125,29 +125,127 @@ def _contra(A: SemiCategory, variance: str) -> SemiCategory:
     raise TypeMismatch(f"unknown variance {variance!r}")
 
 
-def enumerate_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = DEFAULT_CAP):
-    """All presheaves of type x on A, in lexicographic value order.
+def _space(A: SemiCategory, x, variance: str, cap: int):
+    """The contravariant carrier of this variance and the hom-lattices
+    hom(x, t(a)) that the values of a presheaf of type x range over.
 
-    The candidate space is the product of the relevant hom-lattice sizes;
-    if it exceeds ``cap`` an :class:`EnumerationCapExceeded` is raised
-    before any work is done.
+    The candidate space is their product; if its size exceeds ``cap`` an
+    :class:`EnumerationCapExceeded` is raised before any work is done.
     """
     q = A.base
     if x not in q.objects:
         raise TypeMismatch(f"{x!r} is not an object of the base", witness=x)
     C = _contra(A, variance)
-    sizes = [C.base.hom_lat(x, t).size for t in C.types]
-    total = math.prod(sizes)
+    lats = [C.base.hom_lat(x, t) for t in C.types]
+    total = math.prod(lat.size for lat in lats)
     if total > cap:
         raise EnumerationCapExceeded(
             f"presheaf space of size {total} exceeds cap {cap}", witness=total
         )
-    return [
-        Presheaf(A, x, variance, combo)
-        for combo in itertools.product(*map(range, sizes))
-        # the action inequalities C⊗φ ≤ φ of a contravariant φ
-        if _first_excess(C.base, C.types, C.types, (x,), C.dense, combo, combo) is None
-    ]
+    return C, lats
+
+
+def _walk(C: SemiCategory, x, lats):
+    """The values of every contravariant presheaf of type x on C, in
+    lexicographic order.
+
+    The walk fixes the entries depth-first in object order, each trying its
+    values in increasing order, and prunes as soon as an action inequality
+    C(b, a)∘φ(a) ≤ φ(b) between fixed entries fails.  Against the fixed
+    entries a < d and b < d those inequalities confine φ(d) to an interval:
+    at least the join of the C(d, a)∘φ(a), at most the meet of the liftings
+    of φ(b) through C(b, d).  C(d, d)∘φ(d) ≤ φ(d) does not depend on the
+    other entries, so its solutions are listed once per entry.
+    """
+    q, t, dense = C.base, C.types, C.dense
+    n = len(t)
+    if n == 0:
+        return [()]
+    # act[d][a][v] = C(d, a)∘v and lift[d][b][w] = [C(b, d), w], both in hom(x, t(d))
+    act = [[q.compose_table[(x, t[a], t[d])][dense[d * n + a]] for a in range(d)] for d in range(n)]
+    lift = [[q._lift_table(x, t[d], t[b])[dense[b * n + d]] for b in range(d)] for d in range(n)]
+    loops = []
+    for d, lat in enumerate(lats):
+        comp = q.compose_table[(x, t[d], t[d])][dense[d * (n + 1)]]
+        loops.append([v for v in range(lat.size) if lat.leq[comp[v]][v]])
+
+    def candidates(d):
+        """The values of φ(d) that satisfy the inequalities against φ(0..d-1)."""
+        lat = lats[d]
+        lo, hi, join, meet = lat.bottom, lat.top, lat._join2, lat._meet2
+        for row, v in zip(act[d], phi):
+            lo = join[lo][row[v]]
+        for row, w in zip(lift[d], phi):
+            hi = meet[hi][row[w]]
+        up, leq = lat.leq[lo], lat.leq
+        return [v for v in loops[d] if up[v] and leq[v][hi]]
+
+    out, phi, stack = [], [0] * n, []  # stack[k] runs through the candidates of φ(k)
+    d = 0
+    while True:
+        if d == n - 1:
+            head = tuple(phi[:d])
+            out += [head + (v,) for v in candidates(d)]
+        else:
+            stack.append(iter(candidates(d)))
+        while stack:
+            v = next(stack[-1], None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            return out
+        d = len(stack)
+        phi[d - 1] = v
+
+
+def enumerate_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = DEFAULT_CAP):
+    """All presheaves of type x on A, in lexicographic value order.
+
+    ``cap`` bounds the size of the candidate space, the product of the
+    relevant hom-lattice sizes (see :func:`_space`); the presheaves are
+    then found by the pruned walk of :func:`_walk`.
+    """
+    C, lats = _space(A, x, variance, cap)
+    return [Presheaf(A, x, variance, values) for values in _walk(C, x, lats)]
+
+
+def _regular_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = DEFAULT_CAP):
+    """The regular presheaves of type x on A, in lexicographic value order.
+
+    A regular φ is the join of the C(-, a)∘φ(a) over the objects a of the
+    contravariant carrier C, so it lies in the join-closure of the
+    generators C(-, a)∘f, f in hom(x, t(a)), started from the bottom
+    presheaf.  The closure keeps the members that C⊗- fixes; on a regular
+    carrier every member is fixed, because C⊗C = C and ⊗ preserves joins,
+    so no action is formed.  Each returned presheaf keeps its action.
+    ``cap`` bounds the candidate space as for :func:`enumerate_presheaves`.
+    """
+    C, lats = _space(A, x, variance, cap)
+    q, t, dense = C.base, C.types, C.dense
+    n = len(t)
+    joins = [lat._join2 for lat in lats]
+    found = {tuple(lat.bottom for lat in lats)}
+    for a in range(n):
+        tables = [q.compose_table[(x, t[a], t[b])][dense[b * n + a]] for b in range(n)]
+        for f in range(lats[a].size):
+            gen = tuple(table[f] for table in tables)
+            if gen not in found:
+                # the closure so far is join-closed, so this adds its joins with gen
+                found |= {tuple(map(getitem, map(getitem, joins, s), gen)) for s in found}
+    if not C.is_regular:
+        found = [v for v in found if _mat_compose(q, t, t, (x,), dense, v) == v]
+    out = []
+    for values in sorted(found):
+        phi = Presheaf(A, x, variance, values)
+        phi._action = phi.values
+        out.append(phi)
+    return out
+
+
+def _yoneda_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = DEFAULT_CAP):
+    """The Yoneda presheaves of type x on A, in lexicographic value order."""
+    return [phi for phi in enumerate_presheaves(A, x, variance, cap) if is_yoneda_presheaf(phi)]
 
 
 def yoneda(A: SemiCategory, a) -> Presheaf:
@@ -329,18 +427,17 @@ class QCategoryView:
         return f"<Q-category view on {len(self.objects)} objects>"
 
 
-def _build_view(A, variance, cap, keep):
-    """The kept presheaves with every hom from one block residual: column i
-    of the matrix holds the values of object i, and [M, M](i, k) is the
-    contravariant hom from object k to object i."""
+def _build_view(A, variance, cap, presheaves):
+    """The presheaves that ``presheaves(A, x, variance, cap)`` lists for each
+    type x, with every hom from one block residual: column i of the matrix
+    holds the values of object i, and [M, M](i, k) is the contravariant hom
+    from object k to object i."""
     q = A.base
-    objects = []
-    for x in q.objects:
-        idx = 0
-        for phi in enumerate_presheaves(A, x, variance, cap):
-            if keep(phi):
-                objects.append((f"{x}#{idx}", x, phi))
-                idx += 1
+    objects = [
+        (f"{x}#{idx}", x, phi)
+        for x in q.objects
+        for idx, phi in enumerate(presheaves(A, x, variance, cap))
+    ]
     C = _contra(A, variance)
     types = tuple(x for _, x, _ in objects)
     M = tuple(e for row in zip(*(phi.values for _, _, phi in objects)) for e in row)
@@ -354,12 +451,12 @@ def _build_view(A, variance, cap, keep):
 
 def build_PA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
     """The Q-category of all presheaves on A (equal to that of its free category)."""
-    return _build_view(A, variance, cap, lambda phi: True)
+    return _build_view(A, variance, cap, enumerate_presheaves)
 
 
 def build_RA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
-    """The full subcategory of regular presheaves."""
-    return _build_view(A, variance, cap, is_regular_presheaf)
+    """The full subcategory of regular presheaves, found by join-closure."""
+    return _build_view(A, variance, cap, _regular_presheaves)
 
 
 def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryView:
@@ -382,7 +479,7 @@ def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryVie
 
 def build_YA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
     """The full subcategory of Yoneda presheaves."""
-    return _build_view(A, variance, cap, is_yoneda_presheaf)
+    return _build_view(A, variance, cap, _yoneda_presheaves)
 
 
 # -- the adjoint triple -------------------------------------------------------

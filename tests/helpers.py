@@ -5,6 +5,7 @@ through the library's lifting/extension tables or regularity predicates, so
 that every law is checked by two unrelated routes.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -36,12 +37,18 @@ from qsemicat.lattice import SupLattice, chain
 from qsemicat.morita import _check_regular_pair
 from qsemicat.presheaf import (
     DEFAULT_CAP,
+    Presheaf,
     _contra,
-    enumerate_presheaves,
     presheaf_hom_elem,
 )
 from qsemicat.quantaloid import from_frame
-from qsemicat.semicat import SemiFunctor, _mat_compose, _mat_lift, _require_same_base
+from qsemicat.semicat import (
+    SemiFunctor,
+    _first_excess,
+    _mat_compose,
+    _mat_lift,
+    _require_same_base,
+)
 from qsemicat.workspace import parse_lattice
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -295,6 +302,7 @@ def regular_one_type_semicats(q, max_objects):
     return out
 
 
+@functools.cache
 def presheaf_families():
     """The carriers the presheaf routes are compared on: the acceptance
     families (every regular semicategory with at most three objects over
@@ -302,7 +310,9 @@ def presheaf_families():
     and ``3``, the relations family, whose pools mix types, and a fixed
     sample of 40 of the 307 regular semicategories with at most two objects
     over the endomap quantale, where composition does not commute, so a
-    lifting taken with its arguments swapped gives a different answer."""
+    lifting taken with its arguments swapped gives a different answer.
+
+    Built once per test run; the test modules that sweep it share one dict."""
     return {
         "acceptance-2": regular_semicats("2", 3),
         "acceptance-3": regular_semicats("3", 3),
@@ -946,13 +956,25 @@ def reference_regular_via_liftings(phi, against):
     return True
 
 
+def reference_presheaves(A, x, variance):
+    """Every presheaf of type x on A, in lexicographic value order: the
+    whole product of hom-lattices, filtered by the action inequalities."""
+    C = _contra(A, variance)
+    sizes = [C.base.hom_lat(x, t).size for t in C.types]
+    return [
+        Presheaf(A, x, variance, combo)
+        for combo in itertools.product(*map(range, sizes))
+        if _first_excess(C.base, C.types, C.types, (x,), C.dense, combo, combo) is None
+    ]
+
+
 def reference_view(A, variance, keep):
     """The objects and hom dict of a presheaf view, one
     ``presheaf_hom_elem`` call per ordered pair of kept presheaves."""
     objects = []
     for x in A.base.objects:
         idx = 0
-        for phi in enumerate_presheaves(A, x, variance):
+        for phi in reference_presheaves(A, x, variance):
             if keep(phi):
                 objects.append((f"{x}#{idx}", x, phi))
                 idx += 1

@@ -16,6 +16,7 @@ from qsemicat import (
     from_frame,
     has_interpolation,
     is_omega_morphism,
+    is_regular_presheaf,
     is_regular_semicat,
     named_lattice,
     omega_subsets,
@@ -36,6 +37,7 @@ from helpers import (
     reference_interpolation,
     reference_omega_set,
     reference_poset,
+    reference_presheaves,
     reference_transitive,
     upsets_of_poset,
 )
@@ -166,6 +168,14 @@ def test_way_below_and_scott_opens_past_twelve_elements():
         scott_opens(antichain)
 
 
+def test_scott_opens_and_closeds_of_a_sixteen_chain():
+    # 2**16 candidates of each variance, 17 opens and 17 closeds
+    names = [f"{i:02}" for i in range(16)]
+    chain16 = validate_poset(names, list(zip(names, names[1:])))
+    assert scott_opens(chain16) == [frozenset(names[k:]) for k in range(16, -1, -1)]
+    assert scott_closeds(chain16) == [frozenset(names[:k]) for k in range(17)]
+
+
 def test_scott_opens_and_closeds_two_chain():
     P = validate_poset(["0", "1"], [("0", "1")])
     assert scott_opens(P) == [frozenset(), frozenset({"1"}), frozenset({"0", "1"})]
@@ -200,6 +210,21 @@ def test_omega_subsets_count_is_principal_downset_size():
         E = validate_omega_set(frame, ["*"], {("*", "*"): u})
         below = [v for v in range(lat.size) if lat.le(v, u)]
         assert [p.values[0] for p in omega_subsets(E)] == below
+
+
+def test_omega_subsets_match_the_product_filter():
+    # over the square frame (0 < 1, 2 < 3), with extents below the top, so
+    # some presheaves on the equality are not regular
+    frame = from_frame(named_lattice("square"))
+    extent = {"p": 3, "q": 1, "r": 2, "s": 3}
+    eq = {(x, y): extent[x] if x == y else 0 for x in extent for y in extent}
+    eq |= {("p", "q"): 1, ("q", "p"): 1, ("p", "r"): 2, ("r", "p"): 2}
+    eq |= {("p", "s"): 1, ("s", "p"): 1, ("q", "s"): 1, ("s", "q"): 1}
+    E = validate_omega_set(frame, list(extent), eq)
+    every = reference_presheaves(E.as_semicategory(), "*", "contra")
+    want = [phi for phi in every if is_regular_presheaf(phi)]
+    assert 1 < len(want) < len(every)
+    assert omega_subsets(E) == want
 
 
 def test_omega_set_rejections():

@@ -47,13 +47,14 @@ from helpers import (
     presheaf_families,
     reference_colimit_compatibility,
     reference_presheaf_ok,
+    reference_presheaves,
     reference_regular_via_liftings,
     reference_view,
     rel_quantaloid,
     relations_family,
     two_object_quantaloid,
 )
-from qsemicat.presheaf import _contra
+from qsemicat.presheaf import _contra, _regular_presheaves
 
 Q3 = builtin_quantaloid("3")
 Q2 = builtin_quantaloid("2")
@@ -483,6 +484,84 @@ def test_via_liftings_sweep_matches_fresh_residual_reference(name, variance):
         pool = [p for x in A.base.objects for p in enumerate_presheaves(A, x, variance)]
         want = [reference_regular_via_liftings(p, pool) for p in pool]
         assert [is_regular_via_liftings(p, against=pool) for p in pool] == want, A.hom
+
+
+@pytest.mark.parametrize("name, variance", SWEEPS)
+def test_generators_match_the_product_filter(name, variance):
+    # the same presheaves in the same order, for every type; the closure
+    # route must also drop the members that a non-regular carrier moves
+    non_regular = 0
+    for A in FAMILIES[name]:
+        non_regular += not A.is_regular
+        for x in A.base.objects:
+            want = reference_presheaves(A, x, variance)
+            assert enumerate_presheaves(A, x, variance) == want, (A.hom, x)
+            regular = [p for p in want if is_regular_presheaf(p)]
+            assert _regular_presheaves(A, x, variance) == regular, (A.hom, x)
+    assert (non_regular > 0) == (name in ("all-2", "all-3", "relations")), non_regular
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_closure_forms_an_action_only_on_a_non_regular_carrier(monkeypatch, variance):
+    import qsemicat.presheaf as presheaf
+
+    regular = _all_ones_two_objects()
+    strict = strict_rows_semicat([0b10, 0b00], ["a", "b"])
+    assert regular.is_regular and not strict.is_regular
+    actions = []
+    real = presheaf._mat_compose
+
+    def counting(q, tr, tm, tc, L, R):
+        actions.append(R)
+        return real(q, tr, tm, tc, L, R)
+
+    monkeypatch.setattr(presheaf, "_mat_compose", counting)
+    view = build_RA(regular, variance)
+    assert len(view) > 1 and actions == []
+    assert all(is_regular_presheaf(phi) for _, _, phi in view.objects) and actions == []
+    kept = _regular_presheaves(strict, "*", variance)
+    assert actions and len(kept) < len(actions)
+    assert all(is_regular_presheaf(phi) for phi in kept)
+
+
+def _counting_presheaves(monkeypatch):
+    built = []
+    real = Presheaf.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Presheaf, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+@pytest.mark.parametrize("route", [enumerate_presheaves, _regular_presheaves])
+def test_cap_bounds_the_candidate_space_of_both_generators(monkeypatch, route, variance):
+    # three objects over 3: 27 candidates, of which far fewer are presheaves
+    hom = {("a", "a"): 2, ("b", "b"): 2, ("c", "c"): 2, ("a", "b"): 1}
+    A = validate_semicategory(Q3, [(a, "*") for a in "abc"], hom)
+    N = 27
+    assert len(route(A, "*", variance, N)) < N
+    built = _counting_presheaves(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        route(A, "*", variance, N - 1)
+    assert exc.value.witness == N and built == []
+    assert str(exc.value) == f"presheaf space of size {N} exceeds cap {N - 1}"
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_cap_bounds_build_RA_before_any_presheaf(monkeypatch, variance):
+    A = _all_ones_two_objects()
+    N = 9
+    assert len(build_RA(A, variance, N)) == len(
+        [p for p in reference_presheaves(A, "*", variance) if is_regular_presheaf(p)]
+    )
+    built = _counting_presheaves(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        build_RA(A, variance, N - 1)
+    assert exc.value.witness == N and built == []
 
 
 @pytest.mark.parametrize("name, variance", SWEEPS)

@@ -16,12 +16,21 @@ from qsemicat import (
     lifting_dist,
     map_j,
     enumerate_presheaves,
+    validate_semicategory,
     sup_semidist,
     validate_semidistributor,
     yoneda,
     yoneda_covariant,
 )
-from helpers import all_semicats, endomap_quantaloid, regular_semicats, two_object_quantaloid
+from qsemicat.presheaf import _regular_presheaves
+from helpers import (
+    NAMES,
+    all_semicats,
+    endomap_quantaloid,
+    reference_presheaves,
+    regular_semicats,
+    two_object_quantaloid,
+)
 
 QUANTALOIDS = [
     builtin_quantaloid("2"),
@@ -226,3 +235,30 @@ def test_presheaves_coincide_with_free_category(A):
         ours = [p.values for p in enumerate_presheaves(A, obj, variance)]
         theirs = [p.values for p in enumerate_presheaves(free, obj, variance)]
         assert ours == theirs
+
+
+@st.composite
+def closed_semicat(draw):
+    """A semicategory with one to four objects over ``2`` or ``3``: a random
+    matrix closed under max-min paths, so A⊗A ≤ A; many draws are not regular."""
+    q = builtin_quantaloid(draw(st.sampled_from(["2", "3"])))
+    obj = q.objects[0]
+    top = q.hom_lat(obj, obj).size - 1
+    n = draw(st.integers(1, 4))
+    m = [[draw(st.integers(0, top)) for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                m[i][j] = max(m[i][j], min(m[i][k], m[k][j]))
+    names = NAMES[:n]
+    return validate_semicategory(q, [(a, obj) for a in names], [e for row in m for e in row])
+
+
+@given(closed_semicat())
+def test_presheaf_generators_match_the_product_filter(A):
+    obj = A.base.objects[0]
+    for variance in ("contra", "co"):
+        want = reference_presheaves(A, obj, variance)
+        assert enumerate_presheaves(A, obj, variance) == want
+        regular = [p for p in want if is_regular_presheaf(p)]
+        assert _regular_presheaves(A, obj, variance) == regular

@@ -551,3 +551,30 @@ def test_duplicate_json_key_is_refused(tmp_path, capsys, where, key, first):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"ParseError: invalid JSON in {path}: duplicate key {key!r} (witness: {key!r})\n"
+
+
+def test_presheaves_cap_bounds_the_candidate_space(tmp_path, capsys):
+    # four objects over 3: 3**4 = 81 candidate presheaves of each variance
+    names = ["a", "b", "c", "d"]
+    doc = {
+        "quantaloids": {"Q": "3"},
+        "semicategories": {
+            "D": {
+                "base": "Q",
+                "objects": [{"name": a, "type": "*"} for a in names],
+                "hom": [[a, a, 2] for a in names] + [["a", "b", 1]],
+            }
+        },
+    }
+    path = write_ws(tmp_path, doc)
+    for cls in ("all", "regular", "yoneda"):
+        for variance in ("contra", "co"):
+            args = ["presheaves", path, "D", "--class", cls, "--variance", variance]
+            assert main(["--cap", "81", *args]) == 0
+            capsys.readouterr()
+            assert main(["--cap", "80", *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "EnumerationCapExceeded: presheaf space of size 81 exceeds cap 80 (witness: 81)\n"
+            )
