@@ -43,8 +43,8 @@ for p in enumerate_presheaves(A, "*"):
 ra = build_RA(A)
 report, _ = skeleton(ra)
 print(f"\nRA has {len(ra)} objects in {len(report.classes)} isomorphism classes")
-print(f"  RA(e, 0) = {NAME[ra.hom_elems[('*#1', '*#0')]]}")
-print(f"  RA(0, e) = {NAME[ra.hom_elems[('*#0', '*#1')]]}")
+print(f"  RA(e, 0) = {NAME[ra.hom[('*#1', '*#0')]]}")
+print(f"  RA(0, e) = {NAME[ra.hom[('*#0', '*#1')]]}")
 
 pc = build_PA(C)
 report_c, _ = skeleton(pc)

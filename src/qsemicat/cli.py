@@ -30,10 +30,10 @@ from .presheaf import (
     CO,
     CONTRA,
     DEFAULT_CAP,
+    _build_view,
     enumerate_presheaves,
     is_regular_presheaf,
     is_yoneda_presheaf,
-    presheaf_hom_elem,
 )
 from .workspace import load_path, load_workspace, parse_quantaloid, validate_report
 
@@ -90,15 +90,14 @@ def cmd_presheaves(args) -> int:
 
     counts = {}
     class_counts = {cls: {} for cls in _CLASS_FILTERS}
-    listed, kept = [], []
+    listed, pools = [], {}
     for t in types:
         pool = enumerate_presheaves(A, t, args.variance, args.cap)
         hits = {cls: [pred(phi) for phi in pool] for cls, pred in _CLASS_FILTERS.items()}
         for cls, flags in hits.items():
             class_counts[cls][str(t)] = sum(flags)
-        found = list(compress(pool, hits[args.cls]))
+        found = pools[t] = list(compress(pool, hits[args.cls]))
         counts[str(t)] = len(found)
-        kept.extend(found)
         for i, phi in enumerate(found):
             listed.append(
                 {
@@ -118,11 +117,8 @@ def cmd_presheaves(args) -> int:
         "presheaves": listed,
     }
     if args.matrices:
-        report["matrices"] = {
-            f"{p1['tag']}>{p0['tag']}": presheaf_hom_elem(phi1, phi0)
-            for p1, phi1 in zip(listed, kept)
-            for p0, phi0 in zip(listed, kept)
-        }
+        view = _build_view(A, args.variance, pools)
+        report["matrices"] = {f"{a1}>{a0}": e for (a1, a0), e in view.hom.items()}
 
     def render(rep):
         yield f"presheaves of {rep['object']} ({rep['variance']}, class={rep['class']})"

@@ -54,14 +54,14 @@ class SkeletonReport:
 def are_isomorphic_objects(view: QCategoryView, a, b) -> bool:
     """Two objects of a Q-category are isomorphic iff the identities factor both ways."""
     view.check()
-    return _isomorphic(view, view.index_of(a), view.index_of(b))
+    return _isomorphic(view, view.objects.index_of(a), view.objects.index_of(b))
 
 
-def _isomorphic(view: QCategoryView, i, k) -> bool:
+def _isomorphic(view: SemiCategory, i, k) -> bool:
     """Same type, and the identity below the hom both ways, between objects
-    i and k of a view known to be a category."""
-    t = view.objects[i][1]
-    if view.objects[k][1] != t:
+    i and k of a semicategory known to be a category."""
+    t = view.types[i]
+    if view.types[k] != t:
         return False
     q, n, dense = view.base, len(view), view.dense
     le, one = q.hom_lat(t, t).le, q.identity[t]
@@ -72,6 +72,9 @@ def skeleton(view: QCategoryView):
     """Pick the lowest-index representative of every isomorphism class.
 
     Returns the report and the full subcategory on the representatives.
+    The view is validated first (once per view, see
+    :meth:`QCategoryView.check`): the classes are read off the unit
+    inequalities, which mean isomorphism only in a category.
     """
     view.check()
     classes = []
@@ -81,38 +84,38 @@ def skeleton(view: QCategoryView):
             classes.append([i])
         else:
             home.append(i)
-    tags = view.tags
+    names = view.names
     report = SkeletonReport(
-        tuple(tuple(tags[i] for i in cls) for cls in classes),
-        tuple(tags[cls[0]] for cls in classes),
+        tuple(tuple(names[i] for i in cls) for cls in classes),
+        tuple(names[cls[0]] for cls in classes),
     )
     # every class is founded by its lowest index, so keep is increasing
     keep = [cls[0] for cls in classes]
-    n, dense = len(view), view.dense
-    objects = [view.objects[i] for i in keep]
+    n, dense, types, payloads = len(view), view.dense, view.types, view.payloads
+    objects = [(names[i], types[i], payloads[i]) for i in keep]
     homs = tuple(dense[i * n + k] for i in keep for k in keep)
     return report, QCategoryView(view.base, objects, homs)
 
 
-def categories_isomorphic(c: QCategoryView, d: QCategoryView, cap: int = DEFAULT_CAP) -> bool:
+def categories_isomorphic(c: SemiCategory, d: SemiCategory, cap: int = DEFAULT_CAP) -> bool:
     """Search for a type-preserving object bijection with equal homs.
 
     Backtracking over objects, pruning on every partial hom mismatch; the
     node count is bounded by ``cap``.
     """
     if c.base != d.base:
-        raise TypeMismatch("views live over different base quantaloids")
+        raise TypeMismatch("semicategories live over different base quantaloids")
     by_type_c = {}
     by_type_d = {}
-    for a, (_, t, _) in enumerate(c.objects):
+    for a, t in enumerate(c.types):
         by_type_c.setdefault(t, []).append(a)
-    for b, (_, t, _) in enumerate(d.objects):
+    for b, t in enumerate(d.types):
         by_type_d.setdefault(t, []).append(b)
     if {t: len(v) for t, v in by_type_c.items()} != {t: len(v) for t, v in by_type_d.items()}:
         return False
 
-    # equal type counts, so both views have n objects
-    n, C, D = len(c), c.dense, d.dense
+    # equal type counts, so both have n objects
+    n, C, D, tc = len(c), c.dense, d.dense, c.types
     nodes = 0
 
     def extend(a, assignment, used):
@@ -120,7 +123,7 @@ def categories_isomorphic(c: QCategoryView, d: QCategoryView, cap: int = DEFAULT
         nonlocal nodes
         if a == n:
             return True
-        for b in by_type_d.get(c.objects[a][1], []):
+        for b in by_type_d.get(tc[a], []):
             if b in used:
                 continue
             nodes += 1
@@ -283,8 +286,17 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
     columns = []
     for a in A.names:
         image = F(yoneda(A, a))
-        if not isinstance(image, Presheaf) or (image.carrier is not B and image.carrier != B):
-            raise TypeMismatch(f"image of the representable at {a!r} is not a presheaf on the codomain")
+        if (
+            not isinstance(image, Presheaf)
+            or (image.carrier is not B and image.carrier != B)
+            or image.variance != CONTRA
+            or image.qtype != A.type_of(a)
+        ):
+            raise TypeMismatch(
+                f"image of the representable at {a!r} is not a contravariant presheaf "
+                f"of type t({a!r}) on the codomain",
+                witness=a,
+            )
         columns.append(image.values)
     flat = tuple(e for row in zip(*columns) for e in row)
     cand = SemiDistributor(A, B, flat)

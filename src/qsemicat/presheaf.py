@@ -29,11 +29,11 @@ from .semicat import (
     SemiFunctor,
     _dense_matrix,
     _first_excess,
+    _has_units,
     _lift_entry,
     _lift_plan,
     _mat_compose,
     _mat_lift,
-    _sparse,
     is_regular_semicat,
     lifting_rsdist,
     validate_semicategory,
@@ -357,26 +357,25 @@ def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None)
 # -- materialised presheaf categories ---------------------------------------
 
 
-class QCategoryView:
-    """A finite Q-category materialised from computed data.
+class QCategoryView(SemiCategory):
+    """A finite Q-category materialised from computed data: a semicategory
+    whose objects each carry a payload (e.g. a presheaf).
 
-    Objects carry a tag, a type and a payload (e.g. a presheaf); tags and
-    types are checked once, at construction, as a :class:`TypedSet`, and so
-    is the length of ``homs``.
-    ``dense`` holds the homs as a flat row-major tuple in object order:
-    entry (i, k) is the hom from object k to object i.  ``homs`` is that
-    tuple, or a dict keyed (tag1, tag0), flattened as
-    :func:`validate_semicategory` flattens a hom dict; ``hom_elems``, the
-    dict form, is formed from ``dense`` on first read and kept.  ``check``
-    verifies the category axioms exhaustively, once, on first use.
+    ``objects`` is given as (name, type, payload) triples; names and types
+    become the :class:`TypedSet` ``objects``, checked at construction, and
+    the payloads ``payloads``, in the same order.  ``homs`` is the flat
+    row-major tuple that :attr:`SemiCategory.dense` holds, whose length is
+    checked, or a dict keyed (name1, name0), flattened and range-checked as
+    :func:`validate_semicategory` flattens a hom dict.  ``is_category``
+    is read off the diagonal; ``check`` validates the composition
+    inequalities once, on first use, and keeps the verdict.
     """
 
-    __slots__ = ("base", "objects", "dense", "_typed", "_hom_elems", "_semicat")
+    __slots__ = ("payloads", "_checked")
 
     def __init__(self, base, objects, homs):
-        self.base = base
-        self.objects = tuple(objects)
-        ts = self._typed = validate_typed_set([(tag, t) for tag, t, _ in self.objects], base)
+        objects = tuple(objects)
+        ts = validate_typed_set([(name, t) for name, t, _ in objects], base)
         if isinstance(homs, dict):
             homs = _dense_matrix(base, ts, ts, homs, "hom entry")
         elif len(homs) != len(ts) ** 2:
@@ -384,60 +383,30 @@ class QCategoryView:
                 f"hom entry matrix has {len(homs)} entries, not {len(ts) ** 2}",
                 witness=len(homs),
             )
-        self.dense = homs
-        self._hom_elems = None
-        self._semicat = None
-
-    @property
-    def tags(self):
-        return self._typed.names
-
-    @property
-    def hom_elems(self) -> dict:
-        if self._hom_elems is None:
-            self._hom_elems = _sparse(self._typed, self._typed, self.dense)
-        return self._hom_elems
-
-    def index_of(self, tag) -> int:
-        return self._typed.index_of(tag)
-
-    def tag_of(self, payload):
-        for tag, _, p in self.objects:
-            if p == payload:
-                return tag
-        raise KeyError(f"no object with payload {payload!r}")
-
-    def as_semicategory(self) -> SemiCategory:
-        """The view as a validated semicategory, built on the first call and kept."""
-        if self._semicat is None:
-            self._semicat = validate_semicategory(self.base, self._typed, self.dense)
-        return self._semicat
+        super().__init__(base, ts, tuple(homs), _has_units(base, ts.types, homs))
+        self.payloads = tuple(p for _, _, p in objects)
+        self._checked = False
 
     def check(self):
-        """Assert the full Q-category axioms; raises on violation."""
-        sc = self.as_semicategory()
-        if not sc.is_category:
+        """Assert the full Q-category axioms; raises on violation.
+
+        The composition inequalities are validated on the first call only.
+        """
+        if not self._checked:
+            self._regular = validate_semicategory(self.base, self.objects, self.dense).is_regular
+            self._checked = True
+        if not self.is_category:
             raise NotACategory("view violates a unit-inequality", witness=self)
         return True
 
-    def __len__(self):
-        return len(self.objects)
 
-    def __repr__(self):
-        return f"<Q-category view on {len(self.objects)} objects>"
-
-
-def _build_view(A, variance, cap, presheaves):
-    """The presheaves that ``presheaves(A, x, variance, cap)`` lists for each
-    type x, with every hom from one block residual: column i of the matrix
+def _build_view(A, variance, pools):
+    """The view on the presheaves of ``pools``, a dict from each type x to a
+    list of presheaves of type x on A of this variance, named x#i in list
+    order.  Every hom comes from one block residual: column i of the matrix
     holds the values of object i, and [M, M](i, k) is the contravariant hom
     from object k to object i."""
-    q = A.base
-    objects = [
-        (f"{x}#{idx}", x, phi)
-        for x in q.objects
-        for idx, phi in enumerate(presheaves(A, x, variance, cap))
-    ]
+    objects = [(f"{x}#{i}", x, phi) for x, pool in pools.items() for i, phi in enumerate(pool)]
     C = _contra(A, variance)
     types = tuple(x for _, x, _ in objects)
     M = tuple(e for row in zip(*(phi.values for _, _, phi in objects)) for e in row)
@@ -446,17 +415,21 @@ def _build_view(A, variance, cap, presheaves):
         # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
         n = len(objects)
         homs = tuple(e for i in range(n) for e in homs[i::n])
-    return QCategoryView(q, objects, homs)
+    return QCategoryView(A.base, objects, homs)
 
 
 def build_PA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
     """The Q-category of all presheaves on A (equal to that of its free category)."""
-    return _build_view(A, variance, cap, enumerate_presheaves)
+    return _build_view(
+        A, variance, {x: enumerate_presheaves(A, x, variance, cap) for x in A.base.objects}
+    )
 
 
 def build_RA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
     """The full subcategory of regular presheaves, found by join-closure."""
-    return _build_view(A, variance, cap, _regular_presheaves)
+    return _build_view(
+        A, variance, {x: _regular_presheaves(A, x, variance, cap) for x in A.base.objects}
+    )
 
 
 def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryView:
@@ -469,17 +442,16 @@ def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryVie
     view = build_RA(A, CONTRA, cap)
     if not is_regular_semicat(A):
         raise NotRegular("lifting route needs a regular carrier", witness=A)
-    homs = []
-    for _, _, psi in view.objects:
-        sd_psi = psi.as_semidistributor()
-        for _, _, phi in view.objects:
-            homs.append(lifting_rsdist(sd_psi, phi.as_semidistributor()).dense[0])
-    return QCategoryView(view.base, view.objects, tuple(homs))
+    sds = [phi.as_semidistributor() for phi in view.payloads]
+    homs = tuple(lifting_rsdist(psi, phi).dense[0] for psi in sds for phi in sds)
+    return QCategoryView(view.base, zip(view.names, view.types, view.payloads), homs)
 
 
 def build_YA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
     """The full subcategory of Yoneda presheaves."""
-    return _build_view(A, variance, cap, _yoneda_presheaves)
+    return _build_view(
+        A, variance, {x: _yoneda_presheaves(A, x, variance, cap) for x in A.base.objects}
+    )
 
 
 # -- the adjoint triple -------------------------------------------------------

@@ -86,20 +86,29 @@ class SemiCategory:
     index of the hom-arrow A(a_i, a_j): t(a_j) -> t(a_i) in the base.
     ``dense`` is the stored form; ``hom``, the same matrix as a dict keyed
     by pairs (a1, a0) of object names, is formed from it on first read and
-    kept.  ``is_category`` and ``is_regular`` (A⊗A = A) are decided by
-    :func:`validate_semicategory`.
+    kept.  ``is_category`` is given at construction; ``is_regular``
+    (A⊗A = A) is decided by :func:`validate_semicategory`, or else by one
+    product on first read.
     """
 
-    __slots__ = ("base", "objects", "is_category", "is_regular", "types", "dense", "_hom", "_op")
+    __slots__ = ("base", "objects", "is_category", "types", "dense", "_regular", "_hom", "_op")
 
-    def __init__(self, base, objects, dense, is_category):
+    def __init__(self, base, objects, dense, is_category, is_regular=None):
         self.base = base
         self.objects = objects
         self.is_category = is_category
         self.types = objects.types
         self.dense = dense
+        self._regular = is_regular
         self._hom = None
         self._op = None
+
+    @property
+    def is_regular(self) -> bool:
+        if self._regular is None:
+            t = self.types
+            self._regular = _mat_compose(self.base, t, t, t, self.dense, self.dense) == self.dense
+        return self._regular
 
     @property
     def hom(self) -> dict:
@@ -117,8 +126,9 @@ class SemiCategory:
         if self._op is None:
             n, dense = len(self.types), self.dense
             flipped = tuple(e for j in range(n) for e in dense[j::n])
-            self._op = SemiCategory(self.base.op(), self.objects, flipped, self.is_category)
-            self._op.is_regular = self.is_regular
+            self._op = SemiCategory(
+                self.base.op(), self.objects, flipped, self.is_category, self._regular
+            )
             self._op._op = self
         return self._op
 
@@ -128,6 +138,9 @@ class SemiCategory:
 
     def type_of(self, a):
         return self.objects.type_of(a)
+
+    def __len__(self):
+        return len(self.types)
 
     def hom_arrow(self, a1, a0) -> QArrow:
         j, i = self.objects.index_of(a0), self.objects.index_of(a1)
@@ -242,10 +255,7 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
     raw = objects.elements if isinstance(objects, TypedSet) else objects
     ts = validate_typed_set(raw, base)
     dense = _dense_matrix(base, ts, ts, hom, "hom entry")
-    t, n = ts.types, len(ts)
-    is_cat = all(
-        base.hom[(ta, ta)].leq[base.identity[ta]][dense[i * (n + 1)]] for i, ta in enumerate(t)
-    )
+    t = ts.types
     joins = [base.hom[(t0, t2)]._join2 for t2 in t for t0 in t]
     product = _mat_compose(base, t, t, t, dense, dense)
     # p ≤ v iff p ∨ v == v
@@ -255,9 +265,13 @@ def validate_semicategory(base: Quantaloid, objects, hom) -> SemiCategory:
         raise CompositionFailure(
             f"A({a2!r},{a1!r})∘A({a1!r},{a0!r}) ≰ A({a2!r},{a0!r})", witness=(a2, a1, a0)
         )
-    A = SemiCategory(base, ts, dense, is_cat)
-    A.is_regular = product == dense
-    return A
+    return SemiCategory(base, ts, dense, _has_units(base, t, dense), product == dense)
+
+
+def _has_units(q, types, dense) -> bool:
+    """True iff 1 ≤ A(a, a) for every object a: the unit-inequalities."""
+    n = len(types)
+    return all(q.hom[(t, t)].leq[q.identity[t]][dense[i * (n + 1)]] for i, t in enumerate(types))
 
 
 def _dense_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> tuple:

@@ -978,11 +978,11 @@ def reference_view(A, variance, keep):
             if keep(phi):
                 objects.append((f"{x}#{idx}", x, phi))
                 idx += 1
-    hom_elems = {}
+    hom = {}
     for tag1, _, psi in objects:
         for tag0, _, phi in objects:
-            hom_elems[(tag1, tag0)] = presheaf_hom_elem(psi, phi)
-    return tuple(objects), hom_elems
+            hom[(tag1, tag0)] = presheaf_hom_elem(psi, phi)
+    return tuple(objects), hom
 
 
 def reference_full_matrix(q, rows, cols, mat, what):
@@ -1016,7 +1016,7 @@ def reference_skeleton_homs(view, reps):
     """The former hom dict of a skeleton: the view's dict restricted to the
     representatives, in the view's order."""
     keep = set(reps)
-    return {(t1, t0): e for (t1, t0), e in view.hom_elems.items() if t1 in keep and t0 in keep}
+    return {(t1, t0): e for (t1, t0), e in view.hom.items() if t1 in keep and t0 in keep}
 
 
 def reference_frame(spec, where, cap=DEFAULT_CAP):

@@ -147,8 +147,8 @@ def test_criterion_01_three_chain_counterexample(tmp_path):
     assert len(pc) == 3
     from qsemicat import are_isomorphic_objects
 
-    for t1 in pc.tags:
-        for t2 in pc.tags:
+    for t1 in pc.names:
+        for t2 in pc.names:
             assert are_isomorphic_objects(pc, t1, t2) == (t1 == t2)
 
     res = morita_equivalent(A, C)
@@ -352,8 +352,7 @@ def test_criterion_09_regular_semifunctor_adjunction(small_regular_family):
     # the Yoneda semifunctor of the three-chain example is not regular
     A = chain3_A()
     ra = build_RA(A)
-    ra_sc = ra.as_semicategory()
-    y = validate_semifunctor(A, ra_sc, {"*": ra.tag_of(yoneda(A, "*"))})
+    y = validate_semifunctor(A, ra, {"*": ra.names[ra.payloads.index(yoneda(A, "*"))]})
     assert not is_regular_semifunctor(y)
     inc = validate_semifunctor(A, free_category(A), {"*": "*"})
     assert not is_regular_semifunctor(inc)

@@ -192,24 +192,25 @@ def test_dual_matches_the_former_dict_built_dual(name):
 def test_view_dicts_match_the_former_dicts(variance):
     for A in FAMILIES["acceptance-3"][::7] + FAMILIES["relations"]:
         view = build_PA(A, variance)
-        # the former tags, index and dict, read off the object triples
-        tags = tuple(tag for tag, _, _ in view.objects)
+        # the former tags x#i in type order, their index and the dict
+        tags = tuple(f"{x}#{i}" for x in A.base.objects for i in range(view.types.count(x)))
         keys = [(t1, t0) for t1 in tags for t0 in tags]
-        assert view.tags == tags
-        assert [view.index_of(tag) for tag in tags] == list(range(len(view)))
+        assert view.names == tags
+        assert [view.objects.index_of(tag) for tag in tags] == list(range(len(view)))
         with pytest.raises(TypeMismatch):
-            view.index_of("no such tag")
-        assert list(view.hom_elems.items()) == list(zip(keys, view.dense))
-        assert view.as_semicategory().dense == view.dense
+            view.objects.index_of("no such tag")
+        assert list(view.hom.items()) == list(zip(keys, view.dense))
+        assert validate_semicategory(view.base, view.objects, view.hom).dense == view.dense
         # a view given its homs as a dict holds the same matrix
-        again = QCategoryView(view.base, view.objects, dict(reversed(view.hom_elems.items())))
-        assert again.dense == view.dense and again.tags == view.tags
-        assert list(again.hom_elems.items()) == list(view.hom_elems.items())
+        triples = zip(view.names, view.types, view.payloads)
+        again = QCategoryView(view.base, triples, dict(reversed(view.hom.items())))
+        assert again.dense == view.dense and again.names == view.names
+        assert list(again.hom.items()) == list(view.hom.items())
         ra = build_RA(A, variance)
         report, sk = skeleton(ra)
         want = reference_skeleton_homs(ra, report.representatives)
-        assert list(sk.hom_elems.items()) == list(want.items())
-        assert sk.tags == report.representatives
+        assert list(sk.hom.items()) == list(want.items())
+        assert sk.names == report.representatives
 
 
 @pytest.mark.parametrize("homs", [(2, 2, 2, 2), {}])
@@ -244,7 +245,6 @@ def test_sweep_forms_no_hom_dict(monkeypatch, variance):
         return real(cod, dom, flat)
 
     monkeypatch.setattr(semicat, "_sparse", counting)
-    monkeypatch.setattr(presheaf, "_sparse", counting)
     pool = _pool(A, variance)
     assert len(pool) > 2
     homs = [[presheaf_hom_elem(p1, p0) for p0 in pool] for p1 in pool]
@@ -255,8 +255,8 @@ def test_sweep_forms_no_hom_dict(monkeypatch, variance):
     assert len(report.classes) == sum(via) and len(homs) == len(pool)
     assert formed == []
     # read on demand, and then kept
-    assert ra.hom_elems is ra.hom_elems
-    assert [(cod.names, dom.names) for cod, dom in formed] == [(ra.tags, ra.tags)]
+    assert ra.hom is ra.hom
+    assert [(cod.names, dom.names) for cod, dom in formed] == [(ra.names, ra.names)]
     assert A.hom == {("a", "a"): 2, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 2}
     assert D.hom == {("a", "a"): 2, ("a", "b"): 0, ("b", "a"): 1, ("b", "b"): 2}
     assert A.hom is A.hom

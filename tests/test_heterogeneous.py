@@ -66,13 +66,13 @@ def test_residuation_against_oracles():
 def test_mixed_type_presheaf_categories(carrier):
     A = carrier
     pa = build_PA(A)
-    types = {t for _, t, _ in pa.objects}
+    types = set(pa.types)
     assert types == {"X", "Y"}
     assert pa.check()
     ra = build_RA(A)
     ya = build_YA(A)
     assert ra.check() and ya.check()
-    assert build_RA_by_lifting(A).hom_elems == ra.hom_elems
+    assert build_RA_by_lifting(A).hom == ra.hom
 
 
 def test_adjoint_triple_mixed_types(carrier):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qsemicat import (
+    CompositionFailure,
     NotCocontinuous,
     NotRegular,
     Presheaf,
@@ -32,7 +33,7 @@ from qsemicat import (
     validate_semidistributor,
     validate_semifunctor,
 )
-from qsemicat.presheaf import CO, CONTRA
+from qsemicat.presheaf import CO, CONTRA, _regular_presheaves
 from qsemicat.semicat import SemiDistributor
 from helpers import (
     chain3_A,
@@ -40,6 +41,8 @@ from helpers import (
     presheaf_families,
     reference_rsdist_isomorphism_search,
     regular_semicats,
+    rel_quantaloid,
+    relations_family,
     semicat_from_rows,
 )
 
@@ -56,12 +59,12 @@ def indiscrete_two_objects():
 
 def test_isomorphic_objects():
     ra = build_RA(chain3_A())
-    for tag in ra.tags:
+    for tag in ra.names:
         assert are_isomorphic_objects(ra, tag, tag)
     assert not are_isomorphic_objects(ra, "*#0", "*#1")  # 0 and e
 
     pa = build_PA(chain3_C())
-    tags = pa.tags
+    tags = pa.names
     assert len(tags) == 3
     for t1 in tags:
         for t2 in tags:
@@ -71,7 +74,7 @@ def test_isomorphic_objects():
 def test_skeleton_of_skeletal_input():
     ra = build_RA(chain3_A())
     report, sk = skeleton(ra)
-    assert report.representatives == ra.tags
+    assert report.representatives == ra.names
     assert len(report.classes) == 2
 
 
@@ -82,10 +85,10 @@ def test_skeleton_merges_duplicates():
     view = QCategoryView(Q3, [(a, "*", None) for a in D.names], dict(D.hom))
     report, sk = skeleton(view)
     assert report.classes == (("u", "v"),)
-    assert sk.tags == ("u",)
+    assert sk.names == ("u",)
     # no two skeleton objects isomorphic
-    for t1 in sk.tags:
-        for t2 in sk.tags:
+    for t1 in sk.names:
+        for t2 in sk.names:
             if t1 != t2:
                 assert not are_isomorphic_objects(sk, t1, t2)
 
@@ -120,12 +123,12 @@ def test_categories_isomorphic_against_permutation_oracle():
     def oracle(c, d):
         if len(c) != len(d):
             return False
-        for perm in itertools.permutations(d.tags):
-            bij = dict(zip(c.tags, perm))
+        for perm in itertools.permutations(d.names):
+            bij = dict(zip(c.names, perm))
             if all(
-                c.hom_elems[(x, y)] == d.hom_elems[(bij[x], bij[y])]
-                for x in c.tags
-                for y in c.tags
+                c.hom[(x, y)] == d.hom[(bij[x], bij[y])]
+                for x in c.names
+                for y in c.names
             ):
                 return True
         return False
@@ -189,7 +192,7 @@ def test_morita_on_categories_is_presheaf_equivalence():
     C, D = chain3_C(), indiscrete_two_objects()
     for X in (C, D):
         pa, ra = build_PA(X), build_RA(X)
-        assert pa.hom_elems == ra.hom_elems and len(pa) == len(ra)
+        assert pa.hom == ra.hom and len(pa) == len(ra)
 
 
 def test_rsdist_search_examples():
@@ -433,8 +436,8 @@ def test_view_is_validated_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(presheaf, "validate_semicategory", counting)
-    for a in view.tags:
-        for b in view.tags:
+    for a in view.names:
+        for b in view.names:
             assert are_isomorphic_objects(view, a, b) == (a == b)
     skeleton(view)
     view.check()
@@ -451,4 +454,56 @@ def test_regular_presheaf_category_is_a_skeletal_category(name, variance):
         ra = build_RA(A, variance)
         assert ra.check()
         report, _ = skeleton(ra)
-        assert report.classes == tuple((tag,) for tag in ra.tags), A.hom
+        assert report.classes == tuple((tag,) for tag in ra.names), A.hom
+
+
+def _relabelled(A, rng):
+    """A copy of A with its objects renamed and listed in a shuffled order."""
+    order = list(A.names)
+    rng.shuffle(order)
+    objects = [(f"r{a}", A.type_of(a)) for a in order]
+    hom = {(f"r{a1}", f"r{a0}"): A.hom[(a1, a0)] for a1 in order for a0 in order}
+    return validate_semicategory(A.base, objects, hom)
+
+
+def _one_entry_changed(A):
+    """The first semicategory that differs from A in exactly one hom entry,
+    in row-major entry and increasing value order, or None."""
+    q, n = A.base, len(A)
+    for k, e in enumerate(A.dense):
+        for v in range(q.hom_lat(A.types[k % n], A.types[k // n]).size):
+            if v != e:
+                try:
+                    return validate_semicategory(q, A.objects, A.dense[:k] + (v,) + A.dense[k + 1 :])
+                except CompositionFailure:
+                    pass
+    return None
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_categories_isomorphic_on_semicategories_and_relabelled_copies(name):
+    # an isomorphism permutes the hom entries, so one changed entry breaks it
+    rng = random.Random(0)
+    changed = 0
+    for A in FAMILIES[name]:
+        B = _relabelled(A, rng)
+        assert categories_isomorphic(A, B) and categories_isomorphic(B, A), A.hom
+        D = _one_entry_changed(A)
+        if D is not None:
+            changed += 1
+            assert not categories_isomorphic(D, B) and not categories_isomorphic(B, D), A.hom
+    assert changed > 0
+
+
+def test_distributor_from_cocont_refuses_images_of_the_wrong_type_or_variance():
+    # F sends each representable to a regular contravariant presheaf of the
+    # other type, or to a regular covariant one of its own type
+    other = {"X": "Y", "Y": "X"}
+    family = [A for A in relations_family(rel_quantaloid()) if A.is_regular][:40]
+    assert len(family) == 40
+    for A in family:
+        for variance, image_type in ((CONTRA, other.get), (CO, lambda x: x)):
+            images = {x: _regular_presheaves(A, image_type(x), variance)[-1] for x in other}
+            with pytest.raises(TypeMismatch) as exc:
+                distributor_from_cocont(lambda theta: images[theta.qtype], A, A)
+            assert exc.value.witness == A.names[0], (A.hom, variance)

@@ -203,32 +203,34 @@ def test_build_views_three_chain():
     ra = build_RA(A)
     ya = build_YA(A)
     assert len(pa) == 3 and len(ra) == 2 and len(ya) == 2
-    assert ra.hom_elems[("*#1", "*#0")] == 0  # RA(e, 0) = 0
-    assert ra.hom_elems[("*#0", "*#1")] == 2  # RA(0, e) = 1
+    assert ra.hom[("*#1", "*#0")] == 0  # RA(e, 0) = 0
+    assert ra.hom[("*#0", "*#1")] == 2  # RA(0, e) = 1
     for view in (pa, ra, ya):
         assert view.check()
 
 
 def test_build_RA_lifting_route_agrees():
     A = chain3_A()
-    assert build_RA(A).hom_elems == build_RA_by_lifting(A).hom_elems
+    assert build_RA(A).hom == build_RA_by_lifting(A).hom
     C = chain3_C()
-    assert build_RA(C).hom_elems == build_RA_by_lifting(C).hom_elems
+    assert build_RA(C).hom == build_RA_by_lifting(C).hom
 
 
 def test_PA_equals_PA_of_free_category():
     A = chain3_A()
     pa = build_PA(A)
     pa_free = build_PA(free_category(A))
-    assert [o[2].values for o in pa.objects] == [o[2].values for o in pa_free.objects]
-    assert pa.hom_elems == pa_free.hom_elems
+    assert [p.values for p in pa.payloads] == [p.values for p in pa_free.payloads]
+    assert pa.hom == pa_free.hom
 
 
 def test_view_as_semicategory_roundtrip():
     ra = build_RA(chain3_A())
-    sc = ra.as_semicategory()
-    assert sc.is_category
-    assert sc.hom[("*#1", "*#0")] == ra.hom_elems[("*#1", "*#0")]
+    # read before any check(): is_regular comes from one product on first read
+    assert ra.is_regular and ra.is_category
+    sc = validate_semicategory(ra.base, ra.objects, ra.hom)
+    assert sc.is_category and sc.is_regular and sc == ra
+    assert sc.hom[("*#1", "*#0")] == ra.hom[("*#1", "*#0")]
 
 
 def test_map_j_examples():
@@ -348,7 +350,7 @@ def test_presheaf_types_grouped_over_two_objects():
         q, [("u", "X"), ("v", "Y")], {("u", "u"): 1, ("v", "v"): 1}
     )
     pa = build_PA(A)
-    types = [t for _, t, _ in pa.objects]
+    types = list(pa.types)
     assert types == sorted(types, key=lambda t: q.objects.index(t))
     assert pa.check()
 
@@ -453,17 +455,16 @@ def test_is_colimit_identity_case():
 def test_is_colimit_crosschecks_weighted_colimit():
     A = chain3_A()
     ra = build_RA(A)
-    ra_sc = ra.as_semicategory()
     unit = unit_category(Q3, "*", "d")
     weight = validate_semidistributor(unit, A, {("*", "d"): 1})
     out = weighted_colimit_RA(weight, {"*": yoneda(A, "*")})
 
-    fmap = validate_semifunctor(A, ra_sc, {"*": ra.tag_of(yoneda(A, "*"))})
-    g = validate_semifunctor(unit, ra_sc, {"d": ra.tag_of(out["d"])})
+    fmap = validate_semifunctor(A, ra, {"*": ra.names[ra.payloads.index(yoneda(A, "*"))]})
+    g = validate_semifunctor(unit, ra, {"d": ra.names[ra.payloads.index(out["d"])]})
     assert is_colimit(g, weight, fmap)
     # shifting the candidate off the colimit breaks the formula
-    other = [tag for tag, _, p in ra.objects if p != out["d"]]
-    g_bad = validate_semifunctor(unit, ra_sc, {"d": other[0]})
+    other = [tag for tag, p in zip(ra.names, ra.payloads) if p != out["d"]]
+    g_bad = validate_semifunctor(unit, ra, {"d": other[0]})
     assert not is_colimit(g_bad, weight, fmap)
 
 
@@ -518,7 +519,7 @@ def test_closure_forms_an_action_only_on_a_non_regular_carrier(monkeypatch, vari
     monkeypatch.setattr(presheaf, "_mat_compose", counting)
     view = build_RA(regular, variance)
     assert len(view) > 1 and actions == []
-    assert all(is_regular_presheaf(phi) for _, _, phi in view.objects) and actions == []
+    assert all(is_regular_presheaf(phi) for phi in view.payloads) and actions == []
     kept = _regular_presheaves(strict, "*", variance)
     assert actions and len(kept) < len(actions)
     assert all(is_regular_presheaf(phi) for phi in kept)
@@ -570,9 +571,12 @@ def test_views_match_pairwise_hom_reference(name, variance):
     for A in FAMILIES[name]:
         for build, keep in keeps.items():
             view = build(A, variance)
-            objects, hom_elems = reference_view(A, variance, keep)
-            assert view.objects == objects, (A.hom, build.__name__)
-            assert list(view.hom_elems.items()) == list(hom_elems.items()), (
+            objects, hom = reference_view(A, variance, keep)
+            assert tuple(zip(view.names, view.types, view.payloads)) == objects, (
+                A.hom,
+                build.__name__,
+            )
+            assert list(view.hom.items()) == list(hom.items()), (
                 A.hom,
                 build.__name__,
             )

@@ -1,9 +1,19 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from qsemicat import EnumerationCapExceeded, ParseError, TypeMismatch
+from qsemicat import (
+    EnumerationCapExceeded,
+    ParseError,
+    TypeMismatch,
+    enumerate_presheaves,
+    is_regular_presheaf,
+    is_yoneda_presheaf,
+    presheaf_hom_elem,
+)
 from qsemicat.cli import main
+from qsemicat.presheaf import CO, CONTRA
 from qsemicat.workspace import load_workspace, parse_quantaloid, validate_report
 from helpers import dumps_repeating_key
 
@@ -315,6 +325,35 @@ def test_cmd_presheaves_matrices(tmp_path, capsys):
     assert main(["--json", "presheaves", path, "A", "--class", "regular", "--matrices"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["matrices"]["*#1>*#0"] == 0  # RA(e, 0) = 0
+
+
+DEMO_WS = Path(__file__).resolve().parent.parent / "demos" / "workspace.json"
+
+
+@pytest.mark.parametrize("cls", ["all", "regular", "yoneda"])
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_cmd_presheaves_matrices_match_the_pairwise_homs(capsys, cls, variance):
+    # the per-entry hom of the presheaf category is the oracle for the view's
+    ws = load_workspace(json.loads(DEMO_WS.read_text()))
+    keep = {"all": lambda p: True, "regular": is_regular_presheaf, "yoneda": is_yoneda_presheaf}[cls]
+    for name, A in ws.semicategories.items():
+        for t in [None, *A.base.objects]:
+            argv = ["--json", "presheaves", str(DEMO_WS), name, "--variance", variance]
+            argv += ["--class", cls, "--matrices"] + (["--type", t] if t else [])
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            tagged = [
+                (f"{x}#{i}", phi)
+                for x in ([t] if t else A.base.objects)
+                for i, phi in enumerate(p for p in enumerate_presheaves(A, x, variance) if keep(p))
+            ]
+            listed = [(e["tag"], tuple(e["values"][a] for a in A.names)) for e in report["presheaves"]]
+            assert listed == [(tag, phi.values) for tag, phi in tagged]
+            assert report["matrices"] == {
+                f"{tag1}>{tag0}": presheaf_hom_elem(psi, phi)
+                for tag1, psi in tagged
+                for tag0, phi in tagged
+            }, (name, t)
 
 
 def test_cmd_morita_exit_codes(tmp_path, capsys):
