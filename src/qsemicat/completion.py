@@ -12,7 +12,8 @@ exactly the calculus of regular semicategories, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, count, product
+from operator import and_, eq, itemgetter
 
 from .errors import ActionFailure, NotIdempotent, SearchCapExceeded, TypeMismatch
 from .lattice import (
@@ -21,7 +22,7 @@ from .lattice import (
     # as a module-boundary name of this module
     validate_sup_lattice,  # noqa: F401
 )
-from .quantaloid import QArrow, Quantaloid, validate_quantaloid
+from .quantaloid import QArrow, Quantaloid, _over_triples, validate_quantaloid
 from .semicat import (
     DEFAULT_CAP,
     SemiCategory,
@@ -79,44 +80,46 @@ class IdmQuantaloid:
 def build_idm(q: Quantaloid) -> IdmQuantaloid:
     """Split all idempotents of a finite quantaloid.
 
-    Each hom-lattice is built once per (base pair, fixed set) and each table
-    once per (base triple, fixed sets), and the validator gets them shared.
+    Each distinct (base pair, fixed set) gets an id and one hom-lattice, and
+    lattices with equal orders are one object.  Each table is built once per
+    triple of fixed-set ids and interned, so the validator gets them shared.
     """
     objs = idempotents(q)
-    tagged = [(e, _idm_tag(e)) for e in objs]
-    hom_elements, pos, homs = {}, {}, {}
-    restricted = {}  # (base pair, fixed set) -> (hom-lattice, positions)
-    for (e, te), (f, tf) in product(tagged, repeat=2):
-        lat = q.hom_lat(e.dom, f.dom)
-        # b∘e is column e.elem of the precomposition table, f∘b row f.elem
-        after_e = q.compose_table[(e.dom, e.dom, f.dom)]
-        f_after = q.compose_table[(e.dom, f.dom, f.dom)][f.elem]
-        fixed = tuple(b for b in range(lat.size) if after_e[b][e.elem] == b and f_after[b] == b)
-        hom_elements[(te, tf)] = fixed
-        key = (e.dom, f.dom, fixed)
-        if key not in restricted:
-            # b ↦ b∘e and b ↦ f∘b preserve ⊥ and joins, so the fixed set holds ⊥
-            # and is join-closed, and inherits the base order and joins
-            positions = {b: i for i, b in enumerate(fixed)}
-            restricted[key] = join_closed_sublattice(lat, fixed), positions
-        homs[(te, tf)], pos[(te, tf)] = restricted[key]
+    tags, n, comp = [_idm_tag(e) for e in objs], len(objs), q.compose_table
+    # per idempotent e and base object y: b∘e = b for b in hom(e.dom, y), and e∘b = b
+    # for b in hom(y, e.dom); each pair's fixed set is the intersection
+    right, left = [], []
+    for e in objs:
+        x, at_e = e.dom, itemgetter(e.elem)
+        right.append({y: tuple(map(eq, map(at_e, comp[(x, x, y)]), count())) for y in q.objects})
+        left.append({y: tuple(map(eq, comp[(y, x, x)][e.elem], count())) for y in q.objects})
+    fixed_keys = (
+        (e.dom, f.dom, tuple(compress(count(), map(and_, by_e[f.dom], by_f[e.dom]))))
+        for (e, by_e), (f, by_f) in product(zip(objs, right), zip(objs, left))
+    )
+    ids = {}  # (base pair, fixed set) -> its id
+    pair_id = [ids.setdefault(key, len(ids)) for key in fixed_keys]
+    fixed_sets, orders = list(ids), {}
+    # b ↦ b∘e and b ↦ f∘b preserve ⊥ and joins, so a fixed set holds ⊥ and is
+    # join-closed, and inherits the base order and joins
+    lats = [join_closed_sublattice(q.hom_lat(x, y), fixed, orders) for x, y, fixed in fixed_sets]
+    pos = [{b: i for i, b in enumerate(fixed)} for _, _, fixed in fixed_sets]
 
     # each table maps whole base rows through the fixed-element positions
-    compose = {}
-    built = {}  # (base triple, fixed sets) -> table
-    for (e, te), (f, tf), (g, tg) in product(tagged, repeat=3):
-        fixed_ef, fixed_fg = hom_elements[(te, tf)], hom_elements[(tf, tg)]
-        key = (e.dom, f.dom, g.dom, fixed_ef, fixed_fg, hom_elements[(te, tg)])
-        if key not in built:
-            base = q.compose_table[(e.dom, f.dom, g.dom)]
-            to_pos = pos[(te, tg)].__getitem__
-            built[key] = tuple(
-                tuple(map(to_pos, map(base[c].__getitem__, fixed_ef))) for c in fixed_fg
-            )
-        compose[(te, tf, tg)] = built[key]
+    keys = list(zip(*_over_triples(pair_id, n)))
+    interned, built = {}, {}
+    for key in dict.fromkeys(keys):
+        (x, y, fixed_ef), (_, z, fixed_fg) = fixed_sets[key[0]], fixed_sets[key[1]]
+        base, to_pos = comp[(x, y, z)], pos[key[2]].__getitem__
+        table = tuple(tuple(map(to_pos, map(base[c].__getitem__, fixed_ef))) for c in fixed_fg)
+        built[key] = interned.setdefault(table, table)
 
-    identities = {te: pos[(te, te)][e.elem] for e, te in tagged}
-    quant = validate_quantaloid([te for _, te in tagged], homs, compose, identities)
+    pairs = list(product(tags, repeat=2))
+    hom_elements = dict(zip(pairs, (fixed_sets[i][2] for i in pair_id)))
+    homs = dict(zip(pairs, map(lats.__getitem__, pair_id)))
+    compose = dict(zip(product(tags, repeat=3), map(built.__getitem__, keys)))
+    identities = {te: pos[i][e.elem] for e, te, i in zip(objs, tags, pair_id[:: n + 1])}
+    quant = validate_quantaloid(tags, homs, compose, identities)
     return IdmQuantaloid(q, tuple(objs), hom_elements, quant)
 
 

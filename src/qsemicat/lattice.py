@@ -160,7 +160,7 @@ def validate_sup_lattice(size: int, pairs) -> SupLattice:
     return SupLattice(size, frozen_leq, bottom, frozen_join, frozen_meet)
 
 
-def join_closed_sublattice(lat: SupLattice, elements) -> SupLattice:
+def join_closed_sublattice(lat: SupLattice, elements, shared=None) -> SupLattice:
     """The sub-order on ``elements`` (distinct base indices, holding the
     base bottom and closed under the base's binary joins).
 
@@ -170,7 +170,10 @@ def join_closed_sublattice(lat: SupLattice, elements) -> SupLattice:
     meet of s and t is the greatest element below the base meet s∧t, the
     join of the elements below it, which is one of them.  Raises
     ``ValueError`` when the elements miss the bottom or a binary join.
+    ``shared``, when given, maps the order of every lattice returned so far
+    to that lattice; an equal lattice is returned from it, not built again.
     """
+    shared = {} if shared is None else shared
     pos = {b: i for i, b in enumerate(elements)}
     if lat.bottom not in pos:
         raise ValueError("the elements do not hold the bottom")
@@ -181,15 +184,18 @@ def join_closed_sublattice(lat: SupLattice, elements) -> SupLattice:
         if None in row:
             raise ValueError("the elements are not closed under binary joins")
         join2.append(row)
+    leq = tuple(tuple(map(base_leq[s].__getitem__, elements)) for s in elements)
+    if leq in shared:
+        return shared[leq]
     core = tuple(
         pos[lat.join(s for s in elements if base_leq[s][m])] for m in range(lat.size)
     )
-    leq = tuple(tuple(map(base_leq[s].__getitem__, elements)) for s in elements)
     meet2 = tuple(
         tuple(map(core.__getitem__, map(lat._meet2[s].__getitem__, elements)))
         for s in elements
     )
-    return SupLattice(len(elements), leq, pos[lat.bottom], tuple(join2), meet2)
+    sub = SupLattice(len(elements), leq, pos[lat.bottom], tuple(join2), meet2)
+    return shared.setdefault(leq, sub)
 
 
 def chain(n: int) -> SupLattice:

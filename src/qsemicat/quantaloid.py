@@ -11,8 +11,8 @@ the dual quantaloid.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product, repeat
-from operator import eq, getitem
+from itertools import chain, filterfalse, product, repeat
+from operator import eq, getitem, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -206,46 +206,53 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     maps each object to an element of its endo-hom.
 
     The unit laws, preservation of bottom and binary joins in each argument,
-    and associativity are all verified.  The unit laws are checked element
-    by element.  The other axioms are decided by :func:`_axioms_hold`, and
-    only when that fails do the exhaustive loops run, to raise the first
-    failure in their order with its witness.
+    and associativity are all verified.  Shape, range and the copy into
+    interned tuples are decided once per (table object, sizes of hom(x,y),
+    hom(y,z) and hom(x,z)), in first-key order, and the unit laws on whole
+    rows.  The other axioms are decided by :func:`_axioms_hold`, and only
+    when that fails do the exhaustive loops run, to raise the first failure
+    in their order with its witness.
     """
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
         raise TypeMismatch("duplicate object names", witness=objects)
 
     homs = dict(homs)
-    for key in product(objects, repeat=2):
-        if key not in homs:
-            raise TypeMismatch(f"missing hom-lattice {key!r}", witness=key)
-    for what, keys, known in (
-        ("hom-lattice", homs, set(product(objects, repeat=2))),
-        ("composition table", compose, set(product(objects, repeat=3))),
+    pairs, keys = list(product(objects, repeat=2)), list(product(objects, repeat=3))
+    missing = next(filterfalse(homs.__contains__, pairs), None)
+    if missing is not None:
+        raise TypeMismatch(f"missing hom-lattice {missing!r}", witness=missing)
+    for what, given, known in (
+        ("hom-lattice", homs, set(pairs)),
+        ("composition table", compose, set(keys)),
         ("identity for", identities, set(objects)),
     ):
-        for key in keys:
-            if key not in known:
-                raise TypeMismatch(f"{what} {key!r} names an unknown object", witness=key)
+        unknown = next(filterfalse(known.__contains__, given), None)
+        if unknown is not None:
+            raise TypeMismatch(f"{what} {unknown!r} names an unknown object", witness=unknown)
 
-    tables = {}
-    interned = {}  # table content -> the one tuple that every equal table becomes
-    in_range = set()  # (id of an interned table, size of the hom it maps into)
-    for key in product(objects, repeat=3):
-        x, y, z = key
-        if key not in compose:
-            raise TypeMismatch(f"missing composition table {key}", witness=key)
-        nf, ng, nr = homs[(x, y)].size, homs[(y, z)].size, homs[(x, z)].size
-        raw = compose[key]
+    # the keys before the first missing table are checked first
+    missing = next(filterfalse(compose.__contains__, keys), None)
+    present = keys[: keys.index(missing)] if missing is not None else keys
+    raws = list(map(compose.__getitem__, present))
+    sizes = [homs[key].size for key in pairs]
+    instances = list(zip(map(id, raws), *_over_triples(sizes, len(objects))))
+    raw_of = dict(zip(map(id, raws), raws))
+    interned, table_of = {}, {}  # content -> the one tuple equal tables become; instance -> it
+    for instance in dict.fromkeys(instances):
+        raw, (_, nf, ng, nr) = raw_of[instance[0]], instance
         # whole rows at a time; every hom has at least its bottom, so no row is empty
         if len(raw) != ng or any(map(nf.__ne__, map(len, raw))):
+            key = present[instances.index(instance)]
             raise TypeMismatch(f"composition table {key} has wrong shape", witness=key)
         table = tuple(map(tuple, raw))
-        table = tables[key] = interned.setdefault(table, table)
-        if (id(table), nr) not in in_range:
-            if min(map(min, table)) < 0 or max(map(max, table)) >= nr:
-                raise TypeMismatch(f"composition table {key} has out-of-range entries", witness=key)
-            in_range.add((id(table), nr))
+        table = table_of[instance] = interned.setdefault(table, table)
+        if min(map(min, table)) < 0 or max(map(max, table)) >= nr:
+            key = present[instances.index(instance)]
+            raise TypeMismatch(f"composition table {key} has out-of-range entries", witness=key)
+    if missing is not None:
+        raise TypeMismatch(f"missing composition table {missing}", witness=missing)
+    tables = dict(zip(keys, map(table_of.__getitem__, instances)))
 
     idents = {}
     for x in objects:
@@ -258,9 +265,12 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
 
     q = Quantaloid(objects, homs, tables, idents)
 
-    for x, y in product(objects, repeat=2):
+    ranges = {n: tuple(range(n)) for n in set(sizes)}
+    for (x, y), n in zip(pairs, sizes):
         after_id, before_id = tables[(x, y, y)][idents[y]], tables[(x, x, y)]
-        for f in range(homs[(x, y)].size):
+        if after_id == ranges[n] == tuple(map(itemgetter(idents[x]), before_id)):
+            continue
+        for f in range(n):
             if after_id[f] != f:
                 raise UnitFailure(
                     f"id_{y!r} ∘ f != f for f={f} in hom({x!r},{y!r})", witness=QArrow(x, y, f)
@@ -273,6 +283,16 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     if not _axioms_hold(objects, homs, tables):
         _check_axioms_exhaustively(objects, homs, tables)
     return q
+
+
+def _over_triples(values, n):
+    """From values over the pairs of n objects, in product order, those at (a, b),
+    at (b, c) and at (a, c), each over the triples (a, b, c) in product order."""
+    return (
+        chain.from_iterable(map(repeat, values, repeat(n))),
+        chain.from_iterable(repeat(values, n)),
+        chain.from_iterable(values[a * n : a * n + n] * n for a in range(n)),
+    )
 
 
 def _join_plans(lat: SupLattice):
@@ -360,18 +380,22 @@ def _axioms_hold(objects, homs, tables) -> bool:
     bottom, joins and join-irreducibles.  So the answer is exactly that of
     :func:`_check_axioms_exhaustively`.
     """
-    lattice_ids = {}
-    lat_id = {key: lattice_ids.setdefault(lat, len(lattice_ids)) for key, lat in homs.items()}
+    n, pairs = len(objects), list(product(objects, repeat=2))
+    lat_objs = list(map(homs.__getitem__, pairs))
+    # lattice ids by object first, then by size and order once per object
+    lattice_ids, distinct = {}, {id(lat): lat for lat in lat_objs}
+    by_obj = {key: lattice_ids.setdefault(lat, len(lattice_ids)) for key, lat in distinct.items()}
+    lat_id = list(map(by_obj.__getitem__, map(id, lat_objs)))  # per pair (x, y)
     lats = tuple(lattice_ids)
     plans, irr = tuple(map(_join_plans, lats)), tuple(lat.join_irreducibles for lat in lats)
-    by_id = {id(t): t for t in tables.values()}
+    table_objs = list(map(tables.__getitem__, product(objects, repeat=3)))
+    table_id = list(map(id, table_objs))  # per triple (x, y, z)
+    by_id = dict(zip(table_id, table_objs))
 
-    columns, col = {}, {}  # ids of columns over x: hom(x, y), and the tables at (x, y, z)
-    for y in objects:
-        col[y] = columns.setdefault(tuple(lat_id[(x, y)] for x in objects), len(columns))
-        for z in objects:
-            ids = tuple(id(tables[(x, y, z)]) for x in objects)
-            col[(y, z)] = columns.setdefault(ids, len(columns))
+    # ids of columns over x: hom(x, y) per y, and the tables at (x, y, z) per (y, z)
+    columns = {}
+    lat_col = [columns.setdefault(tuple(lat_id[y::n]), len(columns)) for y in range(n)]
+    tab_col = [columns.setdefault(tuple(table_id[p :: n * n]), len(columns)) for p in range(n * n)]
     cols = tuple(columns)
 
     def per_x(keys, k):
@@ -382,26 +406,24 @@ def _axioms_hold(objects, homs, tables) -> bool:
         )
         return dict.fromkeys(chain.from_iterable(at_x))
 
-    for t, lxy, lxz, lyz in per_x(
-        ((col[(y, z)], col[y], col[z], lat_id[(y, z)]) for y, z in product(objects, repeat=2)), 3
-    ):
+    # per (y, z): the tables at (x, y, z), hom(x, y), hom(x, z), and hom(y, z)
+    at_y = chain.from_iterable(map(repeat, lat_col, repeat(n)))
+    for t, lxy, lxz, lyz in per_x(zip(tab_col, at_y, lat_col * n, lat_id), 3):
         if not _preserves_joins(by_id[t], lats[lxy], lats[lyz], lats[lxz], plans[lxy], plans[lyz]):
             return False
 
-    quads = per_x(
-        (
-            (col[(y, z)], col[(z, w)], col[(y, w)], col[y])
-            + (id(tables[(y, z, w)]), lat_id[(y, z)], lat_id[(z, w)])
-            for y, z, w in product(objects, repeat=3)
-        ),
-        4,
-    )
+    # per (y, z, w): the tables at (x, y, z), (x, z, w), (x, y, w), hom(x, y),
+    # and the table at (y, z, w), hom(y, z) and hom(z, w)
+    at_y = chain.from_iterable(map(repeat, lat_col, repeat(n * n)))
+    quads = per_x(zip(*_over_triples(tab_col, n), at_y, table_id, *_over_triples(lat_id, n)[:2]), 4)
     for txyz, txzw, txyw, lxy, tyzw, lyz, lzw in quads:
-        fs = irr[lxy]
+        fs, gs, hs = irr[lxy], irr[lyz], irr[lzw]
+        if not (fs and gs and hs):
+            continue  # a one-element hom has no join-irreducibles to check
         before, after, outer = by_id[txyz], by_id[txzw], by_id[txyw]
-        for h in irr[lzw]:
+        for h in hs:
             h_row, hg = after[h].__getitem__, by_id[tyzw][h]
-            for g in irr[lyz]:
+            for g in gs:
                 # h∘(g∘f) == (h∘g)∘f for every join-irreducible f
                 g_row, hg_row = before[g].__getitem__, outer[hg[g]].__getitem__
                 if not all(map(eq, map(h_row, map(g_row, fs)), map(hg_row, fs))):

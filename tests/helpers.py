@@ -532,12 +532,20 @@ def reference_way_below(P):
 
 
 def reference_quantaloid_axioms(objects, homs, tables, idents):
-    """The exhaustive unit, associativity and sup-preservation loops.
+    """The exhaustive shape, range, unit, associativity and sup-preservation loops.
 
-    Walks every element triple in a fixed order and raises the first
-    failure with its witness, exactly as ``validate_quantaloid`` must; the
-    tables are assumed well-shaped and in range.
+    Checks every table's shape and entries key by key, then walks every
+    element triple in a fixed order, and raises the first failure with its
+    witness, exactly as ``validate_quantaloid`` must.
     """
+    for key in itertools.product(objects, repeat=3):
+        x, y, z = key
+        table = tables[key]
+        if len(table) != homs[(y, z)].size or any(len(row) != homs[(x, y)].size for row in table):
+            raise TypeMismatch(f"composition table {key} has wrong shape", witness=key)
+        if any(not 0 <= v < homs[(x, z)].size for row in table for v in row):
+            raise TypeMismatch(f"composition table {key} has out-of-range entries", witness=key)
+
     for x in objects:
         for y in objects:
             nf = homs[(x, y)].size

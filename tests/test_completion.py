@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qsemicat import (
@@ -16,12 +18,14 @@ from qsemicat import (
     validate_sup_lattice,
     verify_rsdist_is_idm_matr,
 )
+from qsemicat.cli import main
 from qsemicat.lattice import join_closed_sublattice
 from helpers import (
     chain3_A,
     chain3_C,
     endomap_quantaloid,
     lattice_fields,
+    order_pairs,
     reference_idm_tables,
     reference_sup_lattice,
     rel_quantaloid,
@@ -89,13 +93,40 @@ def test_build_idm_shares_homs_and_tables(name):
     for (te, tf), lat in idm.quantaloid.hom.items():
         lattices.setdefault((dom[te], dom[tf], idm.hom_elements[(te, tf)]), set()).add(id(lat))
     assert all(len(ids) == 1 for ids in lattices.values())
+    # equal hom-lattices are one object, whatever fixed sets they restrict
+    homs = idm.quantaloid.hom.values()
+    assert len({id(lat) for lat in homs}) == len(set(homs))
     tables = idm.quantaloid.compose_table.values()
     assert len({id(t) for t in tables}) == len(set(tables))
     # the dual transposes each table object once and shares the transposes alike
     dual = idm.quantaloid.op().compose_table.values()
     assert len({id(t) for t in dual}) == len({id(t) for t in tables})
     if name == "relations":
-        assert (len(idm.quantaloid.hom), len(lattices)) == (169, 53)
+        assert (len(idm.quantaloid.hom), len(lattices), len(set(homs))) == (169, 53, 9)
+
+
+def test_cli_idm_of_the_relations_quantaloid_matches_the_reference(tmp_path, capsys):
+    q = rel_quantaloid()
+    spec = {
+        "objects": list(q.objects),
+        "homs": {
+            f"{x}>{y}": {"size": lat.size, "leq": order_pairs(lat)} for (x, y), lat in q.hom.items()
+        },
+        "compose": {">".join(key): [list(row) for row in t] for key, t in q.compose_table.items()},
+        "id": dict(q.identity),
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"quantaloids": {"R": spec}}))
+    assert main(["--json", "completion", "idm", "R", "--workspace", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    hom_elements, _, identities = reference_idm_tables(q)
+    tags = list(dict.fromkeys(te for te, _ in hom_elements))
+    assert len(tags) == 13
+    assert report["objects"] == [
+        {"tag": t, "object": t.split("|")[0], "elem": int(t.split("|")[1])} for t in tags
+    ]
+    assert report["homs"] == {f"{te}>{tf}": list(fixed) for (te, tf), fixed in hom_elements.items()}
+    assert report["identities"] == identities
 
 
 @pytest.mark.parametrize("name", list(IDM_BASES))
@@ -127,6 +158,12 @@ def test_join_closed_sublattice():
     assert sub.meet2(1, 2) == 0
     pairs = [(i, j) for i, a in enumerate(elements) for j, b in enumerate(elements) if a | b == b]
     assert lattice_fields(sub) == lattice_fields(validate_sup_lattice(4, pairs))
+    # a shared order returns the lattice built first, after the join-closure check
+    shared = {}
+    square = join_closed_sublattice(cube, (0, 1, 2, 3), shared)
+    assert join_closed_sublattice(cube, (0, 2, 4, 6), shared) is square
+    with pytest.raises(ValueError, match="joins"):
+        join_closed_sublattice(cube, (0, 1, 2, 7), shared)  # the square's order, but 1 ∨ 2 = 3
 
 
 def test_idm_embedding_is_full():

@@ -415,3 +415,30 @@ def test_validate_and_fast_path_agree_with_references_on_transplanted_tables(nam
         assert got == want, key
         rejected += want is not None
     assert rejected
+
+
+def test_one_list_shared_under_keys_of_different_sizes_is_checked_under_each():
+    # the validator checks shape and range once per (table object, hom sizes),
+    # so one list object under several keys must still be judged at each;
+    # both object orders, so either key of a pair can come first
+    q = rel_quantaloid()
+    outcomes = set()
+    for objects in (q.objects, q.objects[::-1]):
+        keys = list(itertools.product(objects, repeat=3))
+        for source, other in itertools.permutations(keys, 2):
+            shared = [list(row) for row in q.compose_table[source]]
+            tables = dict(q.compose_table)
+            tables[source] = tables[other] = shared
+            got = _outcome(lambda: validate_quantaloid(objects, q.hom, tables, q.identity))
+            want = _outcome(lambda: reference_quantaloid_axioms(objects, q.hom, tables, q.identity))
+            assert got == want, (objects, source, other)
+            if want is not None and want[2] == other and keys.index(source) < keys.index(other):
+                outcomes.add(want[1].split(" has ")[-1])
+    # wrong shape and out of range at a key after one where the list passes
+    assert outcomes == {"wrong shape", "out-of-range entries"}
+
+
+def test_quantaloid_without_objects_and_its_completion():
+    q = validate_quantaloid((), {}, {}, {})
+    assert (q.objects, q.hom, q.compose_table) == ((), {}, {})
+    assert build_idm(q).objects == ()

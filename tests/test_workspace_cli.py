@@ -92,6 +92,26 @@ def test_explicit_quantaloid_document():
     assert q.identity["X"] == 1
 
 
+@pytest.mark.parametrize("homs", [{"X>Y>X>Y": {"size": 2, "leq": [[0, 1]]}}, "not a mapping"])
+def test_object_name_holding_the_key_separator_is_refused(tmp_path, capsys, homs):
+    # no hom key can name "X>Y", so the name is refused before any hom is read
+    spec = {"objects": ["X", "X>Y"], "homs": homs, "compose": {}, "id": {"X": 1, "X>Y": 1}}
+    with pytest.raises(ParseError) as exc:
+        parse_quantaloid(spec)
+    assert exc.value.witness == "X>Y"
+    assert str(exc.value) == (
+        "quantaloid: object name 'X>Y' contains '>', the separator of hom and compose keys"
+    )
+    path = write_ws(tmp_path, {"quantaloids": {"Q": spec}})
+    assert main(["completion", "idm", "Q", "--workspace", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ParseError: quantaloids.Q: object name 'X>Y' contains '>', "
+        "the separator of hom and compose keys (witness: 'X>Y')\n"
+    )
+
+
 def test_dangling_type_name_is_parse_error():
     doc = {
         "quantaloids": {"Q": "3"},
