@@ -22,7 +22,7 @@ from .lattice import (
     # as a module-boundary name of this module
     validate_sup_lattice,  # noqa: F401
 )
-from .quantaloid import QArrow, Quantaloid, _over_triples, validate_quantaloid
+from .quantaloid import QArrow, Quantaloid, at_triples, validate_quantaloid
 from .semicat import (
     DEFAULT_CAP,
     SemiCategory,
@@ -106,7 +106,7 @@ def build_idm(q: Quantaloid) -> IdmQuantaloid:
     pos = [{b: i for i, b in enumerate(fixed)} for _, _, fixed in fixed_sets]
 
     # each table maps whole base rows through the fixed-element positions
-    keys = list(zip(*_over_triples(pair_id, n)))
+    keys = list(zip(*at_triples(pair_id, n)))
     interned, built = {}, {}
     for key in dict.fromkeys(keys):
         (x, y, fixed_ef), (_, z, fixed_fg) = fixed_sets[key[0]], fixed_sets[key[1]]

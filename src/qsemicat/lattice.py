@@ -160,7 +160,7 @@ def validate_sup_lattice(size: int, pairs) -> SupLattice:
     return SupLattice(size, frozen_leq, bottom, frozen_join, frozen_meet)
 
 
-def join_closed_sublattice(lat: SupLattice, elements, shared=None) -> SupLattice:
+def join_closed_sublattice(lat: SupLattice, elements, shared: dict) -> SupLattice:
     """The sub-order on ``elements`` (distinct base indices, holding the
     base bottom and closed under the base's binary joins).
 
@@ -170,10 +170,8 @@ def join_closed_sublattice(lat: SupLattice, elements, shared=None) -> SupLattice
     meet of s and t is the greatest element below the base meet s∧t, the
     join of the elements below it, which is one of them.  Raises
     ``ValueError`` when the elements miss the bottom or a binary join.
-    ``shared``, when given, maps the order of every lattice returned so far
-    to that lattice; an equal lattice is returned from it, not built again.
+    An order already in ``shared`` returns its lattice; a new one is added.
     """
-    shared = {} if shared is None else shared
     pos = {b: i for i, b in enumerate(elements)}
     if lat.bottom not in pos:
         raise ValueError("the elements do not hold the bottom")

@@ -206,12 +206,11 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     maps each object to an element of its endo-hom.
 
     The unit laws, preservation of bottom and binary joins in each argument,
-    and associativity are all verified.  Shape, range and the copy into
-    interned tuples are decided once per (table object, sizes of hom(x,y),
-    hom(y,z) and hom(x,z)), in first-key order, and the unit laws on whole
-    rows.  The other axioms are decided by :func:`_axioms_hold`, and only
-    when that fails do the exhaustive loops run, to raise the first failure
-    in their order with its witness.
+    and associativity are all verified.  Shape, range and interning are
+    checked once per (table object, hom sizes), in first-key order, and the
+    unit laws on whole rows.  The other axioms are decided by
+    :func:`_axioms_hold`, and only when that fails do the exhaustive loops
+    run, to raise the first failure in their order with its witness.
     """
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
@@ -236,7 +235,7 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     present = keys[: keys.index(missing)] if missing is not None else keys
     raws = list(map(compose.__getitem__, present))
     sizes = [homs[key].size for key in pairs]
-    instances = list(zip(map(id, raws), *_over_triples(sizes, len(objects))))
+    instances = list(zip(map(id, raws), *at_triples(sizes, len(objects))))
     raw_of = dict(zip(map(id, raws), raws))
     interned, table_of = {}, {}  # content -> the one tuple equal tables become; instance -> it
     for instance in dict.fromkeys(instances):
@@ -285,9 +284,9 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     return q
 
 
-def _over_triples(values, n):
-    """From values over the pairs of n objects, in product order, those at (a, b),
-    at (b, c) and at (a, c), each over the triples (a, b, c) in product order."""
+def at_triples(values, n):
+    """Product-order layout: from values over the pairs (a, b) of n objects, those
+    at (a, b), at (b, c) and at (a, c) of each triple (a, b, c), in product order."""
     return (
         chain.from_iterable(map(repeat, values, repeat(n))),
         chain.from_iterable(repeat(values, n)),
@@ -415,15 +414,13 @@ def _axioms_hold(objects, homs, tables) -> bool:
     # per (y, z, w): the tables at (x, y, z), (x, z, w), (x, y, w), hom(x, y),
     # and the table at (y, z, w), hom(y, z) and hom(z, w)
     at_y = chain.from_iterable(map(repeat, lat_col, repeat(n * n)))
-    quads = per_x(zip(*_over_triples(tab_col, n), at_y, table_id, *_over_triples(lat_id, n)[:2]), 4)
+    quads = per_x(zip(*at_triples(tab_col, n), at_y, table_id, *at_triples(lat_id, n)[:2]), 4)
     for txyz, txzw, txyw, lxy, tyzw, lyz, lzw in quads:
-        fs, gs, hs = irr[lxy], irr[lyz], irr[lzw]
-        if not (fs and gs and hs):
-            continue  # a one-element hom has no join-irreducibles to check
+        fs = irr[lxy]
         before, after, outer = by_id[txyz], by_id[txzw], by_id[txyw]
-        for h in hs:
+        for h in irr[lzw]:
             h_row, hg = after[h].__getitem__, by_id[tyzw][h]
-            for g in gs:
+            for g in irr[lyz]:
                 # h∘(g∘f) == (h∘g)∘f for every join-irreducible f
                 g_row, hg_row = before[g].__getitem__, outer[hg[g]].__getitem__
                 if not all(map(eq, map(h_row, map(g_row, fs)), map(hg_row, fs))):

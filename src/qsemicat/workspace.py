@@ -144,8 +144,7 @@ def parse_quantaloid(spec, where="quantaloid", cap=DEFAULT_CAP) -> Quantaloid:
     objects = [str(x) for x in _need_list(spec, "objects", where)]
     for x in objects:
         if ">" in x:
-            sep = "the separator of hom and compose keys"
-            raise ParseError(f"{where}: object name {x!r} contains '>', {sep}", witness=x)
+            raise ParseError(f"{where}: object name {x!r} holds the key separator '>'", witness=x)
     homs = {}
     for key, lat_spec in _need_dict(spec, "homs", where).items():
         parts = key.split(">")

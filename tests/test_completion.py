@@ -149,12 +149,12 @@ def test_join_closed_sublattice():
     # subsets of {0, 1, 2} as bitmasks
     cube = validate_sup_lattice(8, [(i, j) for i in range(8) for j in range(8) if i | j == j])
     with pytest.raises(ValueError, match="bottom"):
-        join_closed_sublattice(cube, (1, 3, 7))
+        join_closed_sublattice(cube, (1, 3, 7), {})
     with pytest.raises(ValueError, match="joins"):
-        join_closed_sublattice(cube, (0, 1, 2))  # 1 ∨ 2 = 3 missing
+        join_closed_sublattice(cube, (0, 1, 2), {})  # 1 ∨ 2 = 3 missing
     # join-closed but not meet-closed: {0,1} ∧ {1,2} = {1} is outside, so the meet is ∅
     elements = (0, 3, 6, 7)
-    sub = join_closed_sublattice(cube, elements)
+    sub = join_closed_sublattice(cube, elements, {})
     assert sub.meet2(1, 2) == 0
     pairs = [(i, j) for i, a in enumerate(elements) for j, b in enumerate(elements) if a | b == b]
     assert lattice_fields(sub) == lattice_fields(validate_sup_lattice(4, pairs))

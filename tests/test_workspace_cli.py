@@ -99,16 +99,14 @@ def test_object_name_holding_the_key_separator_is_refused(tmp_path, capsys, homs
     with pytest.raises(ParseError) as exc:
         parse_quantaloid(spec)
     assert exc.value.witness == "X>Y"
-    assert str(exc.value) == (
-        "quantaloid: object name 'X>Y' contains '>', the separator of hom and compose keys"
-    )
+    assert str(exc.value) == "quantaloid: object name 'X>Y' holds the key separator '>'"
     path = write_ws(tmp_path, {"quantaloids": {"Q": spec}})
     assert main(["completion", "idm", "Q", "--workspace", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "ParseError: quantaloids.Q: object name 'X>Y' contains '>', "
-        "the separator of hom and compose keys (witness: 'X>Y')\n"
+        "ParseError: quantaloids.Q: object name 'X>Y' holds the key separator '>' "
+        "(witness: 'X>Y')\n"
     )
 
 
