@@ -126,9 +126,7 @@ def build_idm(q: Quantaloid) -> IdmQuantaloid:
 def idm_lifting(q: Quantaloid, e: QArrow, f: QArrow, g: QArrow, b: int, c: int) -> int:
     """The lifting in the completion: g∘[c,b]∘e, as a base element.
 
-    ``b`` is an arrow e -> f and ``c`` an arrow g -> f.  The closed form is
-    checked against the exhaustive maximum over the fixed-arrow hom before
-    being returned.
+    ``b`` is an arrow e -> f and ``c`` an arrow g -> f.
     """
     for idem in (e, f, g):
         if idem.dom != idem.cod or q.compose_elems(
@@ -139,22 +137,7 @@ def idm_lifting(q: Quantaloid, e: QArrow, f: QArrow, g: QArrow, b: int, c: int) 
     _require_fixed(q, g, f, c)
     A, B, C = e.dom, f.dom, g.dom
     core = q.lifting_elem(A, C, B, c, b)
-    result = q.compose_elems(A, A, C, q.compose_elems(A, C, C, g.elem, core), e.elem)
-
-    lat_ac = q.hom_lat(A, C)
-    lat_ab = q.hom_lat(A, B)
-    best = lat_ac.join(
-        d
-        for d in range(lat_ac.size)
-        if q.compose_elems(A, A, C, d, e.elem) == d
-        and q.compose_elems(A, C, C, g.elem, d) == d
-        and lat_ab.le(q.compose_elems(A, C, B, c, d), b)
-    )
-    if best != result:
-        raise AssertionError(
-            f"closed-form lifting {result} disagrees with exhaustive maximum {best}"
-        )
-    return result
+    return q.compose_elems(A, A, C, q.compose_elems(A, C, C, g.elem, core), e.elem)
 
 
 def _require_fixed(q, e, f, arrow_elem):

@@ -54,9 +54,6 @@ class FinitePoset:
     def le(self, x, y) -> bool:
         return self.leq[(x, y)]
 
-    def __len__(self):
-        return len(self.elements)
-
     def __repr__(self):
         return f"FinitePoset({list(self.elements)})"
 

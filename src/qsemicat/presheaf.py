@@ -81,12 +81,6 @@ class Presheaf:
     def value(self, a) -> int:
         return self.values[self.carrier.objects.index_of(a)]
 
-    def arrow(self, a) -> QArrow:
-        ta = self.carrier.type_of(a)
-        if self.variance == CONTRA:
-            return QArrow(self.qtype, ta, self.value(a))
-        return QArrow(ta, self.qtype, self.value(a))
-
     def as_semidistributor(self) -> SemiDistributor:
         # the values are a column on the carrier, or a row when covariant
         unit = unit_category(self.carrier.base, self.qtype)

@@ -26,7 +26,7 @@ from .lattice import SupLattice, named_lattice
 
 
 class QArrow(NamedTuple):
-    """An arrow of a quantaloid: an element of the hom-lattice hom(dom, cod)."""
+    """An element of the hom-lattice hom(dom, cod), naming an idempotent or a witness."""
 
     dom: str
     cod: str
@@ -34,7 +34,10 @@ class QArrow(NamedTuple):
 
 
 class Quantaloid:
-    """A validated finite quantaloid.  Use :func:`validate_quantaloid` to build one."""
+    """A validated finite quantaloid, operated on by element index.
+
+    Use :func:`validate_quantaloid` to build one.
+    """
 
     __slots__ = (
         "objects",
@@ -76,7 +79,7 @@ class Quantaloid:
             self._op._op = self
         return self._op
 
-    # -- raw element-level operations ------------------------------------
+    # -- element-level operations ----------------------------------------
 
     def hom_lat(self, x, y) -> SupLattice:
         try:
@@ -114,72 +117,6 @@ class Quantaloid:
             )
             self._lift[key] = table
         return table
-
-    # -- arrow-level interface --------------------------------------------
-
-    def arrow(self, x, y, elem: int) -> QArrow:
-        lat = self.hom_lat(x, y)
-        if not 0 <= elem < lat.size:
-            raise TypeMismatch(
-                f"element {elem} out of range for hom({x!r}, {y!r})", witness=(x, y, elem)
-            )
-        return QArrow(x, y, elem)
-
-    def arrows(self, x, y):
-        return [QArrow(x, y, e) for e in range(self.hom_lat(x, y).size)]
-
-    def id_arrow(self, x) -> QArrow:
-        return QArrow(x, x, self.identity[x])
-
-    def bottom_arrow(self, x, y) -> QArrow:
-        return QArrow(x, y, self.hom_lat(x, y).bottom)
-
-    def top_arrow(self, x, y) -> QArrow:
-        return QArrow(x, y, self.hom_lat(x, y).top)
-
-    def compose(self, g: QArrow, f: QArrow) -> QArrow:
-        if g.dom != f.cod:
-            raise TypeMismatch(f"cannot compose {g} after {f}", witness=(g, f))
-        return QArrow(f.dom, g.cod, self.compose_elems(f.dom, f.cod, g.cod, g.elem, f.elem))
-
-    def leq(self, a: QArrow, b: QArrow) -> bool:
-        if (a.dom, a.cod) != (b.dom, b.cod):
-            raise TypeMismatch(f"cannot compare {a} with {b}", witness=(a, b))
-        return self.hom_lat(a.dom, a.cod).le(a.elem, b.elem)
-
-    def join_arrows(self, arrows, dom=None, cod=None) -> QArrow:
-        arrows = list(arrows)
-        if not arrows:
-            if dom is None or cod is None:
-                raise TypeMismatch("empty join needs explicit dom and cod")
-            return self.bottom_arrow(dom, cod)
-        dom, cod = arrows[0].dom, arrows[0].cod
-        if any((a.dom, a.cod) != (dom, cod) for a in arrows):
-            raise TypeMismatch("join of arrows with different endpoints", witness=arrows)
-        return QArrow(dom, cod, self.hom_lat(dom, cod).join(a.elem for a in arrows))
-
-    def meet_arrows(self, arrows, dom=None, cod=None) -> QArrow:
-        arrows = list(arrows)
-        if not arrows:
-            if dom is None or cod is None:
-                raise TypeMismatch("empty meet needs explicit dom and cod")
-            return self.top_arrow(dom, cod)
-        dom, cod = arrows[0].dom, arrows[0].cod
-        if any((a.dom, a.cod) != (dom, cod) for a in arrows):
-            raise TypeMismatch("meet of arrows with different endpoints", witness=arrows)
-        return QArrow(dom, cod, self.hom_lat(dom, cod).meet(a.elem for a in arrows))
-
-    def lifting(self, c: QArrow, b: QArrow) -> QArrow:
-        """Largest d with c∘d <= b.  Requires cod(c) = cod(b)."""
-        if c.cod != b.cod:
-            raise TypeMismatch(f"lifting needs a common codomain: {c}, {b}", witness=(c, b))
-        return QArrow(b.dom, c.dom, self.lifting_elem(b.dom, c.dom, c.cod, c.elem, b.elem))
-
-    def extension(self, c: QArrow, b: QArrow) -> QArrow:
-        """Largest d with d∘c <= b.  Requires dom(c) = dom(b)."""
-        if c.dom != b.dom:
-            raise TypeMismatch(f"extension needs a common domain: {c}, {b}", witness=(c, b))
-        return QArrow(c.cod, b.cod, self.extension_elem(c.dom, c.cod, b.cod, c.elem, b.elem))
 
     def __eq__(self, other):
         if self is other:

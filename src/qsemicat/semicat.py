@@ -58,9 +58,6 @@ class TypedSet:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.names)
-
     def __contains__(self, name):
         return name in self._pos
 
@@ -217,9 +214,6 @@ class SemiFunctor:
         self.dom = dom
         self.cod = cod
         self.map = mapping
-
-    def __call__(self, a):
-        return self.map[a]
 
     def __eq__(self, other):
         if not isinstance(other, SemiFunctor):

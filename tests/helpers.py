@@ -401,34 +401,26 @@ def outcome(run):
         return type(exc), str(exc), exc.witness
 
 
-def oracle_lifting(q, c: QArrow, b: QArrow) -> int:
-    """Brute-force largest d with c∘d <= b, independent of the cached tables.
+def oracle_lifting(q, x, y, z, c: int, b: int) -> int:
+    """Brute-force largest d in hom(x,y) with c∘d <= b, for c in hom(y,z) and
+    b in hom(x,z), independent of the cached tables.
 
     Scans every candidate, keeps the satisfying ones, and returns the one
     that dominates all others (asserting it exists rather than joining).
     """
-    lat_d = q.hom_lat(b.dom, c.dom)
-    lat_b = q.hom_lat(b.dom, b.cod)
-    good = [
-        d
-        for d in range(lat_d.size)
-        if lat_b.le(q.compose_table[(b.dom, c.dom, c.cod)][c.elem][d], b.elem)
-    ]
-    best = [d for d in good if all(lat_d.le(x, d) for x in good)]
+    lat_d, lat_b = q.hom_lat(x, y), q.hom_lat(x, z)
+    good = [d for d in range(lat_d.size) if lat_b.le(q.compose_table[(x, y, z)][c][d], b)]
+    best = [d for d in good if all(lat_d.le(e, d) for e in good)]
     assert len(best) == 1, "lifting candidates have no unique maximum"
     return best[0]
 
 
-def oracle_extension(q, c: QArrow, b: QArrow) -> int:
-    """Brute-force largest d with d∘c <= b."""
-    lat_d = q.hom_lat(c.cod, b.cod)
-    lat_b = q.hom_lat(b.dom, b.cod)
-    good = [
-        d
-        for d in range(lat_d.size)
-        if lat_b.le(q.compose_table[(c.dom, c.cod, b.cod)][d][c.elem], b.elem)
-    ]
-    best = [d for d in good if all(lat_d.le(x, d) for x in good)]
+def oracle_extension(q, x, y, z, c: int, b: int) -> int:
+    """Brute-force largest d in hom(y,z) with d∘c <= b, for c in hom(x,y) and
+    b in hom(x,z)."""
+    lat_d, lat_b = q.hom_lat(y, z), q.hom_lat(x, z)
+    good = [d for d in range(lat_d.size) if lat_b.le(q.compose_table[(x, y, z)][d][c], b)]
+    best = [d for d in good if all(lat_d.le(e, d) for e in good)]
     assert len(best) == 1, "extension candidates have no unique maximum"
     return best[0]
 
@@ -919,6 +911,24 @@ def reference_idm_tables(q):
                 ]
     identities = {tag(e): pos[(tag(e), tag(e))][e.elem] for e in objs}
     return hom_elements, compose, identities
+
+
+def reference_idm_lifting(q, e, f, g, b: int, c: int) -> int:
+    """The lifting [c, b] in the idempotent completion by exhaustion, for b an
+    arrow e -> f and c an arrow g -> f: the largest d in hom(e.dom, g.dom)
+    fixed by e and g with c∘d <= b, asserted to be unique."""
+    A, B, C = e.dom, f.dom, g.dom
+    lat_ac, lat_ab = q.hom_lat(A, C), q.hom_lat(A, B)
+    good = [
+        d
+        for d in range(lat_ac.size)
+        if q.compose_table[(A, A, C)][d][e.elem] == d
+        and q.compose_table[(A, C, C)][g.elem][d] == d
+        and lat_ab.le(q.compose_table[(A, C, B)][c][d], b)
+    ]
+    best = [d for d in good if all(lat_ac.le(x, d) for x in good)]
+    assert len(best) == 1, "completion lifting candidates have no unique maximum"
+    return best[0]
 
 
 def reference_rsdist_isomorphism_search(A, B, cap=DEFAULT_CAP):

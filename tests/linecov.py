@@ -1,0 +1,129 @@
+"""Statement coverage of ``src/qsemicat`` with the standard library alone.
+
+A pytest plugin on :func:`sys.settrace`; no coverage package is needed.
+Run it from the repository root with ``tests`` on the path:
+
+    PYTHONPATH=src:tests python -m pytest -q -p linecov
+
+At the end of the session it prints, per module, the statements that never
+ran, as line ranges.  A statement counts as run when any line of its own
+text ran (so a call spread over several lines counts once), and a compound
+statement also when any statement in its body ran.  Docstrings are not
+statements.  Code run in subprocesses (the demo and CLI entry point tests)
+is not traced.  Tracing makes the suite several times slower.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import threading
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qsemicat"
+_hits: dict = {}  # file name -> line numbers that ran
+_local: dict = {}  # code file name -> its local trace function, or None outside the package
+
+
+def _trace(frame, event, arg):
+    name = frame.f_code.co_filename
+    try:
+        return _local[name]
+    except KeyError:
+        pass
+    path = Path(name).resolve()
+    if path.parent != PACKAGE:
+        _local[name] = None
+        return None
+    lines = _hits.setdefault(str(path), set())
+
+    def local(frame, event, arg, add=lines.add):
+        if event == "line":
+            add(frame.f_lineno)
+        return local
+
+    _local[name] = local
+    return local
+
+
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_docstring(node) -> bool:
+    return (
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def _body_statements(node):
+    """The statements nested directly in a compound statement."""
+    for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+        for child in getattr(node, field, ()):
+            if isinstance(child, ast.stmt):
+                yield child
+            else:  # an except handler or a match case holds statements
+                yield from child.body
+
+
+def statements(source: str):
+    """The statements of a module, each with its parent and its own lines:
+    the lines of its text outside the statements nested in it."""
+    tree = ast.parse(source)
+    out, owner = [], {}
+    pending = [(tree, None)]
+    while pending:
+        node, parent = pending.pop()
+        children = list(_body_statements(node))
+        for i, child in enumerate(children):
+            if not (i == 0 and isinstance(node, _DOCUMENTED) and _is_docstring(child)):
+                pending.append((child, node if isinstance(node, ast.stmt) else None))
+        if isinstance(node, ast.Module):
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        nested = {line for child in children for line in range(child.lineno, child.end_lineno + 1)}
+        own = [line for line in range(first, node.end_lineno + 1) if line not in nested]
+        out.append((node, parent, own))
+        for line in own:
+            owner[line] = node
+    return out, owner
+
+
+def never_ran(path: Path, hits):
+    """The first lines of the statements of ``path`` that never ran, and the
+    number of its statements."""
+    stmts, owner = statements(path.read_text(encoding="utf-8"))
+    ran = {owner[line] for line in hits if line in owner}
+    parent_of = {node: parent for node, parent, _ in stmts}
+    for node in list(ran):
+        parent = parent_of[node]
+        while parent is not None and parent not in ran:
+            ran.add(parent)
+            parent = parent_of[parent]
+    return sorted(node.lineno for node, _, _ in stmts if node not in ran), len(stmts)
+
+
+def _ranges(lines):
+    spans = []
+    for line in lines:
+        if spans and line == spans[-1][1] + 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def pytest_configure(config):
+    threading.settrace(_trace)
+    sys.settrace(_trace)
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    sys.settrace(None)
+    threading.settrace(None)
+    terminalreporter.write_sep("-", "statements of src/qsemicat that never ran")
+    for path in sorted(PACKAGE.glob("*.py")):
+        missing, total = never_ran(path, _hits.get(str(path), ()))
+        line = f"{path.name}: {len(missing)} of {total}"
+        terminalreporter.write_line(line + (f": {_ranges(missing)}" if missing else ""))

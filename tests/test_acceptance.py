@@ -66,6 +66,7 @@ from helpers import (
     chain3_A,
     chain3_C,
     downsets_of_poset,
+    reference_idm_lifting,
     reference_way_below,
     regular_semicats,
     rows_to_pairs,
@@ -259,6 +260,7 @@ def test_criterion_06_lifting_coherence(small_regular_family):
                         for c in idm.hom_elements[(idm.tag(g), idm.tag(f))]:
                             d = idm_lifting(q, e, f, g, b, c)
                             assert d in idm.hom_elements[(idm.tag(e), idm.tag(g))]
+                            assert d == reference_idm_lifting(q, e, f, g, b, c)
 
 
 def test_criterion_07_interpolation_is_regularity():

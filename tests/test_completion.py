@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -26,6 +28,7 @@ from helpers import (
     endomap_quantaloid,
     lattice_fields,
     order_pairs,
+    reference_idm_lifting,
     reference_idm_tables,
     reference_sup_lattice,
     rel_quantaloid,
@@ -180,7 +183,7 @@ def test_idm_lifting_base_identities_reduce_to_base_lifting():
         e = QArrow(x, x, q.identity[x])
         for b in range(q.hom_lat(x, x).size):
             for c in range(q.hom_lat(x, x).size):
-                expected = q.lifting(QArrow(x, x, c), QArrow(x, x, b)).elem
+                expected = q.lifting_elem(x, x, x, c, b)
                 assert idm_lifting(q, e, e, e, b, c) == expected
 
 
@@ -200,6 +203,32 @@ def test_idm_lifting_rejects_untyped_arrows():
         idm_lifting(Q3, e, e, e, 2, 1)  # 1 is not fixed by e
     with pytest.raises(NotIdempotent):
         idm_lifting(lukasiewicz3(), QArrow("*", "*", 1), e, e, 0, 0)
+
+
+def _idm_lifting_cases(q):
+    """Every idempotent triple (e, f, g) with every arrow b: e -> f and c: g -> f."""
+    idm = build_idm(q)
+    hom = lambda s, t: idm.hom_elements[(idm.tag(s), idm.tag(t))]
+    return [
+        (e, f, g, b, c)
+        for e, f, g in itertools.product(idm.objects, repeat=3)
+        for b in hom(e, f)
+        for c in hom(g, f)
+    ]
+
+
+@pytest.mark.parametrize("qname", ["3", "frame:square"])
+def test_idm_lifting_closed_form_matches_exhaustive_maximum(qname):
+    q = builtin_quantaloid(qname)
+    for case in _idm_lifting_cases(q):
+        assert idm_lifting(q, *case) == reference_idm_lifting(q, *case)
+
+
+def test_idm_lifting_closed_form_matches_exhaustive_maximum_on_relations():
+    # a seeded sample of the 15,652 cases, over both object types
+    q = rel_quantaloid()
+    for case in random.Random(0).sample(_idm_lifting_cases(q), 2000):
+        assert idm_lifting(q, *case) == reference_idm_lifting(q, *case)
 
 
 def test_split_idempotent_examples():
@@ -265,7 +294,7 @@ def test_build_idm_multi_object_base():
     for x in q.objects:
         tag = f"{x}|{q.identity[x]}"
         assert idm.hom_elements[(tag, tag)] == tuple(range(q.hom_lat(x, x).size))
-    # liftings verify their exhaustive characterisation across object types
+    # liftings match their exhaustive characterisation across object types
     for e in idm.objects[:4]:
         for f in idm.objects[:4]:
             for g in idm.objects[:4]:
@@ -273,6 +302,7 @@ def test_build_idm_multi_object_base():
                     for c in idm.hom_elements[(idm.tag(g), idm.tag(f))][:3]:
                         d = idm_lifting(q, e, f, g, b, c)
                         assert d in idm.hom_elements[(idm.tag(e), idm.tag(g))]
+                        assert d == reference_idm_lifting(q, e, f, g, b, c)
 
 
 def test_verify_rsdist_mixed_types():

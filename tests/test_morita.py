@@ -252,10 +252,28 @@ def certificate_families():
     }
 
 
-def test_rsdist_search_matches_exhaustive_reference(certificate_families):
+@pytest.fixture(scope="module")
+def beyond_frame_families():
+    """Pairs of regular semicategories over bases that are not frames, by family.
+
+    On a frame composition is meet, so a swapped argument in a matrix kernel
+    cannot show.  Fixed-seed samples of the pairs of the endomap family of
+    ``presheaf_families``, where composition does not commute, and of the
+    regular members of its relations family, which has two types.
+    """
+    families = presheaf_families()
+    endomaps = families["endomaps"]
+    relations = [A for A in families["relations"] if A.is_regular]
+    return {
+        "endomaps": random.Random(0).sample([(A, B) for A in endomaps for B in endomaps], 40),
+        "relations": random.Random(0).sample([(A, B) for A in relations for B in relations], 60),
+    }
+
+
+def test_rsdist_search_matches_exhaustive_reference(certificate_families, beyond_frame_families):
     # the adjoint route must return the very pair the Φ×Ψ double loop finds first
     isomorphisms = {}
-    for family, pairs in certificate_families.items():
+    for family, pairs in {**certificate_families, **beyond_frame_families}.items():
         isomorphisms[family] = 0
         for A, B in pairs:
             found = rsdist_isomorphism_search(A, B)
@@ -263,6 +281,14 @@ def test_rsdist_search_matches_exhaustive_reference(certificate_families):
             isomorphisms[family] += found is not None
         assert 0 < isomorphisms[family] < len(pairs), family
     assert isomorphisms["3obj"] == 2
+
+
+def test_ra_isomorphism_agrees_with_certificate_search_beyond_frames(beyond_frame_families):
+    # the verdict of RA ≅ RB against the certificate search, which ran in full
+    for family, pairs in beyond_frame_families.items():
+        for A, B in pairs:
+            res = morita_equivalent(A, B, cap=10**5)
+            assert res.cross_check == "agreed", (family, A.hom, B.hom)
 
 
 def test_enumerate_regular_semidists_matches_matrix_space_filter(certificate_families):

@@ -1,5 +1,7 @@
 """Law tests over randomly drawn finite structures."""
 
+from functools import partial
+
 from hypothesis import given, strategies as st
 
 from qsemicat import (
@@ -97,47 +99,46 @@ def parallel_semidists(draw, count=1):
 @given(quantaloid_and_arrows(3))
 def test_residuation_adjointness(data):
     q, (x, y, z, _) = data
-    for c in q.arrows(y, z):
-        for b in q.arrows(x, z):
-            lift = q.lifting(c, b)
-            for d in q.arrows(x, y):
-                assert q.leq(q.compose(c, d), b) == q.leq(d, lift)
+    lxy, lxz = q.hom_lat(x, y), q.hom_lat(x, z)
+    for c in range(q.hom_lat(y, z).size):
+        for b in range(lxz.size):
+            lift = q.lifting_elem(x, y, z, c, b)
+            for d in range(lxy.size):
+                assert lxz.le(q.compose_elems(x, y, z, c, d), b) == lxy.le(d, lift)
 
 
 @given(quantaloid_and_arrows(2))
 def test_lifting_preserves_meets_in_target(data):
     q, (x, y, z) = data
-    for c in q.arrows(y, z):
-        bs = q.arrows(x, z)
+    lxy, lxz = q.hom_lat(x, y), q.hom_lat(x, z)
+    for c in range(q.hom_lat(y, z).size):
+        lift = partial(q.lifting_elem, x, y, z, c)
+        bs = range(lxz.size)
         for b1 in bs:
             for b2 in bs:
-                lhs = q.lifting(c, q.meet_arrows([b1, b2]))
-                rhs = q.meet_arrows([q.lifting(c, b1), q.lifting(c, b2)])
-                assert lhs == rhs
+                assert lift(lxz.meet([b1, b2])) == lxy.meet([lift(b1), lift(b2)])
 
 
 @given(quantaloid_and_arrows(2))
 def test_lifting_turns_joins_into_meets(data):
     q, (x, y, z) = data
-    for b in q.arrows(x, z):
-        cs = q.arrows(y, z)
+    lxy, lyz = q.hom_lat(x, y), q.hom_lat(y, z)
+    lift = partial(q.lifting_elem, x, y, z)
+    for b in range(q.hom_lat(x, z).size):
+        cs = range(lyz.size)
         for c1 in cs:
             for c2 in cs:
-                lhs = q.lifting(q.join_arrows([c1, c2]), b)
-                rhs = q.meet_arrows([q.lifting(c1, b), q.lifting(c2, b)])
-                assert lhs == rhs
+                assert lift(lyz.join([c1, c2]), b) == lxy.meet([lift(c1, b), lift(c2, b)])
 
 
 @given(quantaloid_and_arrows(1), st.data())
 def test_compose_preserves_random_joins(data, rand):
     q, (x, y) = data
-    arrows = q.arrows(x, x)
-    subset = rand.draw(st.lists(st.sampled_from(arrows), max_size=4))
-    f = rand.draw(st.sampled_from(q.arrows(y, x)))
-    joined = q.join_arrows(subset, dom=x, cod=x)
-    lhs = q.compose(joined, f)
-    rhs = q.join_arrows([q.compose(s, f) for s in subset], dom=y, cod=x)
-    assert lhs == rhs
+    lxx, lyx = q.hom_lat(x, x), q.hom_lat(y, x)
+    subset = rand.draw(st.lists(st.sampled_from(range(lxx.size)), max_size=4))
+    f = rand.draw(st.sampled_from(range(lyx.size)))
+    compose = partial(q.compose_elems, y, x, x)
+    assert compose(lxx.join(subset), f) == lyx.join(compose(s, f) for s in subset)
 
 
 def sandwich(A, raw, B):

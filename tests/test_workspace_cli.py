@@ -12,9 +12,9 @@ from qsemicat import (
     is_yoneda_presheaf,
     presheaf_hom_elem,
 )
-from qsemicat.cli import main
+from qsemicat.cli import build_parser, main
 from qsemicat.presheaf import CO, CONTRA
-from qsemicat.workspace import load_workspace, parse_quantaloid, validate_report
+from qsemicat.workspace import load_path, load_workspace, parse_quantaloid, validate_report
 from helpers import dumps_repeating_key
 
 THREE_CHAIN_WS = {
@@ -239,6 +239,126 @@ def test_cap_below_one_is_rejected(tmp_path, capsys, cap):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"got {cap}" in captured.err
+
+
+@pytest.mark.parametrize("cap", ["x", "1.5", "1e3"])
+def test_non_integer_cap_is_a_usage_error(tmp_path, capsys, cap):
+    path = write_ws(tmp_path, THREE_CHAIN_WS)
+    with pytest.raises(SystemExit) as exc:
+        main(["--cap", cap, "presheaves", path, "A"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == build_parser().format_usage() + (
+        f"qsemicat: error: argument --cap: cap must be an integer, got {cap!r}\n"
+    )
+
+
+SEMICAT_A = {"quantaloids": {"Q": "3"}, "semicategories": {"A": one_object_semicat(1)}}
+
+
+def semicat_a(**change):
+    """SEMICAT_A with fields of the semicategory A replaced."""
+    doc = json.loads(json.dumps(SEMICAT_A))
+    doc["semicategories"]["A"].update(change)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, error, message, witness",
+    [
+        (semicat_a(objects="*"), ParseError, "semicategories.A: 'objects' must be a list", "*"),
+        (
+            semicat_a(hom=[["*", "*"]]),
+            ParseError,
+            "semicategories.A: bad hom triple ['*', '*']",
+            ["*", "*"],
+        ),
+        (
+            {"quantaloids": {"Q": explicit_quantaloid(homs={"X>X": 2})}},
+            ParseError,
+            "quantaloids.Q.homs[X>X]: expected a name or an object",
+            2,
+        ),
+        (
+            {"quantaloids": {"Q": explicit_quantaloid(homs={"X": "2"})}},
+            ParseError,
+            "quantaloids.Q: bad hom key 'X'",
+            "X",
+        ),
+        (
+            {"quantaloids": {"Q": explicit_quantaloid(compose={"X>X": [[0, 0], [0, 1]]})}},
+            ParseError,
+            "quantaloids.Q: bad compose key 'X>X'",
+            "X>X",
+        ),
+        (
+            {"semicategories": [SEMICAT_A["semicategories"]["A"]]},
+            ParseError,
+            "section 'semicategories' must map names to objects",
+            "semicategories",
+        ),
+        (
+            {"quantaloids": {"Q": explicit_quantaloid(objects=["X", "X"])}},
+            TypeMismatch,
+            "duplicate object names",
+            ("X", "X"),
+        ),
+        (
+            {"quantaloids": {"Q": explicit_quantaloid(objects=["X", "Y"])}},
+            TypeMismatch,
+            "missing hom-lattice ('X', 'Y')",
+            ("X", "Y"),
+        ),
+        (
+            {"quantaloids": {"Q": explicit_quantaloid(id={"X": 2})}},
+            TypeMismatch,
+            "identity for 'X' out of range",
+            "X",
+        ),
+    ],
+    ids=[
+        "non-list-field",
+        "short-hom-triple",
+        "scalar-lattice-spec",
+        "one-part-hom-key",
+        "two-part-compose-key",
+        "list-section",
+        "duplicate-quantaloid-objects",
+        "missing-hom-lattice",
+        "identity-out-of-range",
+    ],
+)
+def test_malformed_input_is_refused_with_its_witness(
+    tmp_path, capsys, doc, error, message, witness
+):
+    # the loader and the quantaloid validator name the offending value, and
+    # the CLI prints that one line and exits 1, with no traceback
+    with pytest.raises(error) as exc:
+        load_workspace(doc)
+    assert type(exc.value) is error
+    assert str(exc.value) == message and exc.value.witness == witness
+    path = write_ws(tmp_path, doc)
+    assert main(["completion", "idm", "Q", "--workspace", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{error.__name__}: {message} (witness: {witness!r})\n"
+
+
+def test_invalid_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    text = '{"quantaloids": {"Q": "3"},}'
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    message = f"invalid JSON in {path}: {decode.value}"
+    with pytest.raises(ParseError) as exc:
+        load_path(str(path))
+    assert str(exc.value) == message and exc.value.witness is None
+    for argv in (["validate", str(path)], ["morita", str(path), "A", "A"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"ParseError: {message}\n"
 
 
 def chain_spec(n):
