@@ -15,7 +15,7 @@ from qsemicat import (
     is_yoneda_presheaf,
     map_j,
     map_k,
-    presheaf_hom,
+    presheaf_hom_elem,
     validate_semicategory,
 )
 
@@ -40,17 +40,17 @@ image = {map_k(A, t) for t in regular}
 print(f"\nimage of k = Yoneda presheaves: {image == yoneda_set}")
 
 ok_ij = all(
-    presheaf_hom(phi, psi) == presheaf_hom(phi, map_j(A, psi))
+    presheaf_hom_elem(phi, psi) == presheaf_hom_elem(phi, map_j(A, psi))
     for phi in regular
     for psi in pool
 )
 ok_jk = all(
-    presheaf_hom(map_j(A, psi), theta) == presheaf_hom(psi, map_k(A, theta))
+    presheaf_hom_elem(map_j(A, psi), theta) == presheaf_hom_elem(psi, map_k(A, theta))
     for psi in pool
     for theta in regular
 )
 ok_ff = all(
-    presheaf_hom(t1, t2) == presheaf_hom(map_k(A, t1), map_k(A, t2))
+    presheaf_hom_elem(t1, t2) == presheaf_hom_elem(map_k(A, t1), map_k(A, t2))
     for t1 in regular
     for t2 in regular
 )

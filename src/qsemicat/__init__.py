@@ -89,7 +89,6 @@ from .presheaf import (
     is_yoneda_presheaf,
     map_j,
     map_k,
-    presheaf_hom,
     presheaf_hom_elem,
     unit_category,
     weighted_colimit_RA,
@@ -103,7 +102,6 @@ from .morita import (
     are_isomorphic_objects,
     categories_isomorphic,
     distributor_from_cocont,
-    induced_functor,
     morita_equivalent,
     rsdist_isomorphism_search,
     skeleton,

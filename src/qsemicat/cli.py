@@ -103,7 +103,7 @@ def cmd_presheaves(args) -> int:
                 {
                     "tag": f"{t}#{i}",
                     "type": str(t),
-                    "values": {a: phi.value(a) for a in A.names},
+                    "values": dict(zip(A.names, phi.values)),
                 }
             )
     report = {

@@ -225,11 +225,15 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
             if full[(x, y)] != full[(y, x)]:
                 raise NotSymmetric(f"[{x!r}={y!r}] != [{y!r}={x!r}]", witness=(x, y))
     # composition is meet, so the triangle law [x=y] ∧ [y=z] ≤ [x=z] is the
-    # semicategory axiom E⊗E ≤ E, whose witness is the first failing (x, y, z)
+    # semicategory axiom E⊗E ≤ E, whose witness is the first failing (x, y, z).
+    # The matrix goes in flat and the witness is mapped back, because TypedSet
+    # names objects by str(x), which a dict keyed by x would miss.
+    flat = tuple(full[(x, y)] for x in elements for y in elements)
     try:
-        semicat = validate_semicategory(frame, [(x, obj) for x in elements], full)
+        semicat = validate_semicategory(frame, [(x, obj) for x in elements], flat)
     except CompositionFailure as exc:
-        x, y, z = exc.witness
+        given = dict(zip(map(str, elements), elements))
+        x, y, z = (given[name] for name in exc.witness)
         raise NotTransitiveEq(
             f"[{x!r}={y!r}] ∧ [{y!r}={z!r}] ≰ [{x!r}={z!r}]", witness=(x, y, z)
         ) from None

@@ -268,11 +268,6 @@ class InducedFunctor:
         return map_j(A, core)
 
 
-def induced_functor(phi: SemiDistributor) -> InducedFunctor:
-    """Wrap a regular semidistributor as the map theta -> Φ⊗theta on regular presheaves."""
-    return InducedFunctor(phi)
-
-
 def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP):
     """Recover the regular semidistributor whose induced functor is F.
 

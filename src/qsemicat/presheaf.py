@@ -21,13 +21,12 @@ from .errors import (
     NotRegular,
     TypeMismatch,
 )
-from .quantaloid import QArrow, Quantaloid
+from .quantaloid import Quantaloid
 from .semicat import (
     DEFAULT_CAP,
     SemiCategory,
     SemiDistributor,
     SemiFunctor,
-    _dense_matrix,
     _first_excess,
     _has_units,
     _lift_entry,
@@ -45,9 +44,10 @@ CONTRA = "contra"
 CO = "co"
 
 
-def unit_category(q: Quantaloid, x, name: str = "*") -> SemiCategory:
-    """The one-object category on x whose single hom-arrow is the identity."""
-    return validate_semicategory(q, [(name, x)], (q.identity[x],))
+def unit_category(q: Quantaloid, x) -> SemiCategory:
+    """The one-object category on x, its object named ``*``, whose single
+    hom-arrow is the identity."""
+    return validate_semicategory(q, [("*", x)], (q.identity[x],))
 
 
 class Presheaf:
@@ -77,9 +77,6 @@ class Presheaf:
             )
         self._action = None
         self._res = None
-
-    def value(self, a) -> int:
-        return self.values[self.carrier.objects.index_of(a)]
 
     def as_semidistributor(self) -> SemiDistributor:
         # the values are a column on the carrier, or a row when covariant
@@ -254,7 +251,12 @@ def yoneda_covariant(A: SemiCategory, a) -> Presheaf:
 
 
 def presheaf_hom_elem(psi: Presheaf, phi: Presheaf) -> int:
-    """The element of the presheaf-category hom from phi to psi."""
+    """The element of the presheaf-category hom from phi to psi, an arrow
+    t(phi) -> t(psi) of the base.
+
+    Contravariantly this is the meet of base liftings [ψ(a), φ(a)];
+    covariantly the meet of base extensions of ψ(a) along φ(a).
+    """
     A = phi.carrier
     if (psi.carrier is not A and psi.carrier != A) or psi.variance != phi.variance:
         raise TypeMismatch("presheaves live in different presheaf categories")
@@ -263,15 +265,6 @@ def presheaf_hom_elem(psi: Presheaf, phi: Presheaf) -> int:
         # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
         psi, phi = phi, psi
     return _lift_entry(C.base, psi.qtype, C.types, phi.qtype, psi.values, phi.values)
-
-
-def presheaf_hom(psi: Presheaf, phi: Presheaf) -> QArrow:
-    """The hom-arrow of the presheaf category from phi to psi: t(phi) -> t(psi).
-
-    Contravariantly this is the meet of base liftings [ψ(a), φ(a)];
-    covariantly the meet of base extensions of ψ(a) along φ(a).
-    """
-    return QArrow(phi.qtype, psi.qtype, presheaf_hom_elem(psi, phi))
 
 
 def is_regular_presheaf(phi: Presheaf) -> bool:
@@ -307,31 +300,24 @@ def is_yoneda_presheaf(phi: Presheaf) -> bool:
     return phi.values == _residual(phi)
 
 
-def is_regular_via_liftings(phi: Presheaf, cap: int = DEFAULT_CAP, against=None) -> bool:
-    """The colimit-style regularity test: against every presheaf, the hom
-    out of phi decomposes through the representables.
+def is_regular_via_liftings(phi: Presheaf, against) -> bool:
+    """The colimit-style regularity test: against every presheaf of the
+    pool ``against``, the hom out of phi decomposes through the
+    representables.
 
-    Must agree with :func:`is_regular_presheaf` on every enumerable
-    instance; the two are independent routes to the same notion.  When
-    ``against`` is given it replaces the internal enumeration (callers
-    sweeping one instance enumerate the presheaves once, and each residual
-    is then computed once); it may be any iterable, and its presheaves must
-    live in phi's presheaf category.
+    Against every presheaf of phi's category it must agree with
+    :func:`is_regular_presheaf`; the two are independent routes to the same
+    notion.  Callers sweeping one instance enumerate the pool once, so each
+    residual is computed once; ``against`` may be any iterable, and its
+    presheaves must live in phi's presheaf category.
     """
     A = phi.carrier
-    if against is None:
-        against = [
-            psi
-            for x in A.base.objects
-            for psi in enumerate_presheaves(A, x, phi.variance, cap)
-        ]
-    else:
-        against = list(against)
-        if any(
-            (psi.carrier is not A and psi.carrier != A) or psi.variance != phi.variance
-            for psi in against
-        ):
-            raise TypeMismatch("presheaves live in different presheaf categories")
+    against = list(against)
+    if any(
+        (psi.carrier is not A and psi.carrier != A) or psi.variance != phi.variance
+        for psi in against
+    ):
+        raise TypeMismatch("presheaves live in different presheaf categories")
     C = _contra(A, phi.variance)
     q, t, x, values = C.base, C.types, phi.qtype, phi.values
     plans = {}  # the lifting plan of the entries hom(y, x), by the type y of psi
@@ -359,10 +345,8 @@ class QCategoryView(SemiCategory):
     become the :class:`TypedSet` ``objects``, checked at construction, and
     the payloads ``payloads``, in the same order.  ``homs`` is the flat
     row-major tuple that :attr:`SemiCategory.dense` holds, whose length is
-    checked, or a dict keyed (name1, name0), flattened and range-checked as
-    :func:`validate_semicategory` flattens a hom dict.  ``is_category``
-    is read off the diagonal; ``check`` validates the composition
-    inequalities once, on first use, and keeps the verdict.
+    checked.  ``is_category`` is read off the diagonal; ``check`` validates
+    the composition inequalities once, on first use, and keeps the verdict.
     """
 
     __slots__ = ("payloads", "_checked")
@@ -370,9 +354,7 @@ class QCategoryView(SemiCategory):
     def __init__(self, base, objects, homs):
         objects = tuple(objects)
         ts = validate_typed_set([(name, t) for name, t, _ in objects], base)
-        if isinstance(homs, dict):
-            homs = _dense_matrix(base, ts, ts, homs, "hom entry")
-        elif len(homs) != len(ts) ** 2:
+        if len(homs) != len(ts) ** 2:
             raise TypeMismatch(
                 f"hom entry matrix has {len(homs)} entries, not {len(ts) ** 2}",
                 witness=len(homs),

@@ -26,7 +26,7 @@ from .errors import (
     SearchCapExceeded,
     TypeMismatch,
 )
-from .quantaloid import QArrow, Quantaloid
+from .quantaloid import Quantaloid
 
 # the default bound on every matrix space and presheaf candidate space
 DEFAULT_CAP = 10**6
@@ -139,10 +139,6 @@ class SemiCategory:
     def __len__(self):
         return len(self.types)
 
-    def hom_arrow(self, a1, a0) -> QArrow:
-        j, i = self.objects.index_of(a0), self.objects.index_of(a1)
-        return QArrow(self.types[j], self.types[i], self.dense[i * len(self.types) + j])
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -190,11 +186,6 @@ class SemiDistributor:
     @property
     def base(self):
         return self.dom.base
-
-    def arrow(self, b, a) -> QArrow:
-        j, i = self.dom.objects.index_of(a), self.cod.objects.index_of(b)
-        ta = self.dom.types
-        return QArrow(ta[j], self.cod.types[i], self.dense[i * len(ta) + j])
 
     def __eq__(self, other):
         if not isinstance(other, SemiDistributor):

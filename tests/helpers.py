@@ -774,13 +774,13 @@ def reference_colimit_compatibility(carrier, C, fmap):
     """The entrywise check that an object map C -> presheaves on ``carrier``
     is compatible with the homs of C, raising as ``weighted_colimit_RA`` must."""
     q = carrier.base
-    for a in carrier.names:
+    for i, a in enumerate(carrier.names):
         ta = carrier.type_of(a)
         for c1 in C.names:
             for c0 in C.names:
                 t1, t0 = C.type_of(c1), C.type_of(c0)
-                comp = q.compose_elems(t0, t1, ta, fmap[c1].value(a), C.hom[(c1, c0)])
-                if not q.hom_lat(t0, ta).le(comp, fmap[c0].value(a)):
+                comp = q.compose_elems(t0, t1, ta, fmap[c1].values[i], C.hom[(c1, c0)])
+                if not q.hom_lat(t0, ta).le(comp, fmap[c0].values[i]):
                     raise ActionFailure(
                         "object map is not compatible with the homs of its domain",
                         witness=(a, c1, c0),

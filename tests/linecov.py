@@ -9,8 +9,9 @@ At the end of the session it prints, per module, the statements that never
 ran, as line ranges.  A statement counts as run when any line of its own
 text ran (so a call spread over several lines counts once), and a compound
 statement also when any statement in its body ran.  Docstrings are not
-statements.  Code run in subprocesses (the demo and CLI entry point tests)
-is not traced.  Tracing makes the suite several times slower.
+statements, nor are ``global`` and ``nonlocal`` declarations, which emit no
+line event when their function runs.  Code run in subprocesses (the demo
+and CLI entry point tests) is not traced.  Tracing makes the suite several times slower.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ def _trace(frame, event, arg):
 
 
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_DECLARATIONS = (ast.Global, ast.Nonlocal)
 
 
 def _is_docstring(node) -> bool:
@@ -69,7 +71,8 @@ def _body_statements(node):
 
 def statements(source: str):
     """The statements of a module, each with its parent and its own lines:
-    the lines of its text outside the statements nested in it."""
+    the lines of its text outside the statements nested in it.  Docstrings
+    and declarations are left out."""
     tree = ast.parse(source)
     out, owner = [], {}
     pending = [(tree, None)]
@@ -77,6 +80,8 @@ def statements(source: str):
         node, parent = pending.pop()
         children = list(_body_statements(node))
         for i, child in enumerate(children):
+            if isinstance(child, _DECLARATIONS):
+                continue
             if not (i == 0 and isinstance(node, _DOCUMENTED) and _is_docstring(child)):
                 pending.append((child, node if isinstance(node, ast.stmt) else None))
         if isinstance(node, ast.Module):

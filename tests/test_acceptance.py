@@ -13,6 +13,7 @@ import pytest
 
 from qsemicat import (
     CO,
+    InducedFunctor,
     builtin_quantaloid,
     build_PA,
     build_RA,
@@ -26,7 +27,6 @@ from qsemicat import (
     graph_semidists,
     has_interpolation,
     identity_semidist,
-    induced_functor,
     idm_lifting,
     is_adjoint_pair,
     is_category,
@@ -385,7 +385,7 @@ def test_criterion_11_round_trip(small_regular_family):
     for qname, fam in small_regular_family.items():
         for A, B in itertools.product(fam, repeat=2):
             for phi in enumerate_regular_semidists(A, B, cap=10**4):
-                functor = induced_functor(phi)
+                functor = InducedFunctor(phi)
                 assert distributor_from_cocont(functor, A, B) == phi
                 trips += 1
     assert trips > 1000
@@ -407,10 +407,10 @@ def test_criterion_11_round_trip(small_regular_family):
             if is_regular_presheaf(p)
         ]
         for phi in dists:
-            f_phi = induced_functor(phi)
+            f_phi = InducedFunctor(phi)
             images_phi = [f_phi(t).values for t in pool]
             for psi in dists:
-                f_psi = induced_functor(psi)
+                f_psi = InducedFunctor(psi)
                 pointwise = all(
                     below(img, f_psi(t).values) for img, t in zip(images_phi, pool)
                 )

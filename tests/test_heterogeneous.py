@@ -29,7 +29,7 @@ from qsemicat import (
     map_j,
     map_k,
     morita_equivalent,
-    presheaf_hom,
+    presheaf_hom_elem,
     rsdist_isomorphism_search,
     validate_semicategory,
 )
@@ -82,15 +82,18 @@ def test_adjoint_triple_mixed_types(carrier):
     yoneda_set = {p for p in pool if is_yoneda_presheaf(p)}
     j = {p: map_j(A, p) for p in pool}
     k = {t: map_k(A, t) for t in regular}
+    # j and k keep the type, so each pair of homs below has one domain and codomain
+    assert all(j[p].qtype == p.qtype for p in pool)
+    assert all(k[t].qtype == t.qtype for t in regular)
     for phi in regular:
         for psi in pool:
-            assert presheaf_hom(phi, psi) == presheaf_hom(phi, j[psi])
+            assert presheaf_hom_elem(phi, psi) == presheaf_hom_elem(phi, j[psi])
     for psi in pool:
         for theta in regular:
-            assert presheaf_hom(j[psi], theta) == presheaf_hom(psi, k[theta])
+            assert presheaf_hom_elem(j[psi], theta) == presheaf_hom_elem(psi, k[theta])
     for t1 in regular:
         for t2 in regular:
-            assert presheaf_hom(t1, t2) == presheaf_hom(k[t1], k[t2])
+            assert presheaf_hom_elem(t1, t2) == presheaf_hom_elem(k[t1], k[t2])
     assert {k[t] for t in regular} == yoneda_set
     for p in pool:
         assert is_regular_presheaf(p) == is_regular_via_liftings(p, against=pool)

@@ -294,6 +294,29 @@ def test_validate_omega_set_agrees_with_triangle_loop(name):
     assert seen == {None, NotSymmetric, NotTransitiveEq}
 
 
+def test_omega_set_on_elements_that_are_not_strings():
+    # the semicategory names its objects str(x); the Ω-set keeps the given x
+    frame = builtin_quantaloid("frame:square")
+    E = validate_omega_set(frame, [0, 1], {(0, 0): 3, (1, 1): 3, (0, 1): 1, (1, 0): 1})
+    named = {("0", "0"): 3, ("1", "1"): 3, ("0", "1"): 1, ("1", "0"): 1}
+    S = validate_omega_set(frame, ["0", "1"], named)
+    assert E.elements == (0, 1) and E.as_semicategory() == S.as_semicategory()
+    seen = set()
+    for eq in _equality_mutants(frame, (0, 1)):
+        got = outcome(lambda: validate_omega_set(frame, (0, 1), eq))
+        if not isinstance(got, tuple):
+            named = {(str(x), str(y)): e for (x, y), e in eq.items()}
+            strings = validate_omega_set(frame, ("0", "1"), named).as_semicategory()
+            assert got.as_semicategory() == strings, eq
+            got = got.elements, got.eq
+        # a refusal names the given elements, as the reference does
+        assert got == outcome(lambda: reference_omega_set(frame, (0, 1), eq)), eq
+        seen.add(got[0] if isinstance(got[0], type) else None)
+    assert seen == {None, NotSymmetric, NotTransitiveEq}
+    with pytest.raises(TypeMismatch, match="duplicate element name '0'"):
+        validate_omega_set(frame, [0, "0"], {})
+
+
 def test_omega_set_is_validated_once(monkeypatch):
     calls = []
     real = qsemicat.instances.validate_semicategory

@@ -4,6 +4,7 @@ import pytest
 
 from qsemicat import (
     CompositionFailure,
+    InducedFunctor,
     NotCocontinuous,
     NotRegular,
     Presheaf,
@@ -19,14 +20,13 @@ from qsemicat import (
     enumerate_regular_semidists,
     graph_semidists,
     identity_semidist,
-    induced_functor,
     is_regular_presheaf,
     is_regular_semidist,
     leq_semidist,
     lifting_rsdist,
     matrix_space,
     morita_equivalent,
-    presheaf_hom,
+    presheaf_hom_elem,
     rsdist_isomorphism_search,
     skeleton,
     validate_semicategory,
@@ -38,6 +38,7 @@ from qsemicat.semicat import SemiDistributor
 from helpers import (
     chain3_A,
     chain3_C,
+    outcome,
     presheaf_families,
     reference_rsdist_isomorphism_search,
     regular_semicats,
@@ -82,7 +83,7 @@ def test_skeleton_merges_duplicates():
     from qsemicat import QCategoryView
 
     D = indiscrete_two_objects()
-    view = QCategoryView(Q3, [(a, "*", None) for a in D.names], dict(D.hom))
+    view = QCategoryView(Q3, [(a, "*", None) for a in D.names], D.dense)
     report, sk = skeleton(view)
     assert report.classes == (("u", "v"),)
     assert sk.names == ("u",)
@@ -117,7 +118,7 @@ def test_categories_isomorphic_against_permutation_oracle():
     for A in regular_semicats("3", 2):
         if A.is_category:
             views.append(
-                QCategoryView(A.base, [(a, "*", None) for a in A.names], dict(A.hom))
+                QCategoryView(A.base, [(a, "*", None) for a in A.names], A.dense)
             )
 
     def oracle(c, d):
@@ -328,7 +329,7 @@ def test_view_check_and_iso_need_category():
     from qsemicat import NotACategory, QCategoryView
 
     A = chain3_A()
-    bad = QCategoryView(Q3, [(a, "*", None) for a in A.names], dict(A.hom))
+    bad = QCategoryView(Q3, [(a, "*", None) for a in A.names], A.dense)
     with pytest.raises(NotACategory):
         bad.check()
     with pytest.raises(NotACategory):
@@ -339,7 +340,7 @@ def test_view_check_and_iso_need_category():
 
 def test_induced_functor_identity():
     A = chain3_A()
-    f = induced_functor(identity_semidist(A))
+    f = InducedFunctor(identity_semidist(A))
     for p in enumerate_presheaves(A, "*"):
         if is_regular_presheaf(p):
             assert f(p) == p
@@ -347,7 +348,7 @@ def test_induced_functor_identity():
 
 def test_induced_functor_three_chain_values():
     A = chain3_A()
-    f = induced_functor(identity_semidist(A))  # Φ = (e)
+    f = InducedFunctor(identity_semidist(A))  # Φ = (e)
     pool = enumerate_presheaves(A, "*")
     assert f(pool[1]).values == (1,)
     assert f(pool[0]).values == (0,)
@@ -356,11 +357,11 @@ def test_induced_functor_three_chain_values():
 def test_induced_functor_right_adjoint_hom_equalities():
     A = chain3_A()
     phi = identity_semidist(A)
-    f = induced_functor(phi)
+    f = InducedFunctor(phi)
     reg = [p for p in enumerate_presheaves(A, "*") if is_regular_presheaf(p)]
     for theta in reg:
         for psi in reg:
-            assert presheaf_hom(f(theta), psi) == presheaf_hom(theta, f.right(psi))
+            assert presheaf_hom_elem(f(theta), psi) == presheaf_hom_elem(theta, f.right(psi))
     # the right adjoint agrees with the lifting in the regular calculus
     for psi in reg:
         lifted = lifting_rsdist(phi, psi.as_semidistributor())
@@ -370,7 +371,7 @@ def test_induced_functor_right_adjoint_hom_equalities():
 def test_induced_functor_accepts_presheaves_on_an_equal_copy():
     A, copy, other = chain3_A(), chain3_A(), chain3_C()
     assert A == copy and A is not copy
-    f = induced_functor(identity_semidist(A))
+    f = InducedFunctor(identity_semidist(A))
     ps, qs = enumerate_presheaves(A, "*"), enumerate_presheaves(copy, "*")
     assert [f(q) for q in qs] == [f(p) for p in ps]
     assert [f.right(q) for q in qs] == [f.right(p) for p in ps]
@@ -389,11 +390,11 @@ def test_induced_functors_of_graphs_are_adjoint():
     A = chain3_A()
     F = validate_semifunctor(A, A, {"*": "*"})
     fwd, bwd = graph_semidists(F)
-    lf, rg = induced_functor(fwd), induced_functor(bwd)
+    lf, rg = InducedFunctor(fwd), InducedFunctor(bwd)
     reg = [p for p in enumerate_presheaves(A, "*") if is_regular_presheaf(p)]
     for theta in reg:
         for psi in reg:
-            assert presheaf_hom(lf(theta), psi) == presheaf_hom(theta, rg(psi))
+            assert presheaf_hom_elem(lf(theta), psi) == presheaf_hom_elem(theta, rg(psi))
 
 
 def test_distributor_from_cocont_round_trip():
@@ -408,14 +409,14 @@ def test_distributor_from_cocont_round_trip():
 
         if not is_regular_semidist(phi):
             continue
-        assert distributor_from_cocont(induced_functor(phi), A, A) == phi
+        assert distributor_from_cocont(InducedFunctor(phi), A, A) == phi
 
 
 def test_distributor_from_cocont_identity_and_bottom():
     A = chain3_A()
     assert distributor_from_cocont(lambda t: t, A, A) == identity_semidist(A)
     zero = bottom_semidist(A, A)
-    collapse = induced_functor(zero)
+    collapse = InducedFunctor(zero)
     assert distributor_from_cocont(collapse, A, A) == zero
 
 
@@ -443,7 +444,7 @@ def test_order_reflection():
     for phi in reg_dists:
         for psi in reg_dists:
             pointwise = all(
-                below(induced_functor(phi)(t).values, induced_functor(psi)(t).values)
+                below(InducedFunctor(phi)(t).values, InducedFunctor(psi)(t).values)
                 for t in reg_presheaves
             )
             assert pointwise == leq_semidist(phi, psi)
@@ -533,3 +534,39 @@ def test_distributor_from_cocont_refuses_images_of_the_wrong_type_or_variance():
             with pytest.raises(TypeMismatch) as exc:
                 distributor_from_cocont(lambda theta: images[theta.qtype], A, A)
             assert exc.value.witness == A.names[0], (A.hom, variance)
+
+
+def _input_refusals():
+    """Name -> (a call the library must refuse, the class, message and
+    witness it raises with)."""
+    A = chain3_A()  # regular, hom e; its regular endo-semidistributors are (0) and (e)
+    B = semicat_from_rows(builtin_quantaloid("2"), [[0, 1], [0, 0]])  # a ≺ b only: not regular
+    top = validate_semidistributor(A, A, (2,))  # a semidistributor, not regular
+    return {
+        "induced-endpoints": (
+            lambda: InducedFunctor(identity_semidist(B)),
+            (NotRegular, "induced functors need regular endpoints", identity_semidist(B)),
+        ),
+        "induced-regular": (
+            lambda: InducedFunctor(top),
+            (NotRegular, "inducing semidistributor is not regular", top),
+        ),
+        "cocont-candidate": (
+            lambda: distributor_from_cocont(lambda t: Presheaf(A, "*", CONTRA, (2,)), A, A),
+            (
+                NotCocontinuous,
+                "map of representables does not give a regular semidistributor",
+                top,
+            ),
+        ),
+        "isomorphic-bases": (
+            lambda: categories_isomorphic(A, B),
+            (TypeMismatch, "semicategories live over different base quantaloids", None),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_input_refusals()))
+def test_input_refusals_name_their_witness(name):
+    run, want = _input_refusals()[name]
+    assert outcome(run) == want

@@ -29,7 +29,7 @@ from qsemicat import (
     is_yoneda_presheaf,
     map_j,
     map_k,
-    presheaf_hom,
+    presheaf_hom_elem,
     unit_category,
     validate_semicategory,
     validate_semidistributor,
@@ -120,7 +120,7 @@ def test_yoneda_values():
     assert yoneda(A, "*").values == (1,)
     C = chain3_C()
     lat = Q3.hom_lat("*", "*")
-    assert lat.le(Q3.identity["*"], yoneda(C, "*").value("*"))
+    assert lat.le(Q3.identity["*"], yoneda(C, "*").values[0])
 
 
 def test_yoneda_strict_principal_downset():
@@ -190,11 +190,12 @@ def test_regular_presheaf_agrees_with_semidistributor_route():
 def test_regular_via_liftings():
     A = chain3_A()
     ps = enumerate_presheaves(A, "*")
-    assert is_regular_via_liftings(ps[1])  # φ = e
-    assert not is_regular_via_liftings(ps[2])  # φ = 1, witnessed by ψ = e
+    assert is_regular_via_liftings(ps[1], ps)  # φ = e
+    assert not is_regular_via_liftings(ps[2], ps)  # φ = 1, witnessed by ψ = e
     for C in (chain3_C(),):
-        for p in enumerate_presheaves(C, "*"):
-            assert is_regular_via_liftings(p)
+        pool = enumerate_presheaves(C, "*")
+        for p in pool:
+            assert is_regular_via_liftings(p, pool)
 
 
 def test_build_views_three_chain():
@@ -271,13 +272,14 @@ def test_adjunctions_on_three_chain():
     regular = [p for p in pool if is_regular_presheaf(p)]
     for phi in regular:
         for psi in pool:
-            assert presheaf_hom(phi, psi) == presheaf_hom(phi, map_j(A, psi))
+            assert presheaf_hom_elem(phi, psi) == presheaf_hom_elem(phi, map_j(A, psi))
     for psi in pool:
         for theta in regular:
-            assert presheaf_hom(map_j(A, psi), theta) == presheaf_hom(psi, map_k(A, theta))
+            left = presheaf_hom_elem(map_j(A, psi), theta)
+            assert left == presheaf_hom_elem(psi, map_k(A, theta))
     for t1 in regular:
         for t2 in regular:
-            assert presheaf_hom(t1, t2) == presheaf_hom(map_k(A, t1), map_k(A, t2))
+            assert presheaf_hom_elem(t1, t2) == presheaf_hom_elem(map_k(A, t1), map_k(A, t2))
 
 
 def test_adjoint_triple_orientation_noncommutative_base():
@@ -296,20 +298,20 @@ def test_adjoint_triple_orientation_noncommutative_base():
         j = {p: map_j(A, p) for p in pool}
         k = {t: map_k(A, t) for t in reg}
         left_shape = all(
-            presheaf_hom(phi, psi) == presheaf_hom(phi, j[psi])
+            presheaf_hom_elem(phi, psi) == presheaf_hom_elem(phi, j[psi])
             for phi in reg
             for psi in pool
         ) and all(
-            presheaf_hom(j[psi], th) == presheaf_hom(psi, k[th])
+            presheaf_hom_elem(j[psi], th) == presheaf_hom_elem(psi, k[th])
             for psi in pool
             for th in reg
         )
         right_shape = all(
-            presheaf_hom(psi, phi) == presheaf_hom(j[psi], phi)
+            presheaf_hom_elem(psi, phi) == presheaf_hom_elem(j[psi], phi)
             for phi in reg
             for psi in pool
         ) and all(
-            presheaf_hom(th, j[psi]) == presheaf_hom(k[th], psi)
+            presheaf_hom_elem(th, j[psi]) == presheaf_hom_elem(k[th], psi)
             for psi in pool
             for th in reg
         )
@@ -317,7 +319,7 @@ def test_adjoint_triple_orientation_noncommutative_base():
         assert right_shape == (not contra_shape)
         # fully faithfulness of k and its image do not depend on variance
         assert all(
-            presheaf_hom(t1, t2) == presheaf_hom(k[t1], k[t2])
+            presheaf_hom_elem(t1, t2) == presheaf_hom_elem(k[t1], k[t2])
             for t1 in reg
             for t2 in reg
         )
@@ -455,16 +457,16 @@ def test_is_colimit_identity_case():
 def test_is_colimit_crosschecks_weighted_colimit():
     A = chain3_A()
     ra = build_RA(A)
-    unit = unit_category(Q3, "*", "d")
-    weight = validate_semidistributor(unit, A, {("*", "d"): 1})
+    unit = unit_category(Q3, "*")
+    weight = validate_semidistributor(unit, A, {("*", "*"): 1})
     out = weighted_colimit_RA(weight, {"*": yoneda(A, "*")})
 
     fmap = validate_semifunctor(A, ra, {"*": ra.names[ra.payloads.index(yoneda(A, "*"))]})
-    g = validate_semifunctor(unit, ra, {"d": ra.names[ra.payloads.index(out["d"])]})
+    g = validate_semifunctor(unit, ra, {"*": ra.names[ra.payloads.index(out["*"])]})
     assert is_colimit(g, weight, fmap)
     # shifting the candidate off the colimit breaks the formula
-    other = [tag for tag, p in zip(ra.names, ra.payloads) if p != out["d"]]
-    g_bad = validate_semifunctor(unit, ra, {"d": other[0]})
+    other = [tag for tag, p in zip(ra.names, ra.payloads) if p != out["*"]]
+    g_bad = validate_semifunctor(unit, ra, {"*": other[0]})
     assert not is_colimit(g_bad, weight, fmap)
 
 
@@ -667,8 +669,8 @@ def test_carrier_checks_accept_an_equal_copy(variance):
     assert A == copy and A is not copy
     ps, qs = enumerate_presheaves(A, "*", variance), enumerate_presheaves(copy, "*", variance)
     assert ps == qs
-    assert [[presheaf_hom(q, p) for p in ps] for q in qs] == [
-        [presheaf_hom(q, p) for p in ps] for q in ps
+    assert [[presheaf_hom_elem(q, p) for p in ps] for q in qs] == [
+        [presheaf_hom_elem(q, p) for p in ps] for q in ps
     ]
     assert [is_regular_via_liftings(p, against=qs) for p in ps] == [
         is_regular_via_liftings(p, against=ps) for p in ps
@@ -685,9 +687,9 @@ def test_carrier_checks_refuse_a_different_carrier(variance):
     other = _all_ones_two_objects()
     p, q = enumerate_presheaves(A, "*", variance)[0], enumerate_presheaves(other, "*", variance)[0]
     with pytest.raises(TypeMismatch, match="different presheaf categories"):
-        presheaf_hom(q, p)
+        presheaf_hom_elem(q, p)
     with pytest.raises(TypeMismatch, match="different presheaf categories"):
-        presheaf_hom(p, q)
+        presheaf_hom_elem(p, q)
     for f in (map_j, map_k):
         with pytest.raises(TypeMismatch, match="given carrier"):
             f(A, q)
@@ -732,3 +734,81 @@ def test_via_liftings_rejects_a_pool_of_the_other_variance():
     for p in enumerate_presheaves(A, "*"):
         with pytest.raises(TypeMismatch, match="different presheaf categories"):
             is_regular_via_liftings(p, against=pool)
+
+
+def _input_refusals():
+    """Name -> (a call the library must refuse, the class, message and
+    witness it raises with)."""
+    A = chain3_A()  # regular, hom e
+    B = strict_rows_semicat((0b10, 0b00), ["a", "b"])  # a ≺ b only: not regular
+    U = unit_category(Q3, "*")
+    E = validate_semicategory(Q3, [], ())
+    q = two_object_quantaloid()
+    X = validate_semicategory(q, [("u", "X")], {("u", "u"): 1})
+    UB = unit_category(Q2, "*")
+    C, D = chain3_C(), validate_semicategory(Q3, [("x", "*")], {("x", "x"): 2})
+    to_c = validate_semifunctor(C, C, {"*": "*"})
+    return {
+        "presheaf-variance": (
+            lambda: Presheaf(A, "*", "sideways", (0,)),
+            (TypeMismatch, "unknown variance 'sideways'", None),
+        ),
+        "enumerate-variance": (
+            lambda: enumerate_presheaves(A, "*", "sideways"),
+            (TypeMismatch, "unknown variance 'sideways'", None),
+        ),
+        "enumerate-type": (
+            lambda: enumerate_presheaves(A, "nope"),
+            (TypeMismatch, "'nope' is not an object of the base", "nope"),
+        ),
+        "ra-by-lifting-carrier": (
+            lambda: build_RA_by_lifting(B),
+            (NotRegular, "lifting route needs a regular carrier", B),
+        ),
+        "map-k-carrier": (
+            lambda: map_k(B, enumerate_presheaves(B, "*")[0]),
+            (NotRegular, "k needs a regular carrier", B),
+        ),
+        "colimit-cover": (
+            lambda: weighted_colimit_RA(identity_semidist(A), {}),
+            (TypeMismatch, "object map does not cover the weight's codomain", None),
+        ),
+        "colimit-empty": (
+            lambda: weighted_colimit_RA(validate_semidistributor(A, E, ()), {}),
+            (TypeMismatch, "empty diagram has no carrier to land in", None),
+        ),
+        "colimit-carrier": (
+            lambda: weighted_colimit_RA(
+                identity_semidist(UB), {"*": enumerate_presheaves(B, "*")[0]}
+            ),
+            (NotRegular, "colimits are computed in RA of a regular carrier", B),
+        ),
+        "colimit-variance": (
+            lambda: weighted_colimit_RA(identity_semidist(U), {"*": yoneda_covariant(A, "*")}),
+            (TypeMismatch, "image of '*' lives in a different category", "*"),
+        ),
+        "colimit-type": (
+            lambda: weighted_colimit_RA(
+                identity_semidist(unit_category(q, "X")), {"*": enumerate_presheaves(X, "Y")[0]}
+            ),
+            (TypeMismatch, "image of '*' has type 'Y' != t('*')", "*"),
+        ),
+        "colimit-regular": (
+            lambda: weighted_colimit_RA(identity_semidist(U), {"*": Presheaf(A, "*", CONTRA, [2])}),
+            (NotRegular, "image of '*' is not a regular presheaf", "*"),
+        ),
+        "is-colimit-codomain": (
+            lambda: is_colimit(to_c, identity_semidist(C), validate_semifunctor(C, D, {"*": "x"})),
+            (TypeMismatch, "colimit candidates must share their codomain", None),
+        ),
+        "is-colimit-weight": (
+            lambda: is_colimit(to_c, identity_semidist(A), to_c),
+            (TypeMismatch, "weight endpoints do not match the functors", None),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_input_refusals()))
+def test_input_refusals_name_their_witness(name):
+    run, want = _input_refusals()[name]
+    assert outcome(run) == want

@@ -555,6 +555,54 @@ def test_typed_sets_over_two_objects():
     q = two_object_quantaloid()
     A = validate_semicategory(q, [("u", "X"), ("v", "Y")], {("u", "u"): 1, ("v", "v"): 1})
     assert A.is_category
-    assert A.hom_arrow("v", "u").dom == "X" and A.hom_arrow("v", "u").cod == "Y"
     with pytest.raises(TypeMismatch):
         validate_semicategory(q, [("u", "Z")], {})
+
+
+def _input_refusals():
+    """Name -> (a call the library must refuse, the class, message and
+    witness it raises with)."""
+    A, C = chain3_A(), chain3_C()  # both regular, over the three-chain
+    ida, idc = identity_semidist(A), identity_semidist(C)
+    top = validate_semidistributor(A, A, (2,))  # a semidistributor, not regular
+    other = one_object_semicat(Q2, 1)
+    return {
+        "bases": (
+            lambda: validate_semidistributor(A, other, (0,)),
+            (TypeMismatch, "semidistributor endpoints live over different base quantaloids", None),
+        ),
+        "compose": (
+            lambda: compose_semidist(idc, ida),
+            (TypeMismatch, "composition needs cod(Φ) = dom(Ψ)", None),
+        ),
+        "sup": (
+            lambda: sup_semidist([ida, idc]),
+            (TypeMismatch, "supremum of semidistributors with different endpoints", None),
+        ),
+        "leq": (
+            lambda: leq_semidist(ida, idc),
+            (TypeMismatch, "cannot compare semidistributors with different endpoints", None),
+        ),
+        "lifting": (
+            lambda: lifting_dist(ida, idc),
+            (TypeMismatch, "lifting needs a common codomain", None),
+        ),
+        "lifting-rsdist-regular": (
+            lambda: lifting_rsdist(ida, top),
+            (NotRegular, "<semidistributor ['*'] -/-> ['*']> is not regular", top),
+        ),
+        "lifting-rsdist": (
+            lambda: lifting_rsdist(ida, idc),
+            (TypeMismatch, "lifting needs a common codomain", None),
+        ),
+        "adjoint-pair": (
+            lambda: is_adjoint_pair(ida, idc),
+            (TypeMismatch, "adjoint candidates must be antiparallel", None),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_input_refusals()))
+def test_input_refusals_name_their_witness(name):
+    run, want = _input_refusals()[name]
+    assert outcome(run) == want
