@@ -221,8 +221,10 @@ def verify_rsdist_is_idm_matr(
     for cand, phi in scan(A, B):
         if phi is not None:
             regular_ab.append(phi)
-        if _product(cand, ida) == cand.dense and _product(idb, cand) == cand.dense:
-            compatible_ab.append(cand.dense)
+        # each product is read only up to its first entry that differs
+        flat = cand.dense
+        if all(map(eq, _product(cand, ida), flat)) and all(map(eq, _product(idb, cand), flat)):
+            compatible_ab.append(flat)
     if [phi.dense for phi in regular_ab] != compatible_ab:
         return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "hom sets differ")
 
@@ -232,7 +234,7 @@ def verify_rsdist_is_idm_matr(
     regular_ba = [psi for _, psi in scan(B, A) if psi is not None]
     for phi in regular_ab:
         for psi in regular_ba:
-            if not _is_regular_flat(A, A, _product(psi, phi)):
+            if not _is_regular_flat(A, A, tuple(_product(psi, phi))):
                 return RsdistIdmReport(
                     False, len(regular_ab), len(compatible_ab), "composite leaves the hom"
                 )

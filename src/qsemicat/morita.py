@@ -31,6 +31,7 @@ from .semicat import (
     _check_regular_pair,
     _mat_compose,
     _mat_lift,
+    _product_is,
     _regular_flats,
     # unused here since the search scans lazily; kept because bench/ wraps it
     # as a module-boundary name of this module
@@ -172,9 +173,8 @@ def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAU
         # the one candidate inverse: the regular right adjoint A⊗[Φ,B]⊗B
         core = _mat_compose(q, ta, tb, tb, _mat_lift(q, ta, tb, tb, phi, B.dense), B.dense)
         psi = _mat_compose(q, ta, ta, tb, A.dense, core)
-        if (
-            _mat_compose(q, ta, tb, ta, psi, phi) == A.dense
-            and _mat_compose(q, tb, ta, tb, phi, psi) == B.dense
+        if _product_is(q, ta, tb, ta, psi, phi, A.dense) and _product_is(
+            q, tb, ta, tb, phi, psi, B.dense
         ):
             return (
                 validate_semidistributor(A, B, phi),

@@ -33,6 +33,7 @@ from .semicat import (
     _lift_plan,
     _mat_compose,
     _mat_lift,
+    _product_is,
     is_regular_semicat,
     lifting_rsdist,
     validate_semicategory,
@@ -225,7 +226,7 @@ def _regular_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = D
                 # the closure so far is join-closed, so this adds its joins with gen
                 found |= {tuple(map(getitem, map(getitem, joins, s), gen)) for s in found}
     if not C.is_regular:
-        found = [v for v in found if _mat_compose(q, t, t, (x,), dense, v) == v]
+        found = [v for v in found if _product_is(q, t, t, (x,), dense, v, v)]
     out = []
     for values in sorted(found):
         phi = Presheaf(A, x, variance, values)
@@ -415,9 +416,9 @@ def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryVie
     For a regular carrier the two must agree; this route is the independent
     cross-check of the presheaf homs.
     """
-    view = build_RA(A, CONTRA, cap)
     if not is_regular_semicat(A):
         raise NotRegular("lifting route needs a regular carrier", witness=A)
+    view = build_RA(A, CONTRA, cap)
     sds = [phi.as_semidistributor() for phi in view.payloads]
     homs = tuple(lifting_rsdist(psi, phi).dense[0] for psi in sds for phi in sds)
     return QCategoryView(view.base, zip(view.names, view.types, view.payloads), homs)

@@ -84,8 +84,8 @@ class SemiCategory:
     ``dense`` is the stored form; ``hom``, the same matrix as a dict keyed
     by pairs (a1, a0) of object names, is formed from it on first read and
     kept.  ``is_category`` is given at construction; ``is_regular``
-    (A⊗A = A) is decided by :func:`validate_semicategory`, or else by one
-    product on first read.
+    (A⊗A = A) is decided by :func:`validate_semicategory`, or else on first
+    read by one product, read up to its first entry that differs.
     """
 
     __slots__ = ("base", "objects", "is_category", "types", "dense", "_regular", "_hom", "_op")
@@ -104,7 +104,7 @@ class SemiCategory:
     def is_regular(self) -> bool:
         if self._regular is None:
             t = self.types
-            self._regular = _mat_compose(self.base, t, t, t, self.dense, self.dense) == self.dense
+            self._regular = _product_is(self.base, t, t, t, self.dense, self.dense, self.dense)
         return self._regular
 
     @property
@@ -364,28 +364,41 @@ def identity_semidist(A: SemiCategory) -> SemiDistributor:
     return SemiDistributor(A, A, A.dense)
 
 
-def _mat_compose(q, tr, tm, tc, L, R) -> tuple:
-    """The product kernel: (L⊗R)(r, c) = join over m of L(r, m)∘R(m, c).
+def _product_entries(q, tr, tm, tc, L, R):
+    """The product kernel: the entries (L⊗R)(r, c) = join over m of
+    L(r, m)∘R(m, c), yielded one at a time in row-major order.
 
     ``tr``, ``tm`` and ``tc`` are the type tuples of the row, middle and
-    column index sets; ``L`` (|tr|×|tm|), ``R`` (|tm|×|tc|) and the result
-    (|tr|×|tc|) are flat row-major tuples of elements.
+    column index sets; ``L`` (|tr|×|tm|), ``R`` (|tm|×|tc|) and the product
+    (|tr|×|tc|) are flat row-major tuples of elements.  An entry is formed
+    only when it is read, so a test that stops at the first difference
+    (:func:`_product_is`) forms no entry past it.
     """
     nm, nc = len(tm), len(tc)
-    out = []
+    plans = q._compose_plans
     for i, cod in enumerate(tr):
         row = L[i * nm : (i + 1) * nm]
         for k, dom in enumerate(tc):
-            plan = q._compose_plans.get((dom, cod, tm))
+            plan = plans.get((dom, cod, tm))
             if plan is None:
                 lat = q.hom[(dom, cod)]
                 tables = [q.compose_table[(dom, m, cod)] for m in tm]
-                plan = q._compose_plans[(dom, cod, tm)] = (lat._join2, lat.bottom, tables)
+                plan = plans[(dom, cod, tm)] = (lat._join2, lat.bottom, tables)
             join, acc, tables = plan
             for table, g, f in zip(tables, row, R[k::nc]):
                 acc = join[acc][table[g][f]]
-            out.append(acc)
-    return tuple(out)
+            yield acc
+
+
+def _mat_compose(q, tr, tm, tc, L, R) -> tuple:
+    """L⊗R as a flat row-major tuple: every entry of :func:`_product_entries`."""
+    return tuple(_product_entries(q, tr, tm, tc, L, R))
+
+
+def _product_is(q, tr, tm, tc, L, R, V) -> bool:
+    """True iff L⊗R = V, for ``V`` of the product's shape: the entries are
+    read in row-major order up to the first that differs."""
+    return all(map(eq, _product_entries(q, tr, tm, tc, L, R), V))
 
 
 def _lift_plan(q, dom, cod, tm):
@@ -435,17 +448,18 @@ def _sparse(cod: SemiCategory, dom: SemiCategory, flat) -> dict:
     return dict(zip(((b, a) for b in cod.names for a in dom.names), flat))
 
 
-def _product(psi: SemiDistributor, phi: SemiDistributor) -> tuple:
-    """Ψ⊗Φ as a flat tuple."""
+def _product(psi: SemiDistributor, phi: SemiDistributor):
+    """The entries of Ψ⊗Φ, yielded in row-major order as
+    :func:`_product_entries` yields them."""
     A, B, C = phi.dom, phi.cod, psi.cod
-    return _mat_compose(phi.base, C.types, B.types, A.types, psi.dense, phi.dense)
+    return _product_entries(phi.base, C.types, B.types, A.types, psi.dense, phi.dense)
 
 
 def compose_semidist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributor:
     """(Ψ⊗Φ)(c, a) = join over b of Ψ(c, b)∘Φ(b, a)."""
     if psi.dom != phi.cod:
         raise TypeMismatch("composition needs cod(Φ) = dom(Ψ)")
-    return validate_semidistributor(phi.dom, psi.cod, _product(psi, phi))
+    return validate_semidistributor(phi.dom, psi.cod, tuple(_product(psi, phi)))
 
 
 def sup_semidist(family, dom: SemiCategory = None, cod: SemiCategory = None) -> SemiDistributor:
@@ -506,9 +520,8 @@ def is_regular_semidist(phi: SemiDistributor) -> bool:
 def _is_regular_flat(A: SemiCategory, B: SemiCategory, flat) -> bool:
     """Φ⊗A = Φ = B⊗Φ for a flat row-major matrix Φ: A -/-> B."""
     q, ta, tb = A.base, A.types, B.types
-    return (
-        _mat_compose(q, tb, ta, ta, flat, A.dense) == flat
-        and _mat_compose(q, tb, tb, ta, B.dense, flat) == flat
+    return _product_is(q, tb, ta, ta, flat, A.dense, flat) and _product_is(
+        q, tb, tb, ta, B.dense, flat, flat
     )
 
 

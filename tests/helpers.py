@@ -325,6 +325,24 @@ def presheaf_families():
     }
 
 
+@functools.cache
+def beyond_frame_pairs():
+    """Pairs of regular semicategories over bases that are not frames, by family.
+
+    On a frame composition is meet, so a swapped argument in a matrix kernel
+    cannot show.  Fixed-seed samples of the pairs of the endomap family of
+    ``presheaf_families``, where composition does not commute, and of the
+    regular members of its relations family, which has two types.
+    """
+    families = presheaf_families()
+    endomaps = families["endomaps"]
+    relations = [A for A in families["relations"] if A.is_regular]
+    return {
+        "endomaps": random.Random(0).sample([(A, B) for A in endomaps for B in endomaps], 40),
+        "relations": random.Random(0).sample([(A, B) for A in relations for B in relations], 60),
+    }
+
+
 def transitive_relations(n):
     """All transitive relations on n points, as tuples of row bitmasks.
 

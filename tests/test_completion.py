@@ -362,12 +362,54 @@ def test_verify_rsdist_catches_a_kernel_that_fixes_everything(monkeypatch):
     )
     assert verify_rsdist_is_idm_matr(A, A).ok
     monkeypatch.setattr(
-        semicat, "_mat_compose", lambda q, tr, tm, tc, L, R: L if R == A.dense else R
+        semicat, "_product_entries", lambda q, tr, tm, tc, L, R: iter(L if R == A.dense else R)
     )
     report = verify_rsdist_is_idm_matr(A, A)
     assert not report.ok
     assert report.detail == "hom sets differ"
     assert report.compatible_matrices == 3 ** 4
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_rsdist_refuses_a_composite_that_leaves_the_hom(monkeypatch, capsys, as_json):
+    # a faulty composite Ψ⊗Φ: A -/-> A that is not regular must turn the
+    # verdict, and the CLI must report it with its detail and exit code 1
+    from pathlib import Path
+
+    import qsemicat.completion as completion
+    from qsemicat.semicat import _flats, _is_regular_flat
+
+    real = completion._product
+
+    def faulty(psi, phi):
+        # only the composites have cod(Ψ) = dom(Φ) when A and B differ
+        if psi.cod is not phi.dom:
+            return real(psi, phi)
+        A = phi.dom
+        return iter(next(f for f in _flats(A, A) if not _is_regular_flat(A, A, f)))
+
+    monkeypatch.setattr(completion, "_product", faulty)
+    report = verify_rsdist_is_idm_matr(chain3_A(), chain3_C())
+    assert (report.ok, report.detail) == (False, "composite leaves the hom")
+    assert (report.regular_semidistributors, report.compatible_matrices) == (2, 2)
+    path = str(Path(__file__).parent.parent / "demos" / "workspace.json")
+    argv = ["completion", "verify", path, "A", "C"]
+    assert main(["--json", *argv] if as_json else argv) == 1
+    out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(out) == {
+            "schema": 1,
+            "verdict": False,
+            "regular_semidistributors": 2,
+            "compatible_matrices": 2,
+            "detail": "composite leaves the hom",
+        }
+    else:
+        assert out.splitlines() == [
+            "verdict: False",
+            "regular semidistributors: 2, idempotent-fixed matrices: 2",
+            "detail: composite leaves the hom",
+        ]
 
 
 @pytest.mark.parametrize("pair, products", [(("A", "A"), 9), (("A", "C"), 9), (("C", "C"), 15)])

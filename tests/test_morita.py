@@ -36,6 +36,7 @@ from qsemicat import (
 from qsemicat.presheaf import CO, CONTRA, _regular_presheaves
 from qsemicat.semicat import SemiDistributor
 from helpers import (
+    beyond_frame_pairs,
     chain3_A,
     chain3_C,
     outcome,
@@ -255,20 +256,8 @@ def certificate_families():
 
 @pytest.fixture(scope="module")
 def beyond_frame_families():
-    """Pairs of regular semicategories over bases that are not frames, by family.
-
-    On a frame composition is meet, so a swapped argument in a matrix kernel
-    cannot show.  Fixed-seed samples of the pairs of the endomap family of
-    ``presheaf_families``, where composition does not commute, and of the
-    regular members of its relations family, which has two types.
-    """
-    families = presheaf_families()
-    endomaps = families["endomaps"]
-    relations = [A for A in families["relations"] if A.is_regular]
-    return {
-        "endomaps": random.Random(0).sample([(A, B) for A in endomaps for B in endomaps], 40),
-        "relations": random.Random(0).sample([(A, B) for A in relations for B in relations], 60),
-    }
+    """The pairs over bases that are not frames (see ``helpers.beyond_frame_pairs``)."""
+    return beyond_frame_pairs()
 
 
 def test_rsdist_search_matches_exhaustive_reference(certificate_families, beyond_frame_families):

@@ -506,19 +506,19 @@ def test_generators_match_the_product_filter(name, variance):
 
 @pytest.mark.parametrize("variance", [CONTRA, CO])
 def test_closure_forms_an_action_only_on_a_non_regular_carrier(monkeypatch, variance):
-    import qsemicat.presheaf as presheaf
+    import qsemicat.semicat as semicat
 
     regular = _all_ones_two_objects()
     strict = strict_rows_semicat([0b10, 0b00], ["a", "b"])
     assert regular.is_regular and not strict.is_regular
     actions = []
-    real = presheaf._mat_compose
+    real = semicat._product_entries
 
     def counting(q, tr, tm, tc, L, R):
         actions.append(R)
         return real(q, tr, tm, tc, L, R)
 
-    monkeypatch.setattr(presheaf, "_mat_compose", counting)
+    monkeypatch.setattr(semicat, "_product_entries", counting)
     view = build_RA(regular, variance)
     assert len(view) > 1 and actions == []
     assert all(is_regular_presheaf(phi) for phi in view.payloads) and actions == []
@@ -633,19 +633,19 @@ def test_presheaf_equality_ignores_the_kept_action():
 
 @pytest.mark.parametrize("variance", [CONTRA, CO])
 def test_sweep_forms_each_action_once(monkeypatch, variance):
-    import qsemicat.presheaf as presheaf
+    import qsemicat.semicat as semicat
 
     A = _all_ones_two_objects()
     C = _contra(A, variance)
     actions = []
-    real = presheaf._mat_compose
+    real = semicat._product_entries
 
     def counting(q, tr, tm, tc, L, R):
         if L is C.dense:
             actions.append(R)
         return real(q, tr, tm, tc, L, R)
 
-    monkeypatch.setattr(presheaf, "_mat_compose", counting)
+    monkeypatch.setattr(semicat, "_product_entries", counting)
     pool = enumerate_presheaves(A, "*", variance)
     reg = [is_regular_presheaf(p) for p in pool]
     js = [map_j(A, p) for p in pool]
@@ -741,6 +741,8 @@ def _input_refusals():
     witness it raises with)."""
     A = chain3_A()  # regular, hom e
     B = strict_rows_semicat((0b10, 0b00), ["a", "b"])  # a ≺ b only: not regular
+    # the same on 20 objects: 2**20 presheaves of type *, above the default cap
+    big = strict_rows_semicat((0b10,) + (0,) * 19, [f"o{i}" for i in range(20)])
     U = unit_category(Q3, "*")
     E = validate_semicategory(Q3, [], ())
     q = two_object_quantaloid()
@@ -764,6 +766,10 @@ def _input_refusals():
         "ra-by-lifting-carrier": (
             lambda: build_RA_by_lifting(B),
             (NotRegular, "lifting route needs a regular carrier", B),
+        ),
+        "ra-by-lifting-carrier-over-cap": (
+            lambda: build_RA_by_lifting(big),
+            (NotRegular, "lifting route needs a regular carrier", big),
         ),
         "map-k-carrier": (
             lambda: map_k(B, enumerate_presheaves(B, "*")[0]),

@@ -1,5 +1,6 @@
 """Law tests over randomly drawn finite structures."""
 
+import random
 from functools import partial
 
 from hypothesis import given, strategies as st
@@ -25,12 +26,15 @@ from qsemicat import (
     yoneda_covariant,
 )
 from qsemicat.presheaf import _regular_presheaves
+from qsemicat.semicat import SemiDistributor, _flats, _mat_compose, _product_is
 from helpers import (
     NAMES,
     all_semicats,
+    beyond_frame_pairs,
     endomap_quantaloid,
     reference_presheaves,
     regular_semicats,
+    rel_quantaloid,
     two_object_quantaloid,
 )
 
@@ -263,3 +267,76 @@ def test_presheaf_generators_match_the_product_filter(A):
         assert enumerate_presheaves(A, obj, variance) == want
         regular = [p for p in want if is_regular_presheaf(p)]
         assert _regular_presheaves(A, obj, variance) == regular
+
+
+KERNEL_BASES = QUANTALOIDS + [rel_quantaloid()]
+
+
+@st.composite
+def product_against(draw):
+    """A product L⊗R over one of ``KERNEL_BASES``, with one to three rows,
+    middles and columns of drawn types, and a matrix V of its shape: the
+    product itself, or the product with one entry changed, the first, a
+    middle or the last.  Returns the kernel's arguments, V and the index
+    of the changed entry (None when V is the product)."""
+    q = draw(st.sampled_from(KERNEL_BASES))
+    tr, tm, tc = (
+        tuple(draw(st.lists(st.sampled_from(q.objects), min_size=1, max_size=3)))
+        for _ in range(3)
+    )
+
+    def block(rows, cols):
+        return tuple(
+            draw(st.integers(0, q.hom_lat(c, r).size - 1)) for r in rows for c in cols
+        )
+
+    L, R = block(tr, tm), block(tm, tc)
+    V = list(_mat_compose(q, tr, tm, tc, L, R))
+    where = draw(st.sampled_from(["equal", "first", "middle", "last"]))
+    d = {"equal": None, "first": 0, "middle": len(V) // 2, "last": len(V) - 1}[where]
+    if d is not None:
+        size = q.hom_lat(tc[d % len(tc)], tr[d // len(tc)]).size
+        V[d] = (V[d] + draw(st.integers(1, size - 1))) % size
+    return (q, tr, tm, tc, L, R), tuple(V), d
+
+
+@given(product_against())
+def test_lazy_product_test_agrees_with_the_full_product(case):
+    args, V, d = case
+    read = []
+
+    def entries():
+        for e in V:
+            read.append(e)
+            yield e
+
+    assert _product_is(*args, entries()) == (_mat_compose(*args) == V) == (d is None)
+    # the test reads V up to its first entry that differs, and no further
+    assert len(read) == (len(V) if d is None else d + 1)
+
+
+def _small_acceptance_pairs():
+    """Every pair of regular semicategories with at most two objects over
+    ``2`` and a fixed-seed sample of 300 such pairs over ``3``."""
+    two, three = regular_semicats("2", 2), regular_semicats("3", 2)
+    return [(A, B) for A in two for B in two] + random.Random(4).sample(
+        [(A, B) for A in three for B in three], 300
+    )
+
+
+def test_regular_semidist_agrees_with_the_full_products():
+    # every matrix A -/-> B of each pair: about 107,000, 3,363 of them regular
+    families = {"acceptance": _small_acceptance_pairs(), **beyond_frame_pairs()}
+    for family, pairs in families.items():
+        scanned = kept = 0
+        for A, B in pairs:
+            q, ta, tb = A.base, A.types, B.types
+            for flat in _flats(A, B):
+                want = (
+                    _mat_compose(q, tb, ta, ta, flat, A.dense) == flat
+                    and _mat_compose(q, tb, tb, ta, B.dense, flat) == flat
+                )
+                assert is_regular_semidist(SemiDistributor(A, B, flat)) == want, (family, flat)
+                scanned += 1
+                kept += want
+        assert 0 < kept < scanned, family

@@ -378,9 +378,9 @@ def test_is_regular_semicat_forms_no_product(monkeypatch):
 
     family = [chain3_A(), chain3_C(), strict_two_points()]
     calls = []
-    real = semicat._mat_compose
+    real = semicat._product_entries
     monkeypatch.setattr(
-        semicat, "_mat_compose", lambda *args: calls.append(args) or real(*args)
+        semicat, "_product_entries", lambda *args: calls.append(args) or real(*args)
     )
     assert [is_regular_semicat(A) for A in family] == [True, True, False]
     assert [is_regular_semicat(A.op()) for A in family] == [True, True, False]
