@@ -28,7 +28,6 @@ from .semicat import (
     SemiCategory,
     SemiDistributor,
     _check_regular_pair,
-    _flats,
     _is_regular_flat,
     _product,
     identity_semidist,
@@ -200,12 +199,12 @@ def verify_rsdist_is_idm_matr(
     def scan(dom, cod):
         # every matrix dom -/-> cod, with its semidistributor when "regular":
         # regular and a semidistributor by the entrywise action inequalities
-        total, _ = matrix_space(dom, cod)
+        total, space = matrix_space(dom, cod)
         if total > cap:
             raise SearchCapExceeded(
                 f"matrix space of size {total} exceeds cap {cap}", witness=total
             )
-        for flat in _flats(dom, cod):
+        for flat in space:
             cand = SemiDistributor(dom, cod, flat)
             phi = None
             if is_regular_semidist(cand):

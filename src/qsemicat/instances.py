@@ -12,7 +12,6 @@ frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import (
     ActionFailure,
@@ -58,16 +57,23 @@ class FinitePoset:
         return f"FinitePoset({list(self.elements)})"
 
 
-def validate_poset(elements, pairs) -> FinitePoset:
-    """Build a poset from generating pairs (x, y) meaning x <= y; ``pairs``
-    may be any iterable."""
+def _relation(elements, pairs):
+    """The distinct ``elements``, their positions and ``pairs`` as a list;
+    refuses two elements with one object name str(x), then the first pair
+    that names an element not listed.  Every relation builder reads this."""
     elements = tuple(dict.fromkeys(elements))
     pairs = list(pairs)
-    TypedSet((x, None) for x in elements)  # refuses two elements with one object name str(x)
+    TypedSet((x, None) for x in elements)
     index = {x: i for i, x in enumerate(elements)}
     for x, y in pairs:
         if x not in index or y not in index:
             raise TypeMismatch(f"pair ({x!r}, {y!r}) names unknown elements", witness=(x, y))
+    return elements, index, pairs
+
+
+def validate_poset(elements, pairs) -> FinitePoset:
+    """Build a poset from generating pairs (x, y) meaning x <= y."""
+    elements, index, pairs = _relation(elements, pairs)
     up, _, equivalent = order_rows(len(elements), [(index[x], index[y]) for x, y in pairs])
     if equivalent is not None:
         x, y = (elements[i] for i in equivalent)
@@ -79,14 +85,13 @@ def validate_poset(elements, pairs) -> FinitePoset:
 
 
 def _transitive_rows(elements, pairs):
-    """``(index, succ)`` for a relation checked to be transitive: ``index``
-    numbers the distinct ``elements``, then any other name in the pairs, and
-    bit j of ``succ[i]`` is set iff the i-th name is related to the j-th.  A
-    failure names the first (x, y) in pair order whose y has a successor z
-    that x lacks, and the first such (y, z) in pair order."""
-    pairs = list(pairs)
-    index = {x: i for i, x in enumerate(dict.fromkeys(chain(elements, *pairs)))}
-    succ = [0] * len(index)
+    """``(elements, succ)`` for a relation read by :func:`_relation` and
+    checked to be transitive: bit j of ``succ[i]`` is set iff the i-th
+    element is related to the j-th.  A failure names the first (x, y) in
+    pair order whose y has a successor z that x lacks, and the first such
+    (y, z) in pair order."""
+    elements, index, pairs = _relation(elements, pairs)
+    succ = [0] * len(elements)
     for x, y in pairs:
         succ[index[x]] |= 1 << index[y]
     for x, y in pairs:
@@ -97,7 +102,7 @@ def _transitive_rows(elements, pairs):
                 f"({x!r}, {y!r}) and ({y!r}, {z!r}) without ({x!r}, {z!r})",
                 witness=(x, y, z),
             )
-    return index, succ
+    return elements, succ
 
 
 def strict_order_to_semicat(elements, pairs) -> SemiCategory:
@@ -107,12 +112,11 @@ def strict_order_to_semicat(elements, pairs) -> SemiCategory:
     relation; loops are allowed, so any transitive relation qualifies, with
     strict orders as the motivating case.
     """
-    elements = tuple(dict.fromkeys(elements))
-    index, succ = _transitive_rows(elements, pairs)
+    elements, succ = _transitive_rows(elements, pairs)
     q = builtin_quantaloid("2")
     obj = q.objects[0]
     # flat: TypedSet names objects by str(x), which a dict keyed by x would miss
-    hom = tuple(succ[index[x]] >> index[y] & 1 for x in elements for y in elements)
+    hom = tuple(row >> j & 1 for row in succ for j in range(len(elements)))
     return validate_semicategory(q, [(x, obj) for x in elements], hom)
 
 

@@ -29,10 +29,10 @@ from .semicat import (
     SemiCategory,
     SemiDistributor,
     _check_regular_pair,
+    _is_regular_flat,
     _mat_compose,
-    _mat_lift,
     _product_is,
-    _regular_flats,
+    _regular_lifting,
     # unused here since the search scans lazily; kept because bench/ wraps it
     # as a module-boundary name of this module
     enumerate_regular_semidists,  # noqa: F401
@@ -161,7 +161,7 @@ def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAU
     both matrix spaces before the scan starts.
     """
     _check_regular_pair(A, B)
-    n_ab, _ = matrix_space(A, B)
+    n_ab, space = matrix_space(A, B)
     n_ba, _ = matrix_space(B, A)
     if n_ab > cap or n_ba > cap:
         raise SearchCapExceeded(
@@ -169,10 +169,11 @@ def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAU
             witness=(n_ab, n_ba),
         )
     q, ta, tb = A.base, A.types, B.types
-    for phi in _regular_flats(A, B):
-        # the one candidate inverse: the regular right adjoint A⊗[Φ,B]⊗B
-        core = _mat_compose(q, ta, tb, tb, _mat_lift(q, ta, tb, tb, phi, B.dense), B.dense)
-        psi = _mat_compose(q, ta, ta, tb, A.dense, core)
+    for phi in space:
+        if not _is_regular_flat(A, B, phi):
+            continue
+        # the one candidate inverse, A⊗[Φ,B]⊗B: the regular lifting of B through Φ
+        psi = _regular_lifting(B, B, A, phi, B.dense)
         if _product_is(q, ta, tb, ta, psi, phi, A.dense) and _product_is(
             q, tb, ta, tb, phi, psi, B.dense
         ):
@@ -278,14 +279,16 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
     a witness.
     """
     _check_regular_pair(A, B)
-    columns = []
-    for a in A.names:
+    q, columns = A.base, []
+    for a, x in A.objects.elements:
         image = F(yoneda(A, a))
         if (
             not isinstance(image, Presheaf)
             or (image.carrier is not B and image.carrier != B)
             or image.variance != CONTRA
-            or image.qtype != A.type_of(a)
+            or image.qtype != x
+            # Presheaf() does not range-check its values
+            or not all(0 <= e < q.hom_lat(x, t).size for e, t in zip(image.values, B.types))
         ):
             raise TypeMismatch(
                 f"image of the representable at {a!r} is not a contravariant presheaf "

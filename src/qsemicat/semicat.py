@@ -551,10 +551,16 @@ def lifting_rsdist(psi: SemiDistributor, phi: SemiDistributor) -> SemiDistributo
     if psi.cod != phi.cod:
         raise TypeMismatch("lifting needs a common codomain")
     _require_regular(phi.dom, phi.cod, psi.dom, psi, phi)
-    core = lifting_dist(psi, phi)
-    return compose_semidist(
-        identity_semidist(psi.dom), compose_semidist(core, identity_semidist(phi.dom))
-    )
+    A, B, C = phi.dom, phi.cod, psi.dom
+    return validate_semidistributor(A, C, _regular_lifting(A, B, C, psi.dense, phi.dense))
+
+
+def _regular_lifting(A, B, C, psi, phi) -> tuple:
+    """C⊗[Ψ,Φ]⊗A as a flat row-major tuple, for flat Ψ: C -/-> B and
+    Φ: A -/-> B: the lifting of :func:`lifting_rsdist`, unvalidated."""
+    q, ta, tb, tc = A.base, A.types, B.types, C.types
+    core = _mat_compose(q, tc, ta, ta, _mat_lift(q, tc, tb, ta, psi, phi), A.dense)
+    return _mat_compose(q, tc, tc, ta, C.dense, core)
 
 
 # -- semifunctors ------------------------------------------------------------
@@ -633,37 +639,24 @@ def _entry_lats(dom: SemiCategory, cod: SemiCategory) -> list:
     return [q.hom_lat(ta, tb) for tb in cod.types for ta in dom.types]
 
 
-def _flats(dom: SemiCategory, cod: SemiCategory):
-    """Every matrix dom -/-> cod as a flat row-major tuple, in lexicographic
-    entry order."""
-    return itertools.product(*(range(lat.size) for lat in _entry_lats(dom, cod)))
-
-
 def matrix_space(dom: SemiCategory, cod: SemiCategory):
-    """The matrices dom -/-> cod in lexicographic entry order, with their count.
+    """The matrices dom -/-> cod as flat row-major tuples, the form of
+    :attr:`SemiDistributor.dense`, in lexicographic entry order, with their count.
 
     Returns ``(size, generator)``; callers enforce their own caps before
     consuming the generator.
     """
     _require_same_base(dom, cod, "matrix endpoints")
-    total = math.prod(lat.size for lat in _entry_lats(dom, cod))
-    return total, (_sparse(cod, dom, flat) for flat in _flats(dom, cod))
-
-
-def _regular_flats(dom: SemiCategory, cod: SemiCategory):
-    """Lazily yield the regular matrices dom -/-> cod as flat row-major tuples.
-
-    Scans the matrix space in the lexicographic order of :func:`matrix_space`
-    and keeps Φ with Φ⊗A = Φ and B⊗Φ = Φ; callers enforce their own caps.
-    """
-    return (flat for flat in _flats(dom, cod) if _is_regular_flat(dom, cod, flat))
+    sizes = [lat.size for lat in _entry_lats(dom, cod)]
+    return math.prod(sizes), itertools.product(*map(range, sizes))
 
 
 def enumerate_regular_semidists(dom: SemiCategory, cod: SemiCategory, cap: int):
     """All regular semidistributors dom -/-> cod, lexicographically ordered."""
-    total, _ = matrix_space(dom, cod)
+    total, space = matrix_space(dom, cod)
     if total > cap:
         raise SearchCapExceeded(
             f"matrix space of size {total} exceeds cap {cap}", witness=total
         )
-    return [validate_semidistributor(dom, cod, flat) for flat in _regular_flats(dom, cod)]
+    regular = (flat for flat in space if _is_regular_flat(dom, cod, flat))
+    return [validate_semidistributor(dom, cod, flat) for flat in regular]

@@ -219,10 +219,10 @@ def test_criterion_05_rsdist_laws(small_regular_family):
         for A, B in itertools.product(cats[:8], repeat=2):
             from qsemicat import matrix_space
 
-            _, gen = matrix_space(A, B)
-            for mat in gen:
+            _, space = matrix_space(A, B)
+            for flat in space:
                 try:
-                    phi = validate_semidistributor(A, B, mat)
+                    phi = validate_semidistributor(A, B, flat)
                 except ActionFailure:
                     continue
                 assert is_regular_semidist(phi)

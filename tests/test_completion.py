@@ -205,6 +205,13 @@ def test_idm_lifting_rejects_untyped_arrows():
         idm_lifting(lukasiewicz3(), QArrow("*", "*", 1), e, e, 0, 0)
 
 
+def test_idm_lifting_refuses_an_element_out_of_range():
+    e = QArrow("*", "*", 1)
+    with pytest.raises(TypeMismatch) as exc:
+        idm_lifting(Q3, e, e, e, 3, 1)
+    assert (str(exc.value), exc.value.witness) == ("element 3 out of range", 3)
+
+
 def _idm_lifting_cases(q):
     """Every idempotent triple (e, f, g) with every arrow b: e -> f and c: g -> f."""
     idm = build_idm(q)
@@ -377,7 +384,7 @@ def test_verify_rsdist_refuses_a_composite_that_leaves_the_hom(monkeypatch, caps
     from pathlib import Path
 
     import qsemicat.completion as completion
-    from qsemicat.semicat import _flats, _is_regular_flat
+    from qsemicat.semicat import _is_regular_flat, matrix_space
 
     real = completion._product
 
@@ -386,7 +393,7 @@ def test_verify_rsdist_refuses_a_composite_that_leaves_the_hom(monkeypatch, caps
         if psi.cod is not phi.dom:
             return real(psi, phi)
         A = phi.dom
-        return iter(next(f for f in _flats(A, A) if not _is_regular_flat(A, A, f)))
+        return iter(next(f for f in matrix_space(A, A)[1] if not _is_regular_flat(A, A, f)))
 
     monkeypatch.setattr(completion, "_product", faulty)
     report = verify_rsdist_is_idm_matr(chain3_A(), chain3_C())

@@ -15,6 +15,7 @@ from qsemicat import (
     chain,
     from_frame,
     has_interpolation,
+    identity_semidist,
     is_omega_morphism,
     is_regular_presheaf,
     is_regular_semicat,
@@ -27,11 +28,18 @@ from qsemicat import (
     validate_omega_set,
     validate_poset,
     validate_semidistributor,
+    validate_semifunctor,
     way_below,
+    yoneda,
 )
 import qsemicat.instances
+from qsemicat.completion import RsdistIdmReport
+from qsemicat.instances import ScottContinuityReport
+from qsemicat.semicat import TypedSet
 from helpers import (
+    chain3_A,
     downsets_of_poset,
+    endomap_quantaloid,
     outcome,
     reference_directed_subsets,
     reference_interpolation,
@@ -39,8 +47,11 @@ from helpers import (
     reference_poset,
     reference_presheaves,
     reference_transitive,
+    two_object_quantaloid,
     upsets_of_poset,
 )
+
+RELATION_BUILDERS = [validate_poset, strict_order_to_semicat, has_interpolation]
 
 
 def test_validate_poset():
@@ -415,6 +426,88 @@ def test_poset_elements_with_colliding_names_are_refused():
     assert exc.value.witness == "1"
 
 
+@pytest.mark.parametrize("build", RELATION_BUILDERS)
+def test_relation_builders_refuse_a_pair_naming_an_unlisted_element(build):
+    # no builder drops the pair ("a", "b") or adds "b" to the elements
+    with pytest.raises(TypeMismatch) as exc:
+        build(["a"], [("a", "a"), ("a", "b")])
+    assert str(exc.value) == "pair ('a', 'b') names unknown elements"
+    assert exc.value.witness == ("a", "b")
+
+
+@pytest.mark.parametrize("build", RELATION_BUILDERS)
+def test_relation_builders_refuse_elements_with_one_name(build):
+    with pytest.raises(TypeMismatch) as exc:
+        build([1, "1", 1], [(1, 1)])
+    assert (str(exc.value), exc.value.witness) == ("duplicate element name '1'", "1")
+
+
+def test_interpolation_and_regularity_agree_on_an_unlisted_middle():
+    pairs = [("a", "c"), ("c", "b"), ("a", "b"), ("c", "c")]
+    want = (TypeMismatch, "pair ('a', 'c') names unknown elements", ("a", "c"))
+    assert outcome(lambda: has_interpolation(["a", "b"], pairs)) == want
+    assert outcome(lambda: is_regular_semicat(strict_order_to_semicat(["a", "b"], pairs))) == want
+    # with the middle listed, both routes interpolate through it
+    assert has_interpolation(["a", "b", "c"], pairs)
+    assert is_regular_semicat(strict_order_to_semicat(["a", "b", "c"], pairs))
+
+
+def test_scott_continuity_check_refuses_a_map_off_its_posets():
+    P = validate_poset(["0", "1"], [("0", "1")])
+    for f, message in (
+        ({"0": "0"}, "map does not cover its domain"),
+        ({"0": "0", "1": "2"}, "map leaves its codomain"),
+    ):
+        with pytest.raises(TypeMismatch) as exc:
+            scott_continuity_check(f, P, P)
+        assert (str(exc.value), exc.value.witness) == (message, None)
+
+
+def _eq_falls_back(value):
+    """``__eq__`` of ``value`` leaves a foreign operand to Python."""
+    other = object()
+    return value.__eq__(other) is NotImplemented and value != other
+
+
+@pytest.mark.parametrize(
+    "run, want",
+    [
+        (
+            lambda: is_omega_morphism(
+                identity_semidist(strict_order_to_semicat(["a", "b"], [("a", "b")]))
+            ),
+            False,
+        ),
+        (lambda: [bool(RsdistIdmReport(ok, 1, 1)) for ok in (True, False)], [True, False]),
+        (
+            lambda: [bool(ScottContinuityReport(c, True, True)) for c in (True, False)],
+            [True, False],
+        ),
+        (lambda: _eq_falls_back(chain(2)), True),
+        (lambda: _eq_falls_back(builtin_quantaloid("3")), True),
+        (lambda: _eq_falls_back(TypedSet([("a", "*")])), True),
+        (lambda: _eq_falls_back(chain3_A()), True),
+        (lambda: _eq_falls_back(identity_semidist(chain3_A())), True),
+        (lambda: _eq_falls_back(yoneda(chain3_A(), "*")), True),
+        (lambda: _eq_falls_back(validate_semifunctor(chain3_A(), chain3_A(), {"*": "*"})), True),
+    ],
+    ids=[
+        "omega-morphism-non-regular",
+        "rsdist-idm-report-bool",
+        "scott-continuity-report-bool",
+        "sup-lattice-eq",
+        "quantaloid-eq",
+        "typed-set-eq",
+        "semicategory-eq",
+        "semidistributor-eq",
+        "presheaf-eq",
+        "semifunctor-eq",
+    ],
+)
+def test_fallback_branches(run, want):
+    assert run() == want
+
+
 def test_continuity_implies_regular_graph():
     chain3_poset = validate_poset(["0", "1", "2"], [("0", "1"), ("1", "2")])
     maps = itertools.product(["0", "1", "2"], repeat=3)
@@ -431,3 +524,20 @@ def test_omega_set_equality_naming_an_unknown_element_is_rejected():
     with pytest.raises(TypeMismatch) as exc:
         validate_omega_set(frame, ["a", "b"], eq)
     assert exc.value.witness == ("a", "zz") and "unknown element" in str(exc.value)
+
+
+def test_omega_set_refuses_a_base_that_is_not_a_one_object_frame():
+    for base, message, witness in (
+        (two_object_quantaloid(), "an Omega-set needs a one-object base", ("X", "Y")),
+        (endomap_quantaloid(), "the base quantaloid is not a frame with meet composition", None),
+    ):
+        with pytest.raises(TypeMismatch) as exc:
+            validate_omega_set(base, ["a"], {})
+        assert (str(exc.value), exc.value.witness) == (message, witness)
+
+
+def test_omega_set_refuses_an_equality_out_of_range():
+    frame = from_frame(chain(3))
+    with pytest.raises(TypeMismatch) as exc:
+        validate_omega_set(frame, ["a", "b"], {("a", "a"): 2, ("a", "b"): 3})
+    assert (str(exc.value), exc.value.witness) == ("['a'='b'] = 3 out of range", ("a", "b"))

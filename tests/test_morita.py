@@ -289,9 +289,9 @@ def test_enumerate_regular_semidists_matches_matrix_space_filter(certificate_fam
             for dom, cod in ((A, B),) if family == "3obj" else ((A, B), (B, A)):
                 _, space = matrix_space(dom, cod)
                 expected = [
-                    SemiDistributor(dom, cod, mat)
-                    for mat in space
-                    if is_regular_semidist(SemiDistributor(dom, cod, mat))
+                    SemiDistributor(dom, cod, flat)
+                    for flat in space
+                    if is_regular_semidist(SemiDistributor(dom, cod, flat))
                 ]
                 assert enumerate_regular_semidists(dom, cod, cap=10**5) == expected
 
@@ -420,6 +420,19 @@ def test_distributor_from_cocont_rejects_non_cocontinuous():
 
     with pytest.raises(NotCocontinuous):
         distributor_from_cocont(constant, A, A)
+
+
+@pytest.mark.parametrize("values", [(7,), (-1,)])
+def test_distributor_from_cocont_refuses_values_outside_the_hom(values):
+    # Presheaf() takes its values unchecked, so the map's image is range-checked
+    A = chain3_A()
+    with pytest.raises(TypeMismatch) as exc:
+        distributor_from_cocont(lambda theta: Presheaf(A, "*", CONTRA, values), A, A)
+    assert str(exc.value) == (
+        "image of the representable at '*' is not a contravariant presheaf "
+        "of type t('*') on the codomain"
+    )
+    assert exc.value.witness == "*"
 
 
 def test_order_reflection():

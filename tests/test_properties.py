@@ -6,9 +6,11 @@ from functools import partial
 from hypothesis import given, strategies as st
 
 from qsemicat import (
+    TypeMismatch,
     builtin_quantaloid,
     compose_semidist,
     free_category,
+    has_interpolation,
     identity_semidist,
     is_category,
     is_regular_presheaf,
@@ -19,6 +21,8 @@ from qsemicat import (
     lifting_dist,
     map_j,
     enumerate_presheaves,
+    strict_order_to_semicat,
+    validate_poset,
     validate_semicategory,
     sup_semidist,
     validate_semidistributor,
@@ -26,12 +30,14 @@ from qsemicat import (
     yoneda_covariant,
 )
 from qsemicat.presheaf import _regular_presheaves
-from qsemicat.semicat import SemiDistributor, _flats, _mat_compose, _product_is
+from qsemicat.semicat import SemiDistributor, _mat_compose, _product_is, matrix_space
 from helpers import (
     NAMES,
     all_semicats,
     beyond_frame_pairs,
     endomap_quantaloid,
+    outcome,
+    reference_interpolation,
     reference_presheaves,
     regular_semicats,
     rel_quantaloid,
@@ -331,7 +337,7 @@ def test_regular_semidist_agrees_with_the_full_products():
         scanned = kept = 0
         for A, B in pairs:
             q, ta, tb = A.base, A.types, B.types
-            for flat in _flats(A, B):
+            for flat in matrix_space(A, B)[1]:
                 want = (
                     _mat_compose(q, tb, ta, ta, flat, A.dense) == flat
                     and _mat_compose(q, tb, tb, ta, B.dense, flat) == flat
@@ -340,3 +346,33 @@ def test_regular_semidist_agrees_with_the_full_products():
                 scanned += 1
                 kept += want
         assert 0 < kept < scanned, family
+
+
+@st.composite
+def relations(draw):
+    """(elements, pairs) over names that repeat, collide as str(x) (1 and
+    "1") or go unlisted ("z"); half the draws close the pairs transitively,
+    so that the builders also answer."""
+    elements = draw(st.lists(st.sampled_from(["a", "b", "c", 1, "1"]), max_size=4))
+    names = elements + ["z"] if draw(st.booleans()) else elements
+    if not names:
+        return elements, []
+    pairs = set(draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)))))
+    if draw(st.booleans()):
+        for _ in names:
+            pairs |= {(x, z) for x, y in pairs for y2, z in pairs if y == y2}
+    return elements, draw(st.permutations(sorted(pairs, key=repr)))
+
+
+@given(relations())
+def test_relation_builders_agree_or_refuse_alike(case):
+    elements, pairs = case
+    got = outcome(lambda: has_interpolation(elements, pairs))
+    assert outcome(lambda: is_regular_semicat(strict_order_to_semicat(elements, pairs))) == got
+    if isinstance(got, bool):
+        assert reference_interpolation(elements, pairs) == got
+    elif got[0] is TypeMismatch:
+        # the shared check on names refuses before any builder reads the order
+        assert outcome(lambda: validate_poset(elements, pairs)) == got
+    else:
+        assert outcome(lambda: reference_interpolation(elements, pairs)) == got

@@ -101,6 +101,12 @@ def test_builtin_names():
         builtin_quantaloid("frame:pentagon")
 
 
+def test_hom_lat_refuses_a_missing_pair():
+    with pytest.raises(TypeMismatch) as exc:
+        builtin_quantaloid("3").hom_lat("*", "X")
+    assert (str(exc.value), exc.value.witness) == ("no hom-lattice for ('*', 'X')", ("*", "X"))
+
+
 def test_builtin_quantaloids_are_built_once():
     assert builtin_quantaloid("2") is builtin_quantaloid("2")
     assert builtin_quantaloid("frame:square") is builtin_quantaloid("frame:square")

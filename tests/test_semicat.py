@@ -140,10 +140,13 @@ SEMIDIST_FAMILIES = {
 
 
 def _matrix_mutants(A, B):
-    """Every matrix A -/-> B, which holds every single-entry mutation of every
-    semidistributor, then an entry out of range and a key naming no objects."""
+    """Every matrix A -/-> B as a dict keyed (b, a), so that the keyed input
+    path runs on each; the space holds every single-entry mutation of every
+    semidistributor.  Then an entry out of range and a key naming no objects."""
     _, space = matrix_space(A, B)
-    yield from space
+    keys = [(b, a) for b in B.names for a in A.names]
+    for flat in space:
+        yield dict(zip(keys, flat))
     b, a = B.names[-1], A.names[0]
     yield {(b, a): A.base.hom_lat(A.type_of(a), B.type_of(b)).size}
     yield {(b, a): -1}
@@ -297,11 +300,11 @@ def test_lifting_dist_adjointness_exhaustive():
     Af, Bf, Cf = free_category(A), free_category(B), free_category(C)
 
     def all_dists(dom, cod):
-        total, gen = matrix_space(dom, cod)
+        _, space = matrix_space(dom, cod)
         out = []
-        for mat in gen:
+        for flat in space:
             try:
-                out.append(validate_semidistributor(dom, cod, mat))
+                out.append(validate_semidistributor(dom, cod, flat))
             except ActionFailure:
                 pass
         return out

@@ -299,6 +299,24 @@ def semicat_a(**change):
             "semicategories",
         ),
         (
+            {"quantaloids": {"Q": 3}},
+            ParseError,
+            "quantaloids.Q: expected a name or an object",
+            3,
+        ),
+        (
+            {"semicategories": {"A": "x"}},
+            ParseError,
+            "semicategories.A: expected an object",
+            "x",
+        ),
+        (
+            {"semicategories": {"A": {"objects": [], "hom": []}}},
+            ParseError,
+            "semicategories.A: missing key 'base'",
+            "base",
+        ),
+        (
             {"quantaloids": {"Q": explicit_quantaloid(objects=["X", "X"])}},
             TypeMismatch,
             "duplicate object names",
@@ -324,6 +342,9 @@ def semicat_a(**change):
         "one-part-hom-key",
         "two-part-compose-key",
         "list-section",
+        "scalar-quantaloid-spec",
+        "scalar-section-entry",
+        "missing-key",
         "duplicate-quantaloid-objects",
         "missing-hom-lattice",
         "identity-out-of-range",
