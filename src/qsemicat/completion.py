@@ -38,15 +38,18 @@ from .semicat import (
 )
 
 
+def _is_idempotent(q: Quantaloid, e: QArrow) -> bool:
+    """True iff ``e`` is an endo-arrow of ``q`` with its element in range and e∘e = e."""
+    x, i = e.dom, e.elem
+    if x != e.cod or x not in q.objects or not 0 <= i < q.hom[(x, x)].size:
+        return False
+    return q.compose_table[(x, x, x)][i][i] == i
+
+
 def idempotents(q: Quantaloid):
     """All endo-arrows e with e∘e = e, in object-then-element order."""
-    out = []
-    for x in q.objects:
-        lat = q.hom_lat(x, x)
-        for e in range(lat.size):
-            if q.compose_elems(x, x, x, e, e) == e:
-                out.append(QArrow(x, x, e))
-    return out
+    arrows = (QArrow(x, x, e) for x in q.objects for e in range(q.hom[(x, x)].size))
+    return [e for e in arrows if _is_idempotent(q, e)]
 
 
 def _idm_tag(e: QArrow) -> str:
@@ -128,9 +131,7 @@ def idm_lifting(q: Quantaloid, e: QArrow, f: QArrow, g: QArrow, b: int, c: int) 
     ``b`` is an arrow e -> f and ``c`` an arrow g -> f.
     """
     for idem in (e, f, g):
-        if idem.dom != idem.cod or q.compose_elems(
-            idem.dom, idem.dom, idem.dom, idem.elem, idem.elem
-        ) != idem.elem:
+        if not _is_idempotent(q, idem):
             raise NotIdempotent(f"{idem} is not an idempotent endo-arrow", witness=idem)
     _require_fixed(q, e, f, b)
     _require_fixed(q, g, f, c)
@@ -161,15 +162,14 @@ def split_idempotent_in_idm(q: Quantaloid, e: QArrow, t: int):
     retraction after the section is the identity on the new object, and the
     section after the retraction is t back on e.
     """
+    if not _is_idempotent(q, e):
+        raise NotIdempotent(f"{e} is not an idempotent endo-arrow", witness=e)
     _require_fixed(q, e, e, t)
-    A = e.dom
-    if q.compose_elems(A, A, A, t, t) != t:
+    obj = QArrow(e.dom, e.dom, t)
+    if not _is_idempotent(q, obj):
         raise NotIdempotent(f"{t} is not idempotent on {e}", witness=t)
-    obj = QArrow(A, A, t)
-    # t itself carries both structural arrows; check it is typed both ways.
-    # Both splitting composites then reduce to t∘t = t, already verified.
-    _require_fixed(q, e, obj, t)   # section  e -> t
-    _require_fixed(q, obj, e, t)   # retraction  t -> e
+    # t carries both structural arrows with no further check: t∘e = e∘t = t = t∘t,
+    # so t is an arrow e -> t and t -> e, and both splitting composites are t∘t = t
     section = (e, obj, t)
     retraction = (obj, e, t)
     return obj, section, retraction

@@ -59,10 +59,15 @@ class FinitePoset:
 
 def _relation(elements, pairs):
     """The distinct ``elements``, their positions and ``pairs`` as a list;
-    refuses two elements with one object name str(x), then the first pair
-    that names an element not listed.  Every relation builder reads this."""
-    elements = tuple(dict.fromkeys(elements))
-    pairs = list(pairs)
+    refuses two elements equal in Python but named differently (1 and True),
+    two with one object name str(x), then the first pair that names an
+    element not listed.  Every relation builder and every Omega-set reads this."""
+    seen = {}
+    for x in elements:
+        y = seen.setdefault(x, x)
+        if str(y) != str(x):
+            raise TypeMismatch(f"{y!r} and {x!r} are equal but named differently", witness=(y, x))
+    elements, pairs = tuple(seen), list(pairs)
     TypedSet((x, None) for x in elements)
     index = {x: i for i, x in enumerate(elements)}
     for x, y in pairs:
@@ -198,22 +203,22 @@ class OmegaSet:
 def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
     """Check symmetry and the triangle law of an equality matrix.
 
-    ``frame`` must be a one-object quantaloid whose composition is the
-    lattice meet (as produced by :func:`qsemicat.quantaloid.from_frame`);
-    ``eq`` maps element pairs to lattice elements, omitted pairs default
-    to bottom.
+    ``frame`` must be a one-object quantaloid with top as identity and the
+    meet table as composition (as :func:`qsemicat.quantaloid.from_frame`
+    builds); ``eq`` maps element pairs to lattice elements, omitted pairs
+    default to bottom.
     """
     if len(frame.objects) != 1:
         raise TypeMismatch("an Omega-set needs a one-object base", witness=frame.objects)
     obj = frame.objects[0]
     lat = frame.hom_lat(obj, obj)
-    if frame.identity[obj] != lat.top or any(
-        frame.compose_elems(obj, obj, obj, g, f) != lat.meet2(g, f)
-        for g in range(lat.size)
-        for f in range(lat.size)
-    ):
-        raise TypeMismatch("the base quantaloid is not a frame with meet composition")
-    elements = tuple(dict.fromkeys(elements))
+    table, unit = frame.compose_table[(obj, obj, obj)], frame.identity[obj]
+    if unit != lat.top or table != lat._meet2:
+        # the identity when it is not top, else the first (g, f) with g∘f ≠ g∧f
+        flat = [gf != m for row, meets in zip(table, lat._meet2) for gf, m in zip(row, meets)]
+        bad = unit if unit != lat.top else divmod(flat.index(True), lat.size)
+        raise TypeMismatch("the base quantaloid is not a frame with meet composition", witness=bad)
+    elements = _relation(elements, ())[0]
     full = {}
     for x in elements:
         for y in elements:
@@ -280,17 +285,15 @@ def scott_continuity_check(f, P: FinitePoset, Q: FinitePoset) -> ScottContinuity
     """
     f = dict(f)
     if set(f) != set(P.elements):
-        raise TypeMismatch("map does not cover its domain")
-    if any(v not in Q.elements for v in f.values()):
-        raise TypeMismatch("map leaves its codomain")
+        missed = [a for a in P.elements if a not in f] + [a for a in f if a not in P.elements]
+        raise TypeMismatch("map does not cover its domain", witness=missed[0])
+    off = next(((a, f[a]) for a in P.elements if f[a] not in Q.elements), None)
+    if off is not None:
+        raise TypeMismatch("map leaves its codomain", witness=off)
     wb_p = way_below(P)
     wb_q = way_below(Q)
-    continuous = all(
-        ((b, f[a]) in wb_q)
-        == any((b, f[x]) in wb_q and (x, a) in wb_p for x in P.elements)
-        for a in P.elements
-        for b in Q.elements
-    )
+    # way-below is the order; x = a and b = f(x) reduce the definition to monotonicity
+    continuous = all((f[x], f[a]) in wb_q for x, a in wb_p)
 
     WP = strict_order_to_semicat(P.elements, wb_p)
     WQ = strict_order_to_semicat(Q.elements, wb_q)

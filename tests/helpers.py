@@ -15,6 +15,7 @@ from qsemicat import (
     AssocFailure,
     CompositionFailure,
     MissingJoin,
+    NotAFrame,
     NotAPartialOrder,
     NotSupPreserving,
     NotSymmetric,
@@ -27,11 +28,13 @@ from qsemicat import (
     UnitFailure,
     builtin_quantaloid,
     enumerate_regular_semidists,
+    from_quantale,
     idempotents,
     matrix_space,
     validate_quantaloid,
     validate_semicategory,
     validate_sup_lattice,
+    way_below,
 )
 from qsemicat.lattice import SupLattice, chain
 from qsemicat.morita import _check_regular_pair
@@ -41,7 +44,6 @@ from qsemicat.presheaf import (
     _contra,
     presheaf_hom_elem,
 )
-from qsemicat.quantaloid import from_frame
 from qsemicat.semicat import (
     SemiFunctor,
     _first_excess,
@@ -49,7 +51,6 @@ from qsemicat.semicat import (
     _mat_lift,
     _require_same_base,
 )
-from qsemicat.workspace import parse_lattice
 
 NAMES = ("a", "b", "c", "d", "e")
 
@@ -105,8 +106,6 @@ def endomap_quantaloid():
     def mult(g, f):
         gf = (apply(maps[g], maps[f][0]), apply(maps[g], maps[f][1]))
         return index[gf]
-
-    from qsemicat import from_quantale
 
     return from_quantale(lat, mult, index[(1, 2)])
 
@@ -1055,10 +1054,80 @@ def reference_skeleton_homs(view, reps):
     return {(t1, t0): e for (t1, t0), e in view.hom.items() if t1 in keep and t0 in keep}
 
 
-def reference_frame(spec, where, cap=DEFAULT_CAP):
-    """The former Omega-set frame: the lattice parsed afresh, then checked
-    to be a frame and wrapped as a quantaloid."""
-    return from_frame(parse_lattice(spec, where, cap))
+def reference_frame(lat):
+    """The former ``from_frame``: distributivity of binary meets over binary
+    joins checked by its own loop, then the frame wrapped as a one-object
+    quantaloid with composition = meet, identity = top."""
+    for x in range(lat.size):
+        for y in range(lat.size):
+            for z in range(lat.size):
+                lhs = lat.meet2(x, lat.join2(y, z))
+                rhs = lat.join2(lat.meet2(x, y), lat.meet2(x, z))
+                if lhs != rhs:
+                    raise NotAFrame(
+                        f"meet does not distribute over join at ({x}, {y}, {z})",
+                        witness=(x, y, z),
+                    )
+    return from_quantale(lat, lat.meet2, lat.top)
+
+
+def labelled_lattices(n):
+    """Every lattice on the labelled elements 0..n-1, from the posets of
+    :func:`all_posets` that have all joins."""
+    out = []
+    for rows in all_posets(n):
+        pairs = [(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1]
+        try:
+            out.append(validate_sup_lattice(n, pairs))
+        except MissingJoin:
+            pass
+    return out
+
+
+def random_lattices(rng, sizes, draws):
+    """Lattices drawn by ``rng``: for each of ``draws`` draws, a size from
+    ``sizes``, a random order on the middle elements between a bottom and a
+    top, and a random labelling; draws without all joins are skipped."""
+    out = []
+    for _ in range(draws):
+        n = rng.choice(sizes)
+        label = rng.sample(range(n), n)
+        bottom, top, middle = label[0], label[-1], label[1:-1]
+        pairs = [(bottom, x) for x in middle] + [(x, top) for x in middle]
+        pairs += [
+            (x, y) for i, x in enumerate(middle) for y in middle[i + 1 :] if rng.random() < 0.3
+        ]
+        try:
+            out.append(validate_sup_lattice(n, pairs))
+        except MissingJoin:
+            pass
+    return out
+
+
+def reference_scott_continuous(f, P, Q) -> bool:
+    """The former continuity test of ``scott_continuity_check``, by its
+    definition: b << f(a) iff some x has b << f(x) and x << a, over all a
+    in P and b in Q."""
+    wb_p = way_below(P)
+    wb_q = way_below(Q)
+    return all(
+        ((b, f[a]) in wb_q)
+        == any((b, f[x]) in wb_q and (x, a) in wb_p for x in P.elements)
+        for a in P.elements
+        for b in Q.elements
+    )
+
+
+def reference_idempotents(q):
+    """The former ``idempotents``: every endo-arrow e with e∘e = e, by its
+    own scan, in object-then-element order."""
+    out = []
+    for x in q.objects:
+        lat = q.hom_lat(x, x)
+        for e in range(lat.size):
+            if q.compose_elems(x, x, x, e, e) == e:
+                out.append(QArrow(x, x, e))
+    return out
 
 
 def reference_semifunctor(dom, cod, mapping):

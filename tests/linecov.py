@@ -5,10 +5,15 @@ Run it from the repository root with ``tests`` on the path:
 
     PYTHONPATH=src:tests python -m pytest -q -p linecov
 
-At the end of the session it prints, per module, the statements that never
-ran, as line ranges.  A statement counts as run when any line of its own
-text ran (so a call spread over several lines counts once), and a compound
-statement also when any statement in its body ran.  Docstrings are not
+At the end of the session it prints the statements that never ran and are
+not in ``tests/linecov_justified.txt``, each as ``+ module:line: text``, and
+each entry of that list that ran after all or is gone, as ``- module: text``,
+then a count; a suite that runs all it should prints no ``+`` or ``-`` line.
+The list names a statement by its module and the text of its first line, so
+an entry survives edits elsewhere in the module.  A statement counts as run
+when any line of its own text ran (so a call spread over several lines
+counts once), and a compound statement also when any statement in its body
+ran.  Docstrings are not
 statements, nor are ``global`` and ``nonlocal`` declarations, which emit no
 line event when their function runs.  Code run in subprocesses (the demo
 and CLI entry point tests) is not traced.  Tracing makes the suite several times slower.
@@ -22,6 +27,7 @@ import threading
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qsemicat"
+JUSTIFIED = Path(__file__).resolve().parent / "linecov_justified.txt"
 _hits: dict = {}  # file name -> line numbers that ran
 _local: dict = {}  # code file name -> its local trace function, or None outside the package
 
@@ -109,14 +115,25 @@ def never_ran(path: Path, hits):
     return sorted(node.lineno for node, _, _ in stmts if node not in ran), len(stmts)
 
 
-def _ranges(lines):
-    spans = []
-    for line in lines:
-        if spans and line == spans[-1][1] + 1:
-            spans[-1][1] = line
-        else:
-            spans.append([line, line])
-    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+def justified(text: str):
+    """The entries of a justified list: ``(module, first line of the
+    statement)`` from each line ``module.py: text``.  Blank lines and lines
+    starting with ``#``, the reasons, are skipped."""
+    entries = set()
+    for line in text.splitlines():
+        if line.strip() and not line.startswith("#"):
+            module, _, statement = line.partition(": ")
+            entries.add((module, statement.strip()))
+    return entries
+
+
+def against(never, listed):
+    """``(new, stale)``: the never-run ``(module, line, text)`` whose
+    ``(module, text)`` is not in ``listed``, and the listed entries that no
+    never-run statement matches."""
+    new = [(module, line, text) for module, line, text in never if (module, text) not in listed]
+    stale = sorted(listed - {(module, text) for module, _, text in never})
+    return new, stale
 
 
 def pytest_configure(config):
@@ -127,8 +144,17 @@ def pytest_configure(config):
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     sys.settrace(None)
     threading.settrace(None)
-    terminalreporter.write_sep("-", "statements of src/qsemicat that never ran")
+    never, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
-        missing, total = never_ran(path, _hits.get(str(path), ()))
-        line = f"{path.name}: {len(missing)} of {total}"
-        terminalreporter.write_line(line + (f": {_ranges(missing)}" if missing else ""))
+        missing, count = never_ran(path, _hits.get(str(path), ()))
+        source = path.read_text(encoding="utf-8").splitlines()
+        never += [(path.name, line, source[line - 1].strip()) for line in missing]
+        total += count
+    new, stale = against(never, justified(JUSTIFIED.read_text(encoding="utf-8")))
+    write = terminalreporter.write_line
+    terminalreporter.write_sep("-", "statements of src/qsemicat that never ran, beyond the list")
+    for module, line, text in new:
+        write(f"+ {module}:{line}: {text}")
+    for module, text in stale:
+        write(f"- {module}: {text}")
+    write(f"{len(never)} of {total} statements never ran, {len(never) - len(new)} of them listed")

@@ -28,6 +28,8 @@ from helpers import (
     endomap_quantaloid,
     lattice_fields,
     order_pairs,
+    outcome,
+    reference_idempotents,
     reference_idm_lifting,
     reference_idm_tables,
     reference_sup_lattice,
@@ -52,6 +54,28 @@ def test_idempotents_of_meet_quantales():
 def test_idempotents_by_table_scan():
     q = lukasiewicz3()
     assert [e.elem for e in idempotents(q)] == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: builtin_quantaloid("2"), 2),
+        (lambda: builtin_quantaloid("3"), 3),
+        (lambda: builtin_quantaloid("frame:4"), 4),
+        (lambda: builtin_quantaloid("frame:square"), 4),
+        (lukasiewicz3, 2),
+        (rel_quantaloid, 13),
+        (endomap_quantaloid, 5),
+        (lambda: build_idm(rel_quantaloid()).quantaloid, 39),
+        (lambda: build_idm(endomap_quantaloid()).quantaloid, 12),
+    ],
+    ids=["2", "3", "frame:4", "square", "lukasiewicz", "relations", "endomaps", "idm-R", "idm-E"],
+)
+def test_idempotents_match_the_former_scan(make, count):
+    q = make()
+    got = idempotents(q)
+    assert got == reference_idempotents(q)
+    assert len(got) == count
 
 
 def test_build_idm_three_chain():
@@ -236,6 +260,43 @@ def test_idm_lifting_closed_form_matches_exhaustive_maximum_on_relations():
     q = rel_quantaloid()
     for case in random.Random(0).sample(_idm_lifting_cases(q), 2000):
         assert idm_lifting(q, *case) == reference_idm_lifting(q, *case)
+
+
+GOOD = QArrow("*", "*", 1)
+NOT_IDEMPOTENT = [
+    (Q3, GOOD, QArrow("X", "X", 0)),  # no object X
+    (Q3, GOOD, QArrow("*", "*", 7)),  # beyond the three-chain
+    (Q3, GOOD, QArrow("*", "*", -1)),  # negative: no wrap-around to the top
+    (two_object_quantaloid(), QArrow("X", "X", 1), QArrow("X", "Y", 1)),  # not an endo-arrow
+    (lukasiewicz3(), QArrow("*", "*", 2), QArrow("*", "*", 1)),  # 1∘1 = 0
+]
+NOT_IDEMPOTENT_IDS = ["unknown-object", "elem-7", "elem-minus-1", "not-endo", "not-idempotent"]
+
+
+@pytest.mark.parametrize("position", ["e", "f", "g"])
+@pytest.mark.parametrize("q, good, bad", NOT_IDEMPOTENT, ids=NOT_IDEMPOTENT_IDS)
+def test_idm_lifting_refuses_an_arrow_that_is_not_idempotent(q, good, bad, position):
+    idems = {"e": good, "f": good, "g": good, position: bad}
+    want = (NotIdempotent, f"{bad} is not an idempotent endo-arrow", bad)
+    # the bottom 0 is an arrow between any two idempotents
+    assert outcome(lambda: idm_lifting(q, idems["e"], idems["f"], idems["g"], 0, 0)) == want
+
+
+@pytest.mark.parametrize("q, good, bad", NOT_IDEMPOTENT, ids=NOT_IDEMPOTENT_IDS)
+def test_split_refuses_an_object_that_is_not_idempotent(q, good, bad):
+    want = (NotIdempotent, f"{bad} is not an idempotent endo-arrow", bad)
+    assert outcome(lambda: split_idempotent_in_idm(q, bad, 0)) == want
+    assert split_idempotent_in_idm(q, good, 0)[0] == QArrow(good.dom, good.dom, 0)
+
+
+def test_split_refuses_an_arrow_that_is_not_an_idempotent_on_e():
+    top = QArrow("*", "*", 2)
+    for q, t, want in (
+        (Q3, 7, (TypeMismatch, "element 7 out of range", 7)),
+        (Q3, -1, (TypeMismatch, "element -1 out of range", -1)),
+        (lukasiewicz3(), 1, (NotIdempotent, f"1 is not idempotent on {top}", 1)),
+    ):
+        assert outcome(lambda: split_idempotent_in_idm(q, top, t)) == want
 
 
 def test_split_idempotent_examples():

@@ -43,7 +43,7 @@ from qsemicat import (
 from qsemicat.lattice import named_lattice
 from qsemicat.presheaf import QCategoryView, _contra
 from qsemicat.semicat import _lift_entry, _lift_plan, _mat_lift, validate_typed_set
-from qsemicat.workspace import load_workspace, validate_report
+from qsemicat.workspace import load_workspace, parse_lattice, validate_report
 from helpers import (
     all_semicats,
     outcome,
@@ -266,7 +266,7 @@ def test_named_lattices_and_frames_are_built_once():
 @pytest.mark.parametrize("name, error", [("nope", ParseError), ("diamond", NotAFrame)])
 def test_named_frame_errors_match_the_former_route(name, error):
     doc = {"omega_sets": {"E": {"frame": name, "elements": ["p"], "eq": [["p", "p", 0]]}}}
-    want = outcome(lambda: reference_frame(name, "omega_sets.E.frame"))
+    want = outcome(lambda: reference_frame(parse_lattice(name, "omega_sets.E.frame")))
     assert want[0] is error
     assert outcome(lambda: load_workspace(doc)) == want
     _, (verdict,) = validate_report(doc)

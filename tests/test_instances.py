@@ -11,9 +11,11 @@ from qsemicat import (
     NotTransitiveEq,
     TypeMismatch,
     bottom_semidist,
+    build_idm,
     builtin_quantaloid,
     chain,
     from_frame,
+    from_quantale,
     has_interpolation,
     identity_semidist,
     is_omega_morphism,
@@ -37,7 +39,9 @@ from qsemicat.completion import RsdistIdmReport
 from qsemicat.instances import ScottContinuityReport
 from qsemicat.semicat import TypedSet
 from helpers import (
+    all_posets,
     chain3_A,
+    chain3_C,
     downsets_of_poset,
     endomap_quantaloid,
     outcome,
@@ -46,7 +50,9 @@ from helpers import (
     reference_omega_set,
     reference_poset,
     reference_presheaves,
+    reference_scott_continuous,
     reference_transitive,
+    rows_to_pairs,
     two_object_quantaloid,
     upsets_of_poset,
 )
@@ -435,7 +441,50 @@ def test_relation_builders_refuse_a_pair_naming_an_unlisted_element(build):
     assert exc.value.witness == ("a", "b")
 
 
-@pytest.mark.parametrize("build", RELATION_BUILDERS)
+ELEMENT_BUILDERS = RELATION_BUILDERS + [
+    lambda elements, pairs: validate_omega_set(builtin_quantaloid("3"), elements, {})
+]
+
+
+@pytest.mark.parametrize("build", ELEMENT_BUILDERS)
+@pytest.mark.parametrize(
+    "elements, witness",
+    [([1, True], (1, True)), ([1.0, "a", 1], (1.0, 1)), ([True, 1.0, True], (True, 1.0))],
+)
+def test_builders_refuse_equal_elements_named_differently(build, elements, witness):
+    # 1 == True == 1.0, but the object names "1", "True" and "1.0" differ
+    with pytest.raises(TypeMismatch) as exc:
+        build(elements, [(elements[-1], elements[0])])
+    message = f"{witness[0]!r} and {witness[1]!r} are equal but named differently"
+    assert (str(exc.value), exc.value.witness) == (message, witness)
+
+
+def test_equal_elements_named_differently_are_not_merged():
+    want = (TypeMismatch, "1 and True are equal but named differently", (1, True))
+    assert outcome(lambda: validate_poset([1, True], [(True, 1)])) == want
+    assert outcome(lambda: has_interpolation([1, True], [(1, True)])) == want
+    frame = builtin_quantaloid("frame:3")
+    eq = {(1, 1): 2, (True, True): 1}  # one key: Python keeps the first key, the last value
+    assert outcome(lambda: validate_omega_set(frame, [1, True], eq)) == want
+
+
+def test_builders_drop_a_repeated_element():
+    assert validate_poset([1, 2, 1], [(1, 2)]).elements == (1, 2)
+    assert strict_order_to_semicat(["a", "b", "a"], [("a", "b")]).names == ("a", "b")
+    assert has_interpolation([True, True], [(True, True)])
+    E = validate_omega_set(builtin_quantaloid("3"), [0, 0], {(0, 0): 2})
+    assert (E.elements, E.eq) == ((0,), {(0, 0): 2})
+
+
+def test_omega_set_refuses_a_name_collision_before_range_and_symmetry():
+    frame = builtin_quantaloid("3")
+    for eq in ({(0, 0): 9}, {(0, "0"): 1, ("0", 0): 2}):
+        with pytest.raises(TypeMismatch) as exc:
+            validate_omega_set(frame, [0, "0"], eq)
+        assert (str(exc.value), exc.value.witness) == ("duplicate element name '0'", "0")
+
+
+@pytest.mark.parametrize("build", ELEMENT_BUILDERS)
 def test_relation_builders_refuse_elements_with_one_name(build):
     with pytest.raises(TypeMismatch) as exc:
         build([1, "1", 1], [(1, 1)])
@@ -454,13 +503,36 @@ def test_interpolation_and_regularity_agree_on_an_unlisted_middle():
 
 def test_scott_continuity_check_refuses_a_map_off_its_posets():
     P = validate_poset(["0", "1"], [("0", "1")])
-    for f, message in (
-        ({"0": "0"}, "map does not cover its domain"),
-        ({"0": "0", "1": "2"}, "map leaves its codomain"),
+    for f, message, witness in (
+        ({"1": "0"}, "map does not cover its domain", "0"),
+        ({"0": "0"}, "map does not cover its domain", "1"),
+        ({"0": "0", "1": "1", "2": "0", "3": "0"}, "map does not cover its domain", "2"),
+        ({"1": "2", "0": "3"}, "map leaves its codomain", ("0", "3")),
+        ({"0": "0", "1": "2"}, "map leaves its codomain", ("1", "2")),
     ):
         with pytest.raises(TypeMismatch) as exc:
             scott_continuity_check(f, P, P)
-        assert (str(exc.value), exc.value.witness) == (message, None)
+        assert (str(exc.value), exc.value.witness) == (message, witness)
+
+
+def test_scott_continuity_is_the_definition_on_every_small_map():
+    # every map between labelled posets of one to three elements: 10,838
+    names = "abc"
+    posets = [
+        validate_poset(names[:n], rows_to_pairs(rows, names))
+        for n in range(1, 4)
+        for rows in all_posets(n)
+    ]
+    seen = []
+    for P, Q in itertools.product(posets, repeat=2):
+        for img in itertools.product(Q.elements, repeat=len(P.elements)):
+            f = dict(zip(P.elements, img))
+            report = scott_continuity_check(f, P, Q)
+            assert report.continuous == reference_scott_continuous(f, P, Q), (P.leq, Q.leq, f)
+            if report.continuous:
+                assert report.graph_is_semidistributor and report.graph_regular
+            seen.append(report.continuous)
+    assert (len(seen), sum(seen)) == (10838, 4818)
 
 
 def _eq_falls_back(value):
@@ -508,6 +580,38 @@ def test_fallback_branches(run, want):
     assert run() == want
 
 
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: build_idm(builtin_quantaloid("3")), "<idempotent completion on 3 objects>"),
+        (lambda: validate_poset(["x", "y"], [("x", "y")]), "FinitePoset(['x', 'y'])"),
+        (
+            lambda: validate_omega_set(builtin_quantaloid("3"), ["p"], {("p", "p"): 2}),
+            "OmegaSet(['p'])",
+        ),
+        (lambda: chain(3), "SupLattice(size=3)"),
+        (lambda: yoneda(chain3_A(), "*"), "Presheaf(contra *: *=1)"),
+        (lambda: builtin_quantaloid("3"), "Quantaloid(objects=['*'])"),
+        (lambda: TypedSet([("a", "*")]), "TypedSet([('a', '*')])"),
+        (chain3_A, "<semicategory on ['*']>"),
+        (chain3_C, "<category on ['*']>"),
+        (lambda: identity_semidist(chain3_A()), "<semidistributor ['*'] -/-> ['*']>"),
+        (
+            lambda: validate_semifunctor(chain3_A(), chain3_A(), {"*": "*"}),
+            "<semifunctor {'*': '*'}>",
+        ),
+    ],
+)
+def test_reprs(make, text):
+    assert repr(make()) == text
+
+
+def test_equal_typed_sets_hash_alike():
+    first, second = TypedSet([("a", "*"), (1, "*")]), TypedSet([("a", "*"), ("1", "*")])
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, TypedSet([("a", "*")])}) == 2
+
+
 def test_continuity_implies_regular_graph():
     chain3_poset = validate_poset(["0", "1", "2"], [("0", "1"), ("1", "2")])
     maps = itertools.product(["0", "1", "2"], repeat=3)
@@ -527,9 +631,17 @@ def test_omega_set_equality_naming_an_unknown_element_is_rejected():
 
 
 def test_omega_set_refuses_a_base_that_is_not_a_one_object_frame():
+    not_a_frame = "the base quantaloid is not a frame with meet composition"
+    # truncated addition on the three-chain: identity top, but 1∘1 = 0 ≠ 1∧1
+    lukasiewicz = from_quantale(chain(3), lambda g, f: max(0, g + f - 2), 2)
+    # on the three-chain, 0 absorbs and otherwise g∘f = g∨f: identity 1, not top
+    middle_unit = from_quantale(chain(3), lambda g, f: g and f and max(g, f), 1)
     for base, message, witness in (
         (two_object_quantaloid(), "an Omega-set needs a one-object base", ("X", "Y")),
-        (endomap_quantaloid(), "the base quantaloid is not a frame with meet composition", None),
+        # the endomaps (f(1), f(2)) of the three-chain: the identity (1, 2) is element 4
+        (endomap_quantaloid(), not_a_frame, 4),
+        (lukasiewicz, not_a_frame, (1, 1)),
+        (middle_unit, not_a_frame, 1),
     ):
         with pytest.raises(TypeMismatch) as exc:
             validate_omega_set(base, ["a"], {})

@@ -2,7 +2,7 @@
 
 import sys
 
-from linecov import never_ran, statements
+from linecov import against, justified, never_ran, statements
 
 SOURCE = '''"""A module."""
 
@@ -67,3 +67,10 @@ def test_only_the_branch_not_taken_never_ran(tmp_path):
     # global and nonlocal declarations emit no line event
     assert not {8, 12} & hits
     assert never_ran(path, hits) == ([18], 9)
+
+
+def test_only_statements_off_the_list_and_stale_entries_are_reported():
+    listed = justified("# a reason\n\nm.py: return x\nm.py: gone()\n# n.py: not an entry\n")
+    assert listed == {("m.py", "return x"), ("m.py", "gone()")}
+    never = [("m.py", 3, "return x"), ("m.py", 9, "raise E()")]
+    assert against(never, listed) == ([("m.py", 9, "raise E()")], [("m.py", "gone()")])

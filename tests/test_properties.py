@@ -351,9 +351,12 @@ def test_regular_semidist_agrees_with_the_full_products():
 @st.composite
 def relations(draw):
     """(elements, pairs) over names that repeat, collide as str(x) (1 and
-    "1") or go unlisted ("z"); half the draws close the pairs transitively,
-    so that the builders also answer."""
-    elements = draw(st.lists(st.sampled_from(["a", "b", "c", 1, "1"]), max_size=4))
+    "1"), are equal under different names (1, True and 1.0) or go unlisted
+    ("z"); half the draws close the pairs transitively, so that the
+    builders also answer."""
+    elements = draw(
+        st.lists(st.sampled_from(["a", "b", "c", 1, "1", True, 1.0]), max_size=4)
+    )
     names = elements + ["z"] if draw(st.booleans()) else elements
     if not names:
         return elements, []

@@ -7,6 +7,7 @@ import pytest
 from qsemicat import (
     AssocFailure,
     NotAFrame,
+    QArrow,
     QsError,
     TypeMismatch,
     UnitFailure,
@@ -18,8 +19,10 @@ from qsemicat import (
     from_quantale,
     named_lattice,
     validate_quantaloid,
+    validate_sup_lattice,
 )
 from qsemicat.quantaloid import (
+    Quantaloid,
     _axioms_hold,
     _check_axioms_exhaustively,
     _join_plans,
@@ -28,9 +31,13 @@ from qsemicat.quantaloid import (
 from helpers import (
     endomap_quantaloid,
     full_subquantaloid,
+    labelled_lattices,
     min_table,
     oracle_extension,
     oracle_lifting,
+    outcome,
+    random_lattices,
+    reference_frame,
     reference_preserves_joins,
     reference_quantaloid_axioms,
     rel_quantaloid,
@@ -92,6 +99,33 @@ def test_diamond_is_not_a_frame():
     x, y, z = exc.value.witness
     lat = diamond_lattice()
     assert lat.meet2(x, lat.join2(y, z)) != lat.join2(lat.meet2(x, y), lat.meet2(x, z))
+
+
+def test_diamond_refusal_names_the_first_triple():
+    want = (NotAFrame, "meet does not distribute over join at (1, 2, 3)", (1, 2, 3))
+    assert outcome(lambda: from_frame(diamond_lattice())) == want
+
+
+def _frame_cases():
+    """The named lattices, every lattice on at most four labelled elements,
+    M3 and N5, and a seeded sample of lattices on five and six elements."""
+    named = [named_lattice(name) for name in ("2", "3", "4", "square", "diamond")]
+    small = [lat for n in range(1, 5) for lat in labelled_lattices(n)]
+    n5 = validate_sup_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    return named + small + [diamond_lattice(), n5] + random_lattices(random.Random(0), (5, 6), 400)
+
+
+def test_from_frame_matches_the_distributivity_loop():
+    # frame-ness comes from validate_quantaloid; the former loop is the oracle
+    seen = set()
+    for lat in _frame_cases():
+        want = outcome(lambda: reference_frame(lat))
+        got = outcome(lambda: from_frame(lat))
+        assert got == want, lat.leq
+        seen.add((lat.size, isinstance(want, Quantaloid)))
+    # 24 labelled 4-chains and 12 labelled squares, all frames; non-frames from 5 elements
+    assert len(labelled_lattices(4)) == 36
+    assert seen == {(n, True) for n in range(1, 7)} | {(5, False), (6, False)}
 
 
 def test_builtin_names():
