@@ -112,8 +112,9 @@ def build_idm(q: Quantaloid) -> IdmQuantaloid:
     interned, built = {}, {}
     for key in dict.fromkeys(keys):
         (x, y, fixed_ef), (_, z, fixed_fg) = fixed_sets[key[0]], fixed_sets[key[1]]
-        base, to_pos = comp[(x, y, z)], pos[key[2]].__getitem__
-        table = tuple(tuple(map(to_pos, map(base[c].__getitem__, fixed_ef))) for c in fixed_fg)
+        base, to_pos = comp[(x, y, z)], pos[key[2]]
+        rows = [base[c] for c in fixed_fg]
+        table = tuple([tuple([to_pos[row[b]] for b in fixed_ef]) for row in rows])
         built[key] = interned.setdefault(table, table)
 
     pairs = list(product(tags, repeat=2))

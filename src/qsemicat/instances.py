@@ -61,7 +61,8 @@ def _relation(elements, pairs):
     """The distinct ``elements``, their positions and ``pairs`` as a list;
     refuses two elements equal in Python but named differently (1 and True),
     two with one object name str(x), then the first pair that names an
-    element not listed.  Every relation builder and every Omega-set reads this."""
+    element not listed, or a listed one under another name (True for 1).
+    Every relation builder and every Omega-set reads this."""
     seen = {}
     for x in elements:
         y = seen.setdefault(x, x)
@@ -70,8 +71,14 @@ def _relation(elements, pairs):
     elements, pairs = tuple(seen), list(pairs)
     TypedSet((x, None) for x in elements)
     index = {x: i for i, x in enumerate(elements)}
+    names = list(map(str, elements))
+
+    def listed(x):
+        # by name: True does not name a listed 1
+        return x in index and str(x) == names[index[x]]
+
     for x, y in pairs:
-        if x not in index or y not in index:
+        if not (listed(x) and listed(y)):
             raise TypeMismatch(f"pair ({x!r}, {y!r}) names unknown elements", witness=(x, y))
     return elements, index, pairs
 
@@ -219,6 +226,11 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
         bad = unit if unit != lat.top else divmod(flat.index(True), lat.size)
         raise TypeMismatch("the base quantaloid is not a frame with meet composition", witness=bad)
     elements = _relation(elements, ())[0]
+    # keys by name: (True, True) does not name the pair (1, 1)
+    names = {(x, y): (str(x), str(y)) for x in elements for y in elements}
+    for key in eq:
+        if key not in names or tuple(map(str, key)) != names[key]:
+            raise TypeMismatch(f"equality {key} names unknown elements", witness=key)
     full = {}
     for x in elements:
         for y in elements:
@@ -226,9 +238,6 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
             if not 0 <= e < lat.size:
                 raise TypeMismatch(f"[{x!r}={y!r}] = {e} out of range", witness=(x, y))
             full[(x, y)] = e
-    for key in eq:
-        if key not in full:
-            raise TypeMismatch(f"equality {key} names unknown elements", witness=key)
     for x in elements:
         for y in elements:
             if full[(x, y)] != full[(y, x)]:

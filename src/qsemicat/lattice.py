@@ -172,27 +172,25 @@ def join_closed_sublattice(lat: SupLattice, elements, shared: dict) -> SupLattic
     ``ValueError`` when the elements miss the bottom or a binary join.
     An order already in ``shared`` returns its lattice; a new one is added.
     """
-    pos = {b: i for i, b in enumerate(elements)}
-    if lat.bottom not in pos:
+    at = [-1] * lat.size  # the position of each base element among the elements, or -1
+    for i, b in enumerate(elements):
+        at[b] = i
+    if at[lat.bottom] < 0:
         raise ValueError("the elements do not hold the bottom")
-    base_join, base_leq = lat._join2, lat.leq
-    join2 = []
-    for s in elements:
-        row = tuple(map(pos.get, map(base_join[s].__getitem__, elements)))
-        if None in row:
-            raise ValueError("the elements are not closed under binary joins")
-        join2.append(row)
-    leq = tuple(tuple(map(base_leq[s].__getitem__, elements)) for s in elements)
+
+    def rows(table):
+        # the rows of a base table at the elements, each read once
+        return [table[s] for s in elements]
+
+    join2 = tuple([tuple([at[row[t]] for t in elements]) for row in rows(lat._join2)])
+    if any([-1 in row for row in join2]):
+        raise ValueError("the elements are not closed under binary joins")
+    leq = tuple([tuple([row[t] for t in elements]) for row in rows(lat.leq)])
     if leq in shared:
         return shared[leq]
-    core = tuple(
-        pos[lat.join(s for s in elements if base_leq[s][m])] for m in range(lat.size)
-    )
-    meet2 = tuple(
-        tuple(map(core.__getitem__, map(lat._meet2[s].__getitem__, elements)))
-        for s in elements
-    )
-    sub = SupLattice(len(elements), leq, pos[lat.bottom], tuple(join2), meet2)
+    core = tuple(at[lat.join(s for s in elements if lat.leq[s][m])] for m in range(lat.size))
+    meet2 = tuple([tuple([core[row[t]] for t in elements]) for row in rows(lat._meet2)])
+    sub = SupLattice(len(elements), leq, at[lat.bottom], join2, meet2)
     return shared.setdefault(leq, sub)
 
 

@@ -474,7 +474,9 @@ def weighted_colimit_RA(theta: SemiDistributor, fmap) -> dict:
     D, C = theta.dom, theta.cod
     fmap = dict(fmap)
     if set(fmap) != set(C.names):
-        raise TypeMismatch("object map does not cover the weight's codomain")
+        # the objects missed and the keys that name no object
+        odd = tuple(sorted(set(fmap) ^ set(C.names), key=str))
+        raise TypeMismatch("object map does not cover the weight's codomain", witness=odd)
     presheaves = [fmap[c] for c in C.names]
     carrier = presheaves[0].carrier if presheaves else None
     if carrier is None:

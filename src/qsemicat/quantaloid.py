@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, filterfalse, product, repeat
-from operator import eq, getitem, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -248,7 +248,10 @@ def _preserves_joins(table, lxy, lyz, lxz, plans_xy, plans_yz) -> bool:
     ``lyz``.
 
     Each line, a row g∘- or a column -∘f, is checked only at join-irreducible
-    arguments, and the columns all at once on whole rows of the table:
+    arguments, and the columns together, entry by entry along rows of the
+    table.  The loops are plain Python loops: a row holds a few entries, and
+    setting up an ``all(map(...))`` chain per row costs more than comparing
+    them.
 
     * A line that sends ⊥ to ⊥ and satisfies line(a∨b) = line(a)∨line(b)
       for every join-irreducible a and every b preserves all binary joins.
@@ -274,21 +277,24 @@ def _preserves_joins(table, lxy, lyz, lxz, plans_xy, plans_yz) -> bool:
     if any(map(bottom.__ne__, table[lyz.bottom])):
         return False
     for a, bs, joins in plans_yz:
-        join_a = list(map(join.__getitem__, table[a]))
+        row_a = table[a]
         for b, ab in zip(bs, joins):
             # (a∨b)∘f == a∘f ∨ b∘f for every f
-            if not all(map(eq, table[ab], map(getitem, join_a, table[b]))):
-                return False
+            row_b, row_ab = table[b], table[ab]
+            for f, v in enumerate(row_ab):
+                if v != join[row_a[f]][row_b[f]]:
+                    return False
     f_bottom = lxy.bottom
     for g in lyz.join_irreducibles:
         line = table[g]
         if line[f_bottom] != bottom:
             return False
-        at = line.__getitem__
         for a, bs, joins in plans_xy:
             # g∘(a∨b) == g∘a ∨ g∘b for every b
-            if not all(map(eq, map(at, joins), map(join[line[a]].__getitem__, map(at, bs)))):
-                return False
+            join_a = join[line[a]]
+            for b, ab in zip(bs, joins):
+                if line[ab] != join_a[line[b]]:
+                    return False
     return True
 
 
@@ -303,7 +309,10 @@ def _axioms_hold(objects, homs, tables) -> bool:
     of hᵢ and gⱼ with f, and both are ⊥ for an empty join.  For fixed h and
     g, both f ↦ h∘(g∘f) and f ↦ (h∘g)∘f are composites of rows, so they
     preserve ⊥ and binary joins, and two such maps agree everywhere iff
-    they agree at the join-irreducible f.
+    they agree at the join-irreducible f.  The (h, g, h∘g) over
+    join-irreducible h and g depend only on the right part of an instance,
+    the table at (y, z, w), hom(y, z) and hom(z, w), so they are listed once
+    per distinct right part.
 
     Each distinct instance is checked once, which is exact because each
     check is a pure function of its key.  The join check at (x, y, z) reads
@@ -352,15 +361,21 @@ def _axioms_hold(objects, homs, tables) -> bool:
     # and the table at (y, z, w), hom(y, z) and hom(z, w)
     at_y = chain.from_iterable(map(repeat, lat_col, repeat(n * n)))
     quads = per_x(zip(*at_triples(tab_col, n), at_y, table_id, *at_triples(lat_id, n)[:2]), 4)
+    # per right part (y, z, w): every (h, g, h∘g) over join-irreducible h and g
+    right = {}
     for txyz, txzw, txyw, lxy, tyzw, lyz, lzw in quads:
-        fs = irr[lxy]
-        before, after, outer = by_id[txyz], by_id[txzw], by_id[txyw]
-        for h in irr[lzw]:
-            h_row, hg = after[h].__getitem__, by_id[tyzw][h]
-            for g in irr[lyz]:
-                # h∘(g∘f) == (h∘g)∘f for every join-irreducible f
-                g_row, hg_row = before[g].__getitem__, outer[hg[g]].__getitem__
-                if not all(map(eq, map(h_row, map(g_row, fs)), map(hg_row, fs))):
+        steps = right.get((tyzw, lyz, lzw))
+        if steps is None:
+            hg = by_id[tyzw]
+            steps = right[(tyzw, lyz, lzw)] = [
+                (h, g, hg[h][g]) for h in irr[lzw] for g in irr[lyz]
+            ]
+        fs, before, after, outer = irr[lxy], by_id[txyz], by_id[txzw], by_id[txyw]
+        for h, g, hg in steps:
+            # h∘(g∘f) == (h∘g)∘f for every join-irreducible f
+            h_row, g_row, hg_row = after[h], before[g], outer[hg]
+            for f in fs:
+                if h_row[g_row[f]] != hg_row[f]:
                     return False
     return True
 

@@ -468,6 +468,29 @@ def test_equal_elements_named_differently_are_not_merged():
     assert outcome(lambda: validate_omega_set(frame, [1, True], eq)) == want
 
 
+@pytest.mark.parametrize("build", RELATION_BUILDERS)
+def test_relation_builders_read_pair_components_by_name(build):
+    # True == 1, but it names no listed element of [1, 2]
+    with pytest.raises(TypeMismatch) as exc:
+        build([1, 2], [(True, 2)])
+    want = ("pair (True, 2) names unknown elements", (True, 2))
+    assert (str(exc.value), exc.value.witness) == want
+
+
+def test_a_pair_naming_listed_elements_still_builds():
+    P = validate_poset([1, 2], [(1, 2)])
+    assert P.le(1, 2) and not P.le(2, 1)
+
+
+def test_omega_set_reads_equality_keys_by_name():
+    want = (TypeMismatch, "equality (True, True) names unknown elements", (True, True))
+    frame = builtin_quantaloid("3")
+    assert outcome(lambda: validate_omega_set(frame, [1], {(True, True): 1})) == want
+    # the key is refused before its value is read, in range or not
+    assert outcome(lambda: validate_omega_set(frame, [1], {(True, True): 9})) == want
+    assert validate_omega_set(frame, [1], {(1, 1): 1}).eq == {(1, 1): 1}
+
+
 def test_builders_drop_a_repeated_element():
     assert validate_poset([1, 2, 1], [(1, 2)]).elements == (1, 2)
     assert strict_order_to_semicat(["a", "b", "a"], [("a", "b")]).names == ("a", "b")

@@ -777,7 +777,11 @@ def _input_refusals():
         ),
         "colimit-cover": (
             lambda: weighted_colimit_RA(identity_semidist(A), {}),
-            (TypeMismatch, "object map does not cover the weight's codomain", None),
+            (TypeMismatch, "object map does not cover the weight's codomain", ("*",)),
+        ),
+        "colimit-cover-extra": (
+            lambda: weighted_colimit_RA(identity_semidist(A), {"*": None, "z": None, "y": None}),
+            (TypeMismatch, "object map does not cover the weight's codomain", ("y", "z")),
         ),
         "colimit-empty": (
             lambda: weighted_colimit_RA(validate_semidistributor(A, E, ()), {}),

@@ -428,7 +428,9 @@ def _transplants(q, limit):
     return out
 
 
-@pytest.mark.parametrize("name", ["relations", "idm:frame:square", "idm:relations-relabelled:4"])
+@pytest.mark.parametrize(
+    "name", ["relations", "idm:frame:square", "idm:relations", "idm:relations-relabelled:4"]
+)
 def test_validate_and_fast_path_agree_with_references_on_transplanted_tables(name):
     build, limit = MUTATION_CASES[name]
     q = build()
