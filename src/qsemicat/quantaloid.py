@@ -148,6 +148,11 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     unit laws on whole rows.  The other axioms are decided by
     :func:`_axioms_hold`, and only when that fails do the exhaustive loops
     run, to raise the first failure in their order with its witness.
+
+    When every table and identity is present and some objects are
+    interchangeable (:func:`_first_of_classes`), all of this runs on the
+    first member of each class, and every key gets the interned table of
+    the table it was given.
     """
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
@@ -171,6 +176,18 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     missing = next(filterfalse(compose.__contains__, keys), None)
     present = keys[: keys.index(missing)] if missing is not None else keys
     raws = list(map(compose.__getitem__, present))
+    if missing is None and all(map(identities.__contains__, objects)):
+        firsts = _first_of_classes(objects, homs, identities, pairs, raws)
+        if len(firsts) < len(objects):
+            sub = validate_quantaloid(
+                firsts,
+                {key: homs[key] for key in product(firsts, repeat=2)},
+                {key: compose[key] for key in product(firsts, repeat=3)},
+                {x: identities[x] for x in firsts},
+            )
+            table_of = {id(compose[key]): table for key, table in sub.compose_table.items()}
+            tables = dict(zip(keys, map(table_of.__getitem__, map(id, raws))))
+            return Quantaloid(objects, homs, tables, {x: identities[x] for x in objects})
     sizes = [homs[key].size for key in pairs]
     instances = list(zip(map(id, raws), *at_triples(sizes, len(objects))))
     raw_of = dict(zip(map(id, raws), raws))
@@ -219,6 +236,36 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     if not _axioms_hold(objects, homs, tables):
         _check_axioms_exhaustively(objects, homs, tables)
     return q
+
+
+def _first_of_classes(objects, homs, identities, pairs, raws):
+    """The first member, in object order, of each class of interchangeable objects.
+
+    x and x′ are in one class when their identities are equal and their
+    slices are the same objects in every slot: hom(x, −) and hom(−, x), and
+    the tables as given at (x, −, −), (−, x, −) and (−, −, x).  Replacing
+    one slot of a key by another member of its class then leaves the table
+    and hom-lattices the key reads the same objects, so every check of
+    :func:`validate_quantaloid` (shape, range and interning per table, the
+    unit laws per pair, join preservation per triple, associativity per
+    quadruple) gives the same result there.  Replacing every object of a key
+    by its first member gives a key no later in product order with the same
+    check, so the first failure in product order lies among the first
+    members, with the same message and witness.
+    """
+    n = len(objects)
+    lat_ids, table_ids = tuple(map(id, map(homs.__getitem__, pairs))), tuple(map(id, raws))
+    firsts = {}
+    for x, name in enumerate(objects):
+        slices = (
+            lat_ids[x * n : x * n + n],
+            lat_ids[x::n],
+            table_ids[x * n * n : x * n * n + n * n],
+            tuple(table_ids[(a * n + x) * n : (a * n + x) * n + n] for a in range(n)),
+            table_ids[x::n],
+        )
+        firsts.setdefault((identities[name], slices), name)
+    return tuple(firsts.values())
 
 
 def at_triples(values, n):

@@ -317,7 +317,9 @@ def load_path(path) -> dict:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # a syntax error, bytes that are not UTF-8, an integer literal longer than
+    # Python converts, or nesting deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     except ParseError as exc:  # a duplicate key
         raise ParseError(f"invalid JSON in {path}: {exc}", witness=exc.witness) from None

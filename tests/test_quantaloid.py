@@ -21,10 +21,12 @@ from qsemicat import (
     validate_quantaloid,
     validate_sup_lattice,
 )
+import qsemicat.quantaloid as quantaloid_module
 from qsemicat.quantaloid import (
     Quantaloid,
     _axioms_hold,
     _check_axioms_exhaustively,
+    _first_of_classes,
     _join_plans,
     _preserves_joins,
 )
@@ -466,6 +468,76 @@ def test_one_list_shared_under_keys_of_different_sizes_is_checked_under_each():
                 outcomes.add(want[1].split(" has ")[-1])
     # wrong shape and out of range at a key after one where the list passes
     assert outcomes == {"wrong shape", "out-of-range entries"}
+
+
+def _per_key_copies(tables):
+    """The same tables as a fresh list per key, so no two objects are
+    interchangeable and the validator walks every object."""
+    return {key: [list(row) for row in table] for key, table in tables.items()}
+
+
+def test_validate_checks_one_object_per_class_of_interchangeable_objects(monkeypatch):
+    # Idm(R)'s 13 objects share identities, hom-lattices and tables in 5 classes
+    q = build_idm(rel_quantaloid()).quantaloid
+    seen = []
+
+    def spy(objects, homs, tables):
+        seen.append(len(objects))
+        return _axioms_hold(objects, homs, tables)
+
+    monkeypatch.setattr(quantaloid_module, "_axioms_hold", spy)
+    got = validate_quantaloid(q.objects, q.hom, q.compose_table, q.identity)
+    assert seen == [5]
+    assert got == validate_quantaloid(q.objects, q.hom, _per_key_copies(q.compose_table), q.identity)
+    assert seen == [5, 13]
+    interned = {}
+    assert all(interned.setdefault(t, t) is t for t in got.compose_table.values())
+
+
+def _shared_breakages(q, sample):
+    """Broken copies of tables that q holds, each to be put at every key that
+    holds the original: a wrong shape and an out-of-range entry for a few
+    tables, then ``sample`` single entries changed to another entry of the
+    same table, so still in range at every key (fixed seed)."""
+    rng = random.Random(0)
+    distinct = list({id(t): t for t in q.compose_table.values()}.values())
+    out = []
+    for victim in rng.sample(distinct, 4):
+        out.append((victim, victim + victim[:1]))
+        out.append((victim, ((-1,) + victim[0][1:],) + victim[1:]))
+    while len(out) < 8 + sample:
+        victim = rng.choice(distinct)
+        g, f = rng.randrange(len(victim)), rng.randrange(len(victim[0]))
+        others = sorted({v for row in victim for v in row} - {victim[g][f]})
+        if others:
+            rows = [list(row) for row in victim]
+            rows[g][f] = rng.choice(others)
+            out.append((victim, tuple(map(tuple, rows))))
+    return out
+
+
+def test_refusals_through_a_class_match_the_full_walk():
+    # a broken table put at every key that holds the original keeps the
+    # classes, so the validator checks the first members only; the same
+    # tables copied per key take the full walk over all 13 objects
+    q = build_idm(rel_quantaloid()).quantaloid
+    pairs = list(itertools.product(q.objects, repeat=2))
+    kinds = set()
+    for victim, broken in _shared_breakages(q, 40):
+        tables = {key: broken if t is victim else t for key, t in q.compose_table.items()}
+        raws = list(tables.values())
+        assert len(_first_of_classes(q.objects, q.hom, q.identity, pairs, raws)) == 5
+        got = outcome(lambda: validate_quantaloid(q.objects, q.hom, tables, q.identity))
+        copies = _per_key_copies(tables)
+        want = outcome(lambda: validate_quantaloid(q.objects, q.hom, copies, q.identity))
+        assert got == want, broken
+        kinds.add((want[0], want[1].partition(" has ")[2]))
+    assert kinds == {
+        (TypeMismatch, "wrong shape"),
+        (TypeMismatch, "out-of-range entries"),
+        (UnitFailure, ""),
+        (AssocFailure, ""),
+    }
 
 
 def test_quantaloid_without_objects_and_its_completion():

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,41 @@ def test_invalid_json_is_a_parse_error(tmp_path, capsys):
         load_path(str(path))
     assert str(exc.value) == message and exc.value.witness is None
     for argv in (["validate", str(path)], ["morita", str(path), "A", "A"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"ParseError: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data, decode",
+    [
+        pytest.param(b"\xff\xfe{}", lambda data: data.decode("utf-8"), id="not-utf-8"),
+        pytest.param(
+            b'{"quantaloids": {"Q": ' + b"9" * 5000 + b"}}",
+            lambda data: json.loads(data.decode()),
+            id="too-many-digits",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this Python converts integer literals of any length",
+            ),
+        ),
+        pytest.param(b"[" * 100_000, lambda data: json.loads(data.decode()), id="too-deep"),
+    ],
+)
+def test_undecodable_json_is_a_parse_error(tmp_path, capsys, data, decode):
+    # refused as a syntax error is: one line on stderr, exit 1, no traceback
+    path = tmp_path / "ws.json"
+    path.write_bytes(data)
+    with pytest.raises((ValueError, RecursionError)) as reason:
+        decode(data)
+    message = f"invalid JSON in {path}: {reason.value}"
+    with pytest.raises(ParseError) as exc:
+        load_path(str(path))
+    assert str(exc.value) == message and exc.value.witness is None
+    for argv in (
+        ["--json", "validate", str(path)],
+        ["completion", "idm", "Q", "--workspace", str(path)],
+    ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"ParseError: {message}\n"
