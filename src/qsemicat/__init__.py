@@ -80,7 +80,6 @@ from .presheaf import (
     QCategoryView,
     build_PA,
     build_RA,
-    build_RA_by_lifting,
     build_YA,
     enumerate_presheaves,
     is_colimit,
@@ -99,7 +98,6 @@ from .morita import (
     InducedFunctor,
     MoritaResult,
     SkeletonReport,
-    are_isomorphic_objects,
     categories_isomorphic,
     distributor_from_cocont,
     morita_equivalent,

@@ -52,12 +52,6 @@ class SkeletonReport:
     representatives: tuple
 
 
-def are_isomorphic_objects(view: QCategoryView, a, b) -> bool:
-    """Two objects of a Q-category are isomorphic iff the identities factor both ways."""
-    view.check()
-    return _isomorphic(view, view.objects.index_of(a), view.objects.index_of(b))
-
-
 def _isomorphic(view: SemiCategory, i, k) -> bool:
     """Same type, and the identity below the hom both ways, between objects
     i and k of a semicategory known to be a category."""

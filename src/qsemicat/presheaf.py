@@ -34,8 +34,8 @@ from .semicat import (
     _mat_compose,
     _mat_lift,
     _product_is,
+    _require_same_base,
     is_regular_semicat,
-    lifting_rsdist,
     validate_semicategory,
     validate_semidistributor,
     validate_typed_set,
@@ -409,21 +409,6 @@ def build_RA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) ->
     )
 
 
-def build_RA_by_lifting(A: SemiCategory, cap: int = DEFAULT_CAP) -> QCategoryView:
-    """The contravariant :func:`build_RA` with every hom recomputed through
-    the lifting in the regular-semidistributor calculus.
-
-    For a regular carrier the two must agree; this route is the independent
-    cross-check of the presheaf homs.
-    """
-    if not is_regular_semicat(A):
-        raise NotRegular("lifting route needs a regular carrier", witness=A)
-    view = build_RA(A, CONTRA, cap)
-    sds = [phi.as_semidistributor() for phi in view.payloads]
-    homs = tuple(lifting_rsdist(psi, phi).dense[0] for psi in sds for phi in sds)
-    return QCategoryView(view.base, zip(view.names, view.types, view.payloads), homs)
-
-
 def build_YA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
     """The full subcategory of Yoneda presheaves."""
     return _build_view(
@@ -481,6 +466,7 @@ def weighted_colimit_RA(theta: SemiDistributor, fmap) -> dict:
     carrier = presheaves[0].carrier if presheaves else None
     if carrier is None:
         raise TypeMismatch("empty diagram has no carrier to land in")
+    _require_same_base(theta, carrier, "weight and carrier")
     if not is_regular_semicat(carrier):
         raise NotRegular("colimits are computed in RA of a regular carrier", witness=carrier)
     q = carrier.base

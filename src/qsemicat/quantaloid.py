@@ -147,12 +147,14 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     checked once per (table object, hom sizes), in first-key order, and the
     unit laws on whole rows.  The other axioms are decided by
     :func:`_axioms_hold`, and only when that fails do the exhaustive loops
-    run, to raise the first failure in their order with its witness.
+    run, to raise the first failure in their order with its witness.  An
+    entry or identity whose type is not ``int`` (``True``, ``1.0``) is out
+    of range.
 
-    When every table and identity is present and some objects are
-    interchangeable (:func:`_first_of_classes`), all of this runs on the
-    first member of each class, and every key gets the interned table of
-    the table it was given.
+    When every table is present, every identity is an ``int`` and some
+    objects are interchangeable (:func:`_first_of_classes`), all of this
+    runs on the first member of each class, and every key gets the
+    interned table of the table it was given.
     """
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
@@ -176,7 +178,7 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     missing = next(filterfalse(compose.__contains__, keys), None)
     present = keys[: keys.index(missing)] if missing is not None else keys
     raws = list(map(compose.__getitem__, present))
-    if missing is None and all(map(identities.__contains__, objects)):
+    if missing is None and all(x in identities and type(identities[x]) is int for x in objects):
         firsts = _first_of_classes(objects, homs, identities, pairs, raws)
         if len(firsts) < len(objects):
             sub = validate_quantaloid(
@@ -198,11 +200,12 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
         if len(raw) != ng or any(map(nf.__ne__, map(len, raw))):
             key = present[instances.index(instance)]
             raise TypeMismatch(f"composition table {key} has wrong shape", witness=key)
-        table = tuple(map(tuple, raw))
-        table = table_of[instance] = interned.setdefault(table, table)
-        if min(map(min, table)) < 0 or max(map(max, table)) >= nr:
+        table, flat = tuple(map(tuple, raw)), tuple(chain.from_iterable(raw))
+        # before interning, which would merge True or 1.0 with an equal int
+        if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= nr:
             key = present[instances.index(instance)]
             raise TypeMismatch(f"composition table {key} has out-of-range entries", witness=key)
+        table_of[instance] = interned.setdefault(table, table)
     if missing is not None:
         raise TypeMismatch(f"missing composition table {missing}", witness=missing)
     tables = dict(zip(keys, map(table_of.__getitem__, instances)))
@@ -212,7 +215,7 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
         if x not in identities:
             raise TypeMismatch(f"missing identity for {x!r}", witness=x)
         e = identities[x]
-        if not 0 <= e < homs[(x, x)].size:
+        if type(e) is not int or not 0 <= e < homs[(x, x)].size:
             raise TypeMismatch(f"identity for {x!r} out of range", witness=x)
         idents[x] = e
 

@@ -266,7 +266,8 @@ def _dense_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> tuple:
     (row, column) with bottom in every omitted entry, whose every key, in
     the caller's order, must then name a row and a column.  Entries are
     range-checked in their hom-lattices in row-major order, before the
-    keys; ``what`` names the entries in errors.
+    keys, and an entry whose type is not ``int`` (``True``, ``1.0``) is out
+    of range; ``what`` names the entries in errors.
     """
     cells = [(r, c, q.hom[(tc, tr)]) for r, tr in rows.elements for c, tc in cols.elements]
     keyed = not isinstance(mat, (tuple, list))
@@ -280,7 +281,7 @@ def _dense_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> tuple:
         get = mat.get
         flat = tuple(get((r, c), lat.bottom) for r, c, lat in cells)
     for (r, c, lat), e in zip(cells, flat):
-        if not 0 <= e < lat.size:
+        if type(e) is not int or not 0 <= e < lat.size:
             raise TypeMismatch(f"{what} ({r!r}, {c!r}) = {e} out of range", witness=(r, c))
     if keyed:
         for key in mat:

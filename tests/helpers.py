@@ -26,10 +26,13 @@ from qsemicat import (
     SearchCapExceeded,
     TypeMismatch,
     UnitFailure,
+    build_RA,
     builtin_quantaloid,
     enumerate_regular_semidists,
     from_quantale,
     idempotents,
+    is_regular_semicat,
+    lifting_rsdist,
     matrix_space,
     validate_quantaloid,
     validate_semicategory,
@@ -39,8 +42,10 @@ from qsemicat import (
 from qsemicat.lattice import SupLattice, chain
 from qsemicat.morita import _check_regular_pair
 from qsemicat.presheaf import (
+    CONTRA,
     DEFAULT_CAP,
     Presheaf,
+    QCategoryView,
     _contra,
     presheaf_hom_elem,
 )
@@ -989,6 +994,18 @@ def reference_regular_via_liftings(phi, against):
         ):
             return False
     return True
+
+
+def build_RA_by_lifting(A, cap=DEFAULT_CAP):
+    """The contravariant ``build_RA`` of a regular carrier with every hom
+    recomputed as a lifting in the regular-semidistributor calculus: one
+    ``lifting_rsdist`` call per ordered pair of regular presheaves, read as
+    semidistributors, in place of the view's one block residual."""
+    assert is_regular_semicat(A), "the lifting route needs a regular carrier"
+    view = build_RA(A, CONTRA, cap)
+    sds = [phi.as_semidistributor() for phi in view.payloads]
+    homs = tuple(lifting_rsdist(psi, phi).dense[0] for psi in sds for phi in sds)
+    return QCategoryView(view.base, zip(view.names, view.types, view.payloads), homs)
 
 
 def reference_presheaves(A, x, variance):

@@ -146,11 +146,8 @@ def test_criterion_01_three_chain_counterexample(tmp_path):
 
     pc = build_PA(C)
     assert len(pc) == 3
-    from qsemicat import are_isomorphic_objects
-
-    for t1 in pc.names:
-        for t2 in pc.names:
-            assert are_isomorphic_objects(pc, t1, t2) == (t1 == t2)
+    # pairwise non-isomorphic: every skeleton class is a singleton
+    assert skeleton(pc)[0].classes == tuple((tag,) for tag in pc.names)
 
     res = morita_equivalent(A, C)
     assert not res.equivalent and res.routes_agree

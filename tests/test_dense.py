@@ -20,7 +20,6 @@ from qsemicat import (
     TypeMismatch,
     build_PA,
     build_RA,
-    build_RA_by_lifting,
     builtin_quantaloid,
     categories_isomorphic,
     compose_semidist,
@@ -300,7 +299,6 @@ def test_semidistributor_calculus_forms_no_dict(monkeypatch):
     sup_semidist(phis)
     assert rsdist_isomorphism_search(A, A) is not None
     assert verify_rsdist_is_idm_matr(A, A).ok
-    build_RA_by_lifting(A)
     assert formed == []
     # read on demand, and then kept
     phi = phis[-1]

@@ -15,7 +15,6 @@ from qsemicat import (
     CONTRA,
     build_PA,
     build_RA,
-    build_RA_by_lifting,
     build_YA,
     compose_semidist,
     enumerate_presheaves,
@@ -33,7 +32,7 @@ from qsemicat import (
     rsdist_isomorphism_search,
     validate_semicategory,
 )
-from helpers import oracle_extension, oracle_lifting, rel_quantaloid
+from helpers import build_RA_by_lifting, oracle_extension, oracle_lifting, rel_quantaloid
 
 Q = rel_quantaloid()
 

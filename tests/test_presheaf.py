@@ -14,7 +14,6 @@ from qsemicat import (
     TypeMismatch,
     build_PA,
     build_RA,
-    build_RA_by_lifting,
     build_YA,
     builtin_quantaloid,
     enumerate_presheaves,
@@ -40,6 +39,7 @@ from qsemicat import (
 )
 from helpers import (
     all_semicats,
+    build_RA_by_lifting,
     chain3_A,
     chain3_C,
     downsets,
@@ -481,6 +481,16 @@ FAMILIES = presheaf_families()
 SWEEPS = [(name, v) for name in FAMILIES for v in (CONTRA, CO)]
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_build_RA_agrees_with_the_lifting_route_on_sampled_families(name):
+    # every 10th regular carrier: the homs of RA as block residuals and as
+    # liftings of regular semidistributors
+    carriers = [A for A in FAMILIES[name] if A.is_regular][::10]
+    assert carriers
+    for A in carriers:
+        assert build_RA(A).dense == build_RA_by_lifting(A).dense, A.hom
+
+
 @pytest.mark.parametrize("name, variance", SWEEPS)
 def test_via_liftings_sweep_matches_fresh_residual_reference(name, variance):
     for A in FAMILIES[name]:
@@ -741,8 +751,6 @@ def _input_refusals():
     witness it raises with)."""
     A = chain3_A()  # regular, hom e
     B = strict_rows_semicat((0b10, 0b00), ["a", "b"])  # a ≺ b only: not regular
-    # the same on 20 objects: 2**20 presheaves of type *, above the default cap
-    big = strict_rows_semicat((0b10,) + (0,) * 19, [f"o{i}" for i in range(20)])
     U = unit_category(Q3, "*")
     E = validate_semicategory(Q3, [], ())
     q = two_object_quantaloid()
@@ -763,14 +771,6 @@ def _input_refusals():
             lambda: enumerate_presheaves(A, "nope"),
             (TypeMismatch, "'nope' is not an object of the base", "nope"),
         ),
-        "ra-by-lifting-carrier": (
-            lambda: build_RA_by_lifting(B),
-            (NotRegular, "lifting route needs a regular carrier", B),
-        ),
-        "ra-by-lifting-carrier-over-cap": (
-            lambda: build_RA_by_lifting(big),
-            (NotRegular, "lifting route needs a regular carrier", big),
-        ),
         "map-k-carrier": (
             lambda: map_k(B, enumerate_presheaves(B, "*")[0]),
             (NotRegular, "k needs a regular carrier", B),
@@ -786,6 +786,13 @@ def _input_refusals():
         "colimit-empty": (
             lambda: weighted_colimit_RA(validate_semidistributor(A, E, ()), {}),
             (TypeMismatch, "empty diagram has no carrier to land in", None),
+        ),
+        "colimit-bases": (
+            # a weight over 2 read in a carrier over 3 took 2's top 1 for 3's middle
+            lambda: weighted_colimit_RA(
+                identity_semidist(UB), {"*": Presheaf(D, "*", CONTRA, (2,))}
+            ),
+            (TypeMismatch, "weight and carrier live over different base quantaloids", None),
         ),
         "colimit-carrier": (
             lambda: weighted_colimit_RA(

@@ -544,3 +544,37 @@ def test_quantaloid_without_objects_and_its_completion():
     q = validate_quantaloid((), {}, {}, {})
     assert (q.objects, q.hom, q.compose_table) == ((), {}, {})
     assert build_idm(q).objects == ()
+
+
+
+def _with_element(q, slot, value):
+    """q's identities and tables with ``value`` in place of one element
+    that is 1, and the class, message and witness of the refusal.
+
+    The identity is that of the last object whose identity is 1; in
+    Idm(R) it shares its identity, homs and tables with others of its
+    class.  The table is the first that holds a 1, changed at its first
+    key only."""
+    identities, tables = dict(q.identity), dict(q.compose_table)
+    if slot == "identity":
+        x = next(x for x in reversed(q.objects) if identities[x] == 1)
+        identities[x] = value
+        return identities, tables, (TypeMismatch, f"identity for {x!r} out of range", x)
+    key = next(key for key, table in tables.items() if 1 in itertools.chain(*table))
+    rows = [list(row) for row in tables[key]]
+    g = next(g for g, row in enumerate(rows) if 1 in row)
+    rows[g][rows[g].index(1)] = value
+    tables[key] = rows
+    want = (TypeMismatch, f"composition table {key} has out-of-range entries", key)
+    return identities, tables, want
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("slot", ["identity", "table"])
+@pytest.mark.parametrize("name", ["2", "idm:relations"])
+def test_an_element_that_is_not_an_int_is_out_of_range(name, slot, value):
+    # True and 1.0 equal the element 1; "1", None and [1] do not compare
+    # with it, and [1] cannot be hashed
+    q = builtin_quantaloid("2") if name == "2" else build_idm(rel_quantaloid()).quantaloid
+    identities, tables, want = _with_element(q, slot, value)
+    assert outcome(lambda: validate_quantaloid(q.objects, q.hom, tables, identities)) == want

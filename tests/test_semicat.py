@@ -609,3 +609,28 @@ def _input_refusals():
 def test_input_refusals_name_their_witness(name):
     run, want = _input_refusals()[name]
     assert outcome(run) == want
+
+
+
+NOT_INTEGERS = [True, 1.0, "1", None]
+# each reader of matrix entries: a call on one entry, the entry's name and witness
+ENTRY_READERS = {
+    "semicategory": (
+        lambda v: validate_semicategory(Q3, [("a", "*")], {("a", "a"): v}),
+        "hom entry ('a', 'a')",
+        ("a", "a"),
+    ),
+    "semidistributor": (
+        lambda v: validate_semidistributor(chain3_A(), chain3_A(), (v,)),
+        "entry ('*', '*')",
+        ("*", "*"),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("reader", list(ENTRY_READERS))
+def test_an_entry_that_is_not_an_int_is_out_of_range(reader, value):
+    # True and 1.0 equal the element 1, and "1" and None do not compare with it
+    run, what, witness = ENTRY_READERS[reader]
+    assert outcome(lambda: run(value)) == (TypeMismatch, f"{what} = {value} out of range", witness)
