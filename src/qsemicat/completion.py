@@ -26,22 +26,20 @@ from .quantaloid import QArrow, Quantaloid, at_triples, validate_quantaloid
 from .semicat import (
     DEFAULT_CAP,
     SemiCategory,
-    SemiDistributor,
     _check_regular_pair,
     _is_regular_flat,
     _product,
-    identity_semidist,
     is_regular_semicat,  # noqa: F401 -- unused; bench/ wraps it as a name of this module
-    is_regular_semidist,
     matrix_space,
     validate_semidistributor,
 )
 
 
 def _is_idempotent(q: Quantaloid, e: QArrow) -> bool:
-    """True iff ``e`` is an endo-arrow of ``q`` with its element in range and e∘e = e."""
+    """True iff ``e`` is an endo-arrow of ``q`` with its element in range and e∘e = e;
+    an element whose type is not ``int`` (``True``, ``1.0``) is out of range."""
     x, i = e.dom, e.elem
-    if x != e.cod or x not in q.objects or not 0 <= i < q.hom[(x, x)].size:
+    if x != e.cod or x not in q.objects or type(i) is not int or not 0 <= i < q.hom[(x, x)].size:
         return False
     return q.compose_table[(x, x, x)][i][i] == i
 
@@ -144,7 +142,7 @@ def idm_lifting(q: Quantaloid, e: QArrow, f: QArrow, g: QArrow, b: int, c: int) 
 def _require_fixed(q, e, f, arrow_elem):
     A, B = e.dom, f.dom
     lat = q.hom_lat(A, B)
-    if not 0 <= arrow_elem < lat.size:
+    if type(arrow_elem) is not int or not 0 <= arrow_elem < lat.size:
         raise TypeMismatch(f"element {arrow_elem} out of range", witness=arrow_elem)
     if (
         q.compose_elems(A, A, B, arrow_elem, e.elem) != arrow_elem
@@ -189,53 +187,44 @@ class RsdistIdmReport:
         return self.ok
 
 
+def _fixed_and_regular(dom: SemiCategory, cod: SemiCategory, cap: int):
+    """The matrices dom -/-> cod that the idempotent hom matrices fix,
+    Φ⊗A = Φ = B⊗Φ ("compatible"), as flat tuples, and, as semidistributors,
+    those of them that the entrywise action inequalities accept ("regular").
+    The fixing test reads the product kernel and the action inequalities the
+    entrywise walk, so the two lists differ only where those disagree."""
+    total, space = matrix_space(dom, cod)
+    if total > cap:
+        raise SearchCapExceeded(f"matrix space of size {total} exceeds cap {cap}", witness=total)
+    fixed = [flat for flat in space if _is_regular_flat(dom, cod, flat)]
+    regular = []
+    for flat in fixed:
+        try:
+            regular.append(validate_semidistributor(dom, cod, flat))
+        except ActionFailure:
+            pass
+    return fixed, regular
+
+
 def verify_rsdist_is_idm_matr(
     A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP
 ) -> RsdistIdmReport:
     """Check that regular semidistributors A -/-> B are exactly the matrices
-    fixed by the idempotent hom matrices of A and B, and that composition
-    and identities agree with the completion's recipe."""
+    fixed by the idempotent hom matrices of A and B, on both hom sets, and
+    that every composite of a regular Ψ: B -/-> A after a regular Φ stays in
+    the hom of A.  The report counts the hom set A -/-> B."""
     _check_regular_pair(A, B)
-
-    def scan(dom, cod):
-        # every matrix dom -/-> cod, with its semidistributor when "regular":
-        # regular and a semidistributor by the entrywise action inequalities
-        total, space = matrix_space(dom, cod)
-        if total > cap:
-            raise SearchCapExceeded(
-                f"matrix space of size {total} exceeds cap {cap}", witness=total
-            )
-        for flat in space:
-            cand = SemiDistributor(dom, cod, flat)
-            phi = None
-            if is_regular_semidist(cand):
-                try:
-                    phi = validate_semidistributor(dom, cod, flat)
-                except ActionFailure:
-                    pass
-            yield cand, phi
-
-    # "compatible": fixed by the identity semidistributors
-    ida, idb = identity_semidist(A), identity_semidist(B)
-    regular_ab, compatible_ab = [], []
-    for cand, phi in scan(A, B):
-        if phi is not None:
-            regular_ab.append(phi)
-        # each product is read only up to its first entry that differs
-        flat = cand.dense
-        if all(map(eq, _product(cand, ida), flat)) and all(map(eq, _product(idb, cand), flat)):
-            compatible_ab.append(flat)
-    if [phi.dense for phi in regular_ab] != compatible_ab:
-        return RsdistIdmReport(False, len(regular_ab), len(compatible_ab), "hom sets differ")
-
-    # the identities act as units on every phi, which was admitted to
-    # compatible_ab by exactly that test; composites with the reverse homs
-    # must stay in the hom
-    regular_ba = [psi for _, psi in scan(B, A) if psi is not None]
+    fixed_ab, regular_ab = _fixed_and_regular(A, B, cap)
+    counts = len(regular_ab), len(fixed_ab)
+    if counts[0] != counts[1]:
+        return RsdistIdmReport(False, *counts, "hom sets differ")
+    fixed_ba, regular_ba = _fixed_and_regular(B, A, cap)
+    if len(regular_ba) != len(fixed_ba):
+        return RsdistIdmReport(False, *counts, "reverse hom sets differ")
+    # the identities act as units on every phi by the fixing test; composites
+    # with the reverse homs must stay in the hom
     for phi in regular_ab:
         for psi in regular_ba:
             if not _is_regular_flat(A, A, tuple(_product(psi, phi))):
-                return RsdistIdmReport(
-                    False, len(regular_ab), len(compatible_ab), "composite leaves the hom"
-                )
-    return RsdistIdmReport(True, len(regular_ab), len(compatible_ab))
+                return RsdistIdmReport(False, *counts, "composite leaves the hom")
+    return RsdistIdmReport(True, *counts)

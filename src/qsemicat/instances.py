@@ -235,7 +235,7 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
     for x in elements:
         for y in elements:
             e = eq.get((x, y), lat.bottom)
-            if not 0 <= e < lat.size:
+            if type(e) is not int or not 0 <= e < lat.size:
                 raise TypeMismatch(f"[{x!r}={y!r}] = {e} out of range", witness=(x, y))
             full[(x, y)] = e
     for x in elements:

@@ -22,7 +22,6 @@ from .presheaf import (
     QCategoryView,
     _regular_presheaves,
     build_RA,
-    map_j,
     yoneda,
 )
 from .semicat import (
@@ -38,7 +37,6 @@ from .semicat import (
     enumerate_regular_semidists,  # noqa: F401
     is_regular_semicat,
     is_regular_semidist,
-    lifting_dist,
     matrix_space,
     validate_semidistributor,
 )
@@ -254,13 +252,14 @@ class InducedFunctor:
         return Presheaf(B, x, CONTRA, values)
 
     def right(self, psi: Presheaf) -> Presheaf:
-        """The right adjoint RB -> RA: the lifting of psi through the semidistributor."""
+        """The right adjoint RB -> RA: the regular lifting A⊗[Φ,ψ] of psi
+        through the semidistributor, read from :func:`_regular_lifting`."""
         A, B = self.phi.dom, self.phi.cod
         if (psi.carrier is not B and psi.carrier != B) or psi.variance != CONTRA:
             raise TypeMismatch("presheaf does not live on the codomain carrier")
-        lifted = lifting_dist(self.phi, psi.as_semidistributor())
-        core = Presheaf(A, psi.qtype, CONTRA, lifted.dense)
-        return map_j(A, core)
+        col = psi.as_semidistributor()  # validates psi: B⊗ψ ≤ ψ
+        values = _regular_lifting(col.dom, B, A, self.phi.dense, col.dense)
+        return Presheaf(A, psi.qtype, CONTRA, values)
 
 
 def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFAULT_CAP):
@@ -281,8 +280,12 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
             or (image.carrier is not B and image.carrier != B)
             or image.variance != CONTRA
             or image.qtype != x
-            # Presheaf() does not range-check its values
-            or not all(0 <= e < q.hom_lat(x, t).size for e, t in zip(image.values, B.types))
+            # Presheaf() does not range-check its values; a value whose type is
+            # not int is out of range
+            or not all(
+                type(e) is int and 0 <= e < q.hom_lat(x, t).size
+                for e, t in zip(image.values, B.types)
+            )
         ):
             raise TypeMismatch(
                 f"image of the representable at {a!r} is not a contravariant presheaf "

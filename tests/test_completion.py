@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qsemicat import (
+    ActionFailure,
     NotIdempotent,
     NotRegular,
     QArrow,
@@ -230,10 +231,12 @@ def test_idm_lifting_rejects_untyped_arrows():
 
 
 def test_idm_lifting_refuses_an_element_out_of_range():
-    e = QArrow("*", "*", 1)
-    with pytest.raises(TypeMismatch) as exc:
-        idm_lifting(Q3, e, e, e, 3, 1)
-    assert (str(exc.value), exc.value.witness) == ("element 3 out of range", 3)
+    # an element whose type is not int is out of range, as in the validators
+    e, top = QArrow("*", "*", 1), QArrow("*", "*", 2)
+    for elem in (3, True, 1.0, None):
+        want = (TypeMismatch, f"element {elem} out of range", elem)
+        assert outcome(lambda: idm_lifting(Q3, e, e, e, elem, 1)) == want
+        assert outcome(lambda: idm_lifting(Q3, top, top, top, 2, elem)) == want
 
 
 def _idm_lifting_cases(q):
@@ -269,8 +272,21 @@ NOT_IDEMPOTENT = [
     (Q3, GOOD, QArrow("*", "*", -1)),  # negative: no wrap-around to the top
     (two_object_quantaloid(), QArrow("X", "X", 1), QArrow("X", "Y", 1)),  # not an endo-arrow
     (lukasiewicz3(), QArrow("*", "*", 2), QArrow("*", "*", 1)),  # 1∘1 = 0
+    # an element whose type is not int is out of range, as in the validators
+    (Q3, GOOD, QArrow("*", "*", True)),
+    (Q3, GOOD, QArrow("*", "*", 1.0)),
+    (Q3, GOOD, QArrow("*", "*", None)),
 ]
-NOT_IDEMPOTENT_IDS = ["unknown-object", "elem-7", "elem-minus-1", "not-endo", "not-idempotent"]
+NOT_IDEMPOTENT_IDS = [
+    "unknown-object",
+    "elem-7",
+    "elem-minus-1",
+    "not-endo",
+    "not-idempotent",
+    "elem-true",
+    "elem-float",
+    "elem-none",
+]
 
 
 @pytest.mark.parametrize("position", ["e", "f", "g"])
@@ -294,6 +310,9 @@ def test_split_refuses_an_arrow_that_is_not_an_idempotent_on_e():
     for q, t, want in (
         (Q3, 7, (TypeMismatch, "element 7 out of range", 7)),
         (Q3, -1, (TypeMismatch, "element -1 out of range", -1)),
+        (Q3, True, (TypeMismatch, "element True out of range", True)),
+        (Q3, 1.0, (TypeMismatch, "element 1.0 out of range", 1.0)),
+        (Q3, None, (TypeMismatch, "element None out of range", None)),
         (lukasiewicz3(), 1, (NotIdempotent, f"1 is not idempotent on {top}", 1)),
     ):
         assert outcome(lambda: split_idempotent_in_idm(q, top, t)) == want
@@ -408,15 +427,48 @@ def test_verify_rsdist_requires_regular():
 
 
 def test_verify_rsdist_reports_differing_routes(monkeypatch):
-    # the "regular" route fed a broken regularity test must disagree with
-    # the identity-fixed route instead of agreeing with itself
+    # a "regular" route whose action inequalities refuse a fixed matrix must
+    # disagree with the identity-fixed route instead of agreeing with itself
     import qsemicat.completion as completion
+    from qsemicat.semicat import _is_regular_flat, matrix_space
 
-    monkeypatch.setattr(completion, "is_regular_semidist", lambda phi: True)
-    report = verify_rsdist_is_idm_matr(chain3_A(), chain3_A())
-    assert not report.ok
-    assert report.detail == "hom sets differ"
-    assert (report.regular_semidistributors, report.compatible_matrices) == (3, 2)
+    A = chain3_A()
+    first = next(f for f in matrix_space(A, A)[1] if _is_regular_flat(A, A, f))
+    real = completion.validate_semidistributor
+
+    def refuse_first(dom, cod, flat):
+        if flat == first:
+            raise ActionFailure("refused", witness=flat)
+        return real(dom, cod, flat)
+
+    monkeypatch.setattr(completion, "validate_semidistributor", refuse_first)
+    report = verify_rsdist_is_idm_matr(A, A)
+    assert (report.ok, report.detail) == (False, "hom sets differ")
+    assert (report.regular_semidistributors, report.compatible_matrices) == (1, 2)
+
+
+def test_verify_rsdist_compares_the_reverse_hom_sets(monkeypatch):
+    # a fault seen only on B -/-> A must turn the verdict too, reported with
+    # the counts of A -/-> B, which agree
+    from pathlib import Path
+
+    import qsemicat.completion as completion
+    from qsemicat.workspace import load_path, load_workspace
+
+    ws = load_workspace(load_path(Path(__file__).parent.parent / "demos" / "workspace.json"))
+    A, C = ws.semicategory("A"), ws.semicategory("C")
+    assert verify_rsdist_is_idm_matr(A, C).ok
+    real = completion.validate_semidistributor
+
+    def refuse_from_c(dom, cod, flat):
+        if dom == C:
+            raise ActionFailure("refused", witness=flat)
+        return real(dom, cod, flat)
+
+    monkeypatch.setattr(completion, "validate_semidistributor", refuse_from_c)
+    report = verify_rsdist_is_idm_matr(A, C)
+    assert (report.ok, report.detail) == (False, "reverse hom sets differ")
+    assert (report.regular_semidistributors, report.compatible_matrices) == (2, 2)
 
 
 def test_verify_rsdist_catches_a_kernel_that_fixes_everything(monkeypatch):
@@ -480,10 +532,13 @@ def test_verify_rsdist_refuses_a_composite_that_leaves_the_hom(monkeypatch, caps
         ]
 
 
-@pytest.mark.parametrize("pair, products", [(("A", "A"), 9), (("A", "C"), 9), (("C", "C"), 15)])
-def test_verify_rsdist_scans_each_matrix_space_once(monkeypatch, pair, products):
-    # one pass over A -/-> B decides both routes; B -/-> A keeps only the
-    # regular matrices, and each composite is decided without a semidistributor
+@pytest.mark.parametrize(
+    "pair, products, fixing_tests", [(("A", "A"), 4, 10), (("A", "C"), 4, 10), (("C", "C"), 9, 15)]
+)
+def test_verify_rsdist_scans_each_matrix_space_once(monkeypatch, pair, products, fixing_tests):
+    # each matrix of A -/-> B and of B -/-> A gets one fixing test, which
+    # decides both routes; a product is formed only for each composite, which
+    # is decided without a semidistributor
     from collections import Counter
     from pathlib import Path
 
@@ -493,7 +548,7 @@ def test_verify_rsdist_scans_each_matrix_space_once(monkeypatch, pair, products)
     ws = load_workspace(load_path(Path(__file__).parent.parent / "demos" / "workspace.json"))
     A, B = map(ws.semicategory, pair)
     calls = Counter()
-    for name in ("_product", "matrix_space"):
+    for name in ("_product", "matrix_space", "_is_regular_flat"):
 
         def counted(*args, name=name, real=getattr(completion, name)):
             calls[name] += 1
@@ -501,4 +556,4 @@ def test_verify_rsdist_scans_each_matrix_space_once(monkeypatch, pair, products)
 
         monkeypatch.setattr(completion, name, counted)
     assert verify_rsdist_is_idm_matr(A, B).ok
-    assert calls == {"_product": products, "matrix_space": 2}
+    assert calls == {"_product": products, "matrix_space": 2, "_is_regular_flat": fixing_tests}

@@ -676,3 +676,8 @@ def test_omega_set_refuses_an_equality_out_of_range():
     with pytest.raises(TypeMismatch) as exc:
         validate_omega_set(frame, ["a", "b"], {("a", "a"): 2, ("a", "b"): 3})
     assert (str(exc.value), exc.value.witness) == ("['a'='b'] = 3 out of range", ("a", "b"))
+    # an equality whose type is not int is out of range, as in the validators
+    for e in (True, 1.0, "1", None):
+        with pytest.raises(TypeMismatch) as exc:
+            validate_omega_set(frame, ["a"], {("a", "a"): e})
+        assert (str(exc.value), exc.value.witness) == (f"['a'='a'] = {e} out of range", ("a", "a"))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qsemicat import (
+    ActionFailure,
     CompositionFailure,
     InducedFunctor,
     NotCocontinuous,
@@ -412,9 +413,10 @@ def test_distributor_from_cocont_rejects_non_cocontinuous():
         distributor_from_cocont(constant, A, A)
 
 
-@pytest.mark.parametrize("values", [(7,), (-1,)])
+@pytest.mark.parametrize("values", [(7,), (-1,), (True,), (1.0,), (None,)])
 def test_distributor_from_cocont_refuses_values_outside_the_hom(values):
-    # Presheaf() takes its values unchecked, so the map's image is range-checked
+    # Presheaf() takes its values unchecked, so the map's image is range-checked;
+    # a value whose type is not int is out of range
     A = chain3_A()
     with pytest.raises(TypeMismatch) as exc:
         distributor_from_cocont(lambda theta: Presheaf(A, "*", CONTRA, values), A, A)
@@ -532,6 +534,10 @@ def _input_refusals():
     A = chain3_A()  # regular, hom e; its regular endo-semidistributors are (0) and (e)
     B = semicat_from_rows(builtin_quantaloid("2"), [[0, 1], [0, 0]])  # a ≺ b only: not regular
     top = validate_semidistributor(A, A, (2,))  # a semidistributor, not regular
+    # regular, with a ≺ b over the three-chain; ψ = (0, 2) breaks B⊗ψ ≤ ψ at (a, b)
+    C = validate_semicategory(
+        Q3, [("a", "*"), ("b", "*")], {("a", "a"): 2, ("b", "b"): 2, ("a", "b"): 2}
+    )
     return {
         "induced-endpoints": (
             lambda: InducedFunctor(identity_semidist(B)),
@@ -540,6 +546,10 @@ def _input_refusals():
         "induced-regular": (
             lambda: InducedFunctor(top),
             (NotRegular, "inducing semidistributor is not regular", top),
+        ),
+        "induced-right": (
+            lambda: InducedFunctor(identity_semidist(C)).right(Presheaf(C, "*", CONTRA, (0, 2))),
+            (ActionFailure, "B('a','b')∘Φ('b','*') ≰ Φ('a','*')", ("cod", "a", "b", "*")),
         ),
         "cocont-candidate": (
             lambda: distributor_from_cocont(lambda t: Presheaf(A, "*", CONTRA, (2,)), A, A),
