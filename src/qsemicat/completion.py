@@ -193,9 +193,7 @@ def _fixed_and_regular(dom: SemiCategory, cod: SemiCategory, cap: int):
     those of them that the entrywise action inequalities accept ("regular").
     The fixing test reads the product kernel and the action inequalities the
     entrywise walk, so the two lists differ only where those disagree."""
-    total, space = matrix_space(dom, cod)
-    if total > cap:
-        raise SearchCapExceeded(f"matrix space of size {total} exceeds cap {cap}", witness=total)
+    _, space = matrix_space(dom, cod, cap)
     fixed = [flat for flat in space if _is_regular_flat(dom, cod, flat)]
     regular = []
     for flat in fixed:
@@ -212,7 +210,12 @@ def verify_rsdist_is_idm_matr(
     """Check that regular semidistributors A -/-> B are exactly the matrices
     fixed by the idempotent hom matrices of A and B, on both hom sets, and
     that every composite of a regular Ψ: B -/-> A after a regular Φ stays in
-    the hom of A.  The report counts the hom set A -/-> B."""
+    the hom of A.  The report counts the hom set A -/-> B.
+
+    ``cap`` bounds each matrix space (:func:`matrix_space` refuses a larger
+    one before it is scanned) and the number of composites: when
+    |regular A -/-> B| · |regular B -/-> A| exceeds it, :class:`SearchCapExceeded`
+    is raised, with the two counts as witness, before the first composite."""
     _check_regular_pair(A, B)
     fixed_ab, regular_ab = _fixed_and_regular(A, B, cap)
     counts = len(regular_ab), len(fixed_ab)
@@ -221,6 +224,13 @@ def verify_rsdist_is_idm_matr(
     fixed_ba, regular_ba = _fixed_and_regular(B, A, cap)
     if len(regular_ba) != len(fixed_ba):
         return RsdistIdmReport(False, *counts, "reverse hom sets differ")
+    n_ab, n_ba = len(regular_ab), len(regular_ba)
+    if n_ab * n_ba > cap:
+        raise SearchCapExceeded(
+            f"{n_ab * n_ba} composites of {n_ab} and {n_ba} regular semidistributors "
+            f"exceed cap {cap}",
+            witness=(n_ab, n_ba),
+        )
     # the identities act as units on every phi by the fixing test; composites
     # with the reverse homs must stay in the hom
     for phi in regular_ab:

@@ -77,13 +77,15 @@ def order_rows(size: int, pairs):
     order pairs ``(i, j)``, i <= j: ``up[i]`` has bit j set iff i <= j,
     ``down[j]`` bit i, and ``equivalent`` is the first pair i < j with
     j <= i, in lexicographic order, or None.  Raises ``ValueError`` on a
-    pair out of range."""
-    if size < 0:
+    size that is not a non-negative ``int``, and on a pair that is not two
+    ``int`` in range (``True`` and ``1.0`` are out of range)."""
+    if type(size) is not int or size < 0:
         raise ValueError("size must be non-negative")
     up = [1 << i for i in range(size)]
-    for i, j in pairs:
-        if not (0 <= i < size and 0 <= j < size):
-            raise ValueError(f"order pair ({i}, {j}) out of range for size {size}")
+    for pair in pairs:
+        i, j = pair if len(pair) == 2 else (None, None)
+        if not (type(i) is type(j) is int and 0 <= i < size and 0 <= j < size):
+            raise ValueError(f"order pair {tuple(pair)} out of range for size {size}")
         up[i] |= 1 << j
     # transitive closure: every element below k is below all that k is below
     for k in range(size):

@@ -67,8 +67,11 @@ def skeleton(view: QCategoryView):
     Returns the report and the full subcategory on the representatives.
     The view is validated first (once per view, see
     :meth:`QCategoryView.check`): the classes are read off the unit
-    inequalities, which mean isomorphism only in a category.
+    inequalities, which mean isomorphism only in a category.  Any other
+    argument raises :class:`TypeMismatch`.
     """
+    if not isinstance(view, QCategoryView):
+        raise TypeMismatch("skeleton needs a QCategoryView", witness=view)
     view.check()
     classes = []
     for i in range(len(view)):
@@ -149,17 +152,12 @@ def rsdist_isomorphism_search(A: SemiCategory, B: SemiCategory, cap: int = DEFAU
     right adjoint A⊗[Φ,B]⊗B, so each Φ is tested against that one Ψ and
     nothing is enumerated over B -/-> A.  The first witness pair is returned
     (the same pair an exhaustive search over both matrix spaces finds first),
-    or None when the finite space holds none.  ``cap`` bounds the sizes of
-    both matrix spaces before the scan starts.
+    or None when the finite space holds none.  ``cap`` bounds the size of
+    A -/-> B, the one space scanned: :func:`matrix_space` refuses a larger
+    one before the scan starts.
     """
     _check_regular_pair(A, B)
-    n_ab, space = matrix_space(A, B)
-    n_ba, _ = matrix_space(B, A)
-    if n_ab > cap or n_ba > cap:
-        raise SearchCapExceeded(
-            f"matrix spaces of sizes {n_ab} and {n_ba} exceed cap {cap}",
-            witness=(n_ab, n_ba),
-        )
+    _, space = matrix_space(A, B, cap)
     q, ta, tb = A.base, A.types, B.types
     for phi in space:
         if not _is_regular_flat(A, B, phi):

@@ -640,24 +640,24 @@ def _entry_lats(dom: SemiCategory, cod: SemiCategory) -> list:
     return [q.hom_lat(ta, tb) for tb in cod.types for ta in dom.types]
 
 
-def matrix_space(dom: SemiCategory, cod: SemiCategory):
+def matrix_space(dom: SemiCategory, cod: SemiCategory, cap: int = DEFAULT_CAP):
     """The matrices dom -/-> cod as flat row-major tuples, the form of
     :attr:`SemiDistributor.dense`, in lexicographic entry order, with their count.
 
-    Returns ``(size, generator)``; callers enforce their own caps before
-    consuming the generator.
+    Returns ``(size, generator)``.  A space of more than ``cap`` matrices
+    raises :class:`SearchCapExceeded`, with its size as witness, before any
+    matrix is formed.
     """
     _require_same_base(dom, cod, "matrix endpoints")
     sizes = [lat.size for lat in _entry_lats(dom, cod)]
-    return math.prod(sizes), itertools.product(*map(range, sizes))
+    total = math.prod(sizes)
+    if total > cap:
+        raise SearchCapExceeded(f"matrix space of size {total} exceeds cap {cap}", witness=total)
+    return total, itertools.product(*map(range, sizes))
 
 
 def enumerate_regular_semidists(dom: SemiCategory, cod: SemiCategory, cap: int):
     """All regular semidistributors dom -/-> cod, lexicographically ordered."""
-    total, space = matrix_space(dom, cod)
-    if total > cap:
-        raise SearchCapExceeded(
-            f"matrix space of size {total} exceeds cap {cap}", witness=total
-        )
+    _, space = matrix_space(dom, cod, cap)
     regular = (flat for flat in space if _is_regular_flat(dom, cod, flat))
     return [validate_semidistributor(dom, cod, flat) for flat in regular]

@@ -9,6 +9,7 @@ from qsemicat import (
     NotIdempotent,
     NotRegular,
     QArrow,
+    SearchCapExceeded,
     TypeMismatch,
     build_idm,
     builtin_quantaloid,
@@ -424,6 +425,40 @@ def test_verify_rsdist_requires_regular():
     )
     with pytest.raises(NotRegular):
         verify_rsdist_is_idm_matr(strict, strict)
+
+
+def test_verify_rsdist_refuses_composites_over_the_cap():
+    # the discrete three-object category over 3: each space holds 3**9 = 19,683
+    # matrices, under the default cap, and every one is regular, so its
+    # 387,420,489 composites are refused once both spaces are scanned
+    D = validate_semicategory(Q3, [(x, "*") for x in "abc"], {(x, x): 2 for x in "abc"})
+    assert outcome(lambda: verify_rsdist_is_idm_matr(D, D)) == (
+        SearchCapExceeded,
+        "387420489 composites of 19683 and 19683 regular semidistributors exceed cap 1000000",
+        (19683, 19683),
+    )
+
+
+def test_verify_rsdist_bounds_the_composites_before_the_first(monkeypatch, tmp_path, capsys):
+    # A -/-> A holds 3 matrices, 2 of them regular: at cap 3 both spaces fit
+    # and the 4 composites do not, so no product is formed
+    import qsemicat.completion as completion
+
+    A, real, products = chain3_A(), completion._product, []
+
+    def counted(psi, phi):
+        products.append((psi, phi))
+        return real(psi, phi)
+
+    monkeypatch.setattr(completion, "_product", counted)
+    assert outcome(lambda: verify_rsdist_is_idm_matr(A, A, cap=3)) == (
+        SearchCapExceeded,
+        "4 composites of 2 and 2 regular semidistributors exceed cap 3",
+        (2, 2),
+    )
+    assert products == []
+    assert verify_rsdist_is_idm_matr(A, A, cap=4).ok
+    assert len(products) == 4
 
 
 def test_verify_rsdist_reports_differing_routes(monkeypatch):

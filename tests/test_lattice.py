@@ -146,6 +146,24 @@ def test_random_pair_sets_agree_with_reference():
     assert outcomes == {"lattice", NotAPartialOrder, MissingJoin, ValueError}
 
 
+@pytest.mark.parametrize(
+    "size, pairs, message",
+    [
+        (2, [(False, True)], "order pair (False, True) out of range for size 2"),
+        (2, [(0, 1.0)], "order pair (0, 1.0) out of range for size 2"),
+        (2, [(0, None)], "order pair (0, None) out of range for size 2"),
+        (2, [(0,)], "order pair (0,) out of range for size 2"),
+        (True, [], "size must be non-negative"),
+        (2.0, [], "size must be non-negative"),
+        (None, [], "size must be non-negative"),
+    ],
+    ids=["bool-pair", "float-pair", "none-pair", "short-pair", "bool-size", "float-size", "none-size"],
+)
+def test_order_values_that_are_not_int_are_refused(size, pairs, message):
+    # a bool or float is not an element index, however it compares
+    assert _outcome(validate_sup_lattice, size, pairs) == (ValueError, message, None)
+
+
 @pytest.mark.parametrize("name", ["2", "3", "4", "square", "diamond"])
 def test_named_lattices_agree_with_reference(name):
     lat = named_lattice(name)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,12 +10,14 @@ from qsemicat import (
     NotCocontinuous,
     NotRegular,
     Presheaf,
+    SearchCapExceeded,
     TypeMismatch,
     bottom_semidist,
     build_PA,
     build_RA,
     builtin_quantaloid,
     categories_isomorphic,
+    chain,
     distributor_from_cocont,
     enumerate_presheaves,
     enumerate_regular_semidists,
@@ -29,6 +32,7 @@ from qsemicat import (
     presheaf_hom_elem,
     rsdist_isomorphism_search,
     skeleton,
+    validate_quantaloid,
     validate_semicategory,
     validate_semidistributor,
     validate_semifunctor,
@@ -216,6 +220,38 @@ def test_rsdist_search_cap():
     A = chain3_A()
     with pytest.raises(SearchCapExceeded):
         rsdist_isomorphism_search(A, A, cap=1)
+
+
+def hom_sizes_differ_by_direction():
+    """One-object categories A of type Y and B of type X over a base with
+    hom(X, Y) the two-chain and hom(Y, X) = {⊥}, so |A -/-> B| = 1 and
+    |B -/-> A| = 2; a composite is the meet where its hom is the two-chain."""
+    homs = {("X", "X"): chain(2), ("Y", "Y"): chain(2), ("X", "Y"): chain(2), ("Y", "X"): chain(1)}
+    size = {xy: lat.size for xy, lat in homs.items()}
+    compose = {
+        (x, y, z): [
+            [min(g, f) if size[x, z] == 2 else 0 for f in range(size[x, y])]
+            for g in range(size[y, z])
+        ]
+        for x, y, z in itertools.product("XY", repeat=3)
+    }
+    q = validate_quantaloid(("X", "Y"), homs, compose, {"X": 1, "Y": 1})
+    A = validate_semicategory(q, [("a", "Y")], {("a", "a"): 1})
+    B = validate_semicategory(q, [("b", "X")], {("b", "b"): 1})
+    return A, B
+
+
+def test_rsdist_search_caps_only_the_space_it_scans():
+    # the search never forms B -/-> A, so its size does not count against the cap
+    A, B = hom_sizes_differ_by_direction()
+    assert (matrix_space(A, B)[0], matrix_space(B, A)[0]) == (1, 2)
+    assert rsdist_isomorphism_search(A, B, cap=1) is None
+    assert reference_rsdist_isomorphism_search(A, B, cap=1) is None
+    want = (SearchCapExceeded, "matrix space of size 2 exceeds cap 1", 2)
+    assert outcome(lambda: rsdist_isomorphism_search(B, A, cap=1)) == want
+    assert outcome(lambda: reference_rsdist_isomorphism_search(B, A, cap=1)) == want
+    for cap in (2, 3, 10):
+        assert morita_equivalent(A, B, cap).cross_check == "agreed"
 
 
 # Hom rows of three-object regular semicategories over 3 whose certificate
@@ -562,6 +598,10 @@ def _input_refusals():
         "isomorphic-bases": (
             lambda: categories_isomorphic(A, B),
             (TypeMismatch, "semicategories live over different base quantaloids", None),
+        ),
+        "skeleton-view": (
+            lambda: skeleton(C),
+            (TypeMismatch, "skeleton needs a QCategoryView", C),
         ),
     }
 

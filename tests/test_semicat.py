@@ -7,6 +7,7 @@ from qsemicat import (
     ActionFailure,
     CompositionFailure,
     NotRegular,
+    SearchCapExceeded,
     TypeMismatch,
     bottom_semidist,
     builtin_quantaloid,
@@ -552,6 +553,30 @@ def test_enumerate_regular_semidists_cap():
     A = chain3_A()
     with pytest.raises(SearchCapExceeded):
         enumerate_regular_semidists(A, A, cap=2)
+
+
+def test_matrix_space_refuses_a_space_over_its_cap(monkeypatch):
+    # chain3_C -/-> chain3_C holds 3 matrices; the refusal comes before the
+    # generator of the space is made
+    import types
+
+    import qsemicat.semicat as semicat
+
+    made = []
+    real = itertools.product
+    monkeypatch.setattr(
+        semicat, "itertools", types.SimpleNamespace(product=lambda *a: made.append(a) or real(*a))
+    )
+    C = chain3_C()
+    assert outcome(lambda: matrix_space(C, C, cap=2)) == (
+        SearchCapExceeded,
+        "matrix space of size 3 exceeds cap 2",
+        3,
+    )
+    assert made == []
+    size, space = matrix_space(C, C, cap=3)
+    assert (size, list(space)) == (3, [(0,), (1,), (2,)])
+    assert len(made) == 1
 
 
 def test_typed_sets_over_two_objects():

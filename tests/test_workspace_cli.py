@@ -676,6 +676,18 @@ def test_capped_completion_verify_shows_the_space_size(tmp_path, capsys):
     )
 
 
+def test_capped_completion_verify_bounds_the_composites(tmp_path, capsys):
+    # both spaces of 3 matrices fit the cap; the 2 · 2 composites do not
+    path = write_ws(tmp_path, THREE_CHAIN_WS)
+    assert main(["--cap", "3", "completion", "verify", path, "A", "A"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "SearchCapExceeded: 4 composites of 2 and 2 regular semidistributors exceed cap 3 "
+        "(witness: (2, 2))\n"
+    )
+
+
 def test_cmd_completion_idm_invalid_quantaloid(capsys):
     assert main(["completion", "idm", "frame:pentagon"]) == 1
 
