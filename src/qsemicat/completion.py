@@ -36,10 +36,9 @@ from .semicat import (
 
 
 def _is_idempotent(q: Quantaloid, e: QArrow) -> bool:
-    """True iff ``e`` is an endo-arrow of ``q`` with its element in range and e∘e = e;
-    an element whose type is not ``int`` (``True``, ``1.0``) is out of range."""
+    """True iff ``e`` is an endo-arrow of ``q`` with an element of its hom and e∘e = e."""
     x, i = e.dom, e.elem
-    if x != e.cod or x not in q.objects or type(i) is not int or not 0 <= i < q.hom[(x, x)].size:
+    if x != e.cod or x not in q.objects or i not in q.hom[(x, x)]:
         return False
     return q.compose_table[(x, x, x)][i][i] == i
 
@@ -141,8 +140,7 @@ def idm_lifting(q: Quantaloid, e: QArrow, f: QArrow, g: QArrow, b: int, c: int) 
 
 def _require_fixed(q, e, f, arrow_elem):
     A, B = e.dom, f.dom
-    lat = q.hom_lat(A, B)
-    if type(arrow_elem) is not int or not 0 <= arrow_elem < lat.size:
+    if arrow_elem not in q.hom_lat(A, B):
         raise TypeMismatch(f"element {arrow_elem} out of range", witness=arrow_elem)
     if (
         q.compose_elems(A, A, B, arrow_elem, e.elem) != arrow_elem

@@ -22,7 +22,7 @@ from .errors import (
     NotTransitiveEq,
     TypeMismatch,
 )
-from .lattice import order_rows
+from .lattice import is_pair, order_rows
 from .presheaf import (
     CO,
     CONTRA,
@@ -60,9 +60,9 @@ class FinitePoset:
 def _relation(elements, pairs):
     """The distinct ``elements``, their positions and ``pairs`` as a list;
     refuses two elements equal in Python but named differently (1 and True),
-    two with one object name str(x), then the first pair that names an
-    element not listed, or a listed one under another name (True for 1).
-    Every relation builder and every Omega-set reads this."""
+    two with one object name str(x), then the first pair that is not an
+    :func:`is_pair`, or names an element not listed or a listed one under
+    another name (True for 1).  Every relation builder and Omega-set reads it."""
     seen = {}
     for x in elements:
         y = seen.setdefault(x, x)
@@ -77,9 +77,11 @@ def _relation(elements, pairs):
         # by name: True does not name a listed 1
         return x in index and str(x) == names[index[x]]
 
-    for x, y in pairs:
-        if not (listed(x) and listed(y)):
-            raise TypeMismatch(f"pair ({x!r}, {y!r}) names unknown elements", witness=(x, y))
+    for pair in pairs:
+        if not is_pair(pair):
+            raise TypeMismatch(f"{pair!r} is not a pair", witness=pair)
+        if not all(map(listed, pair)):
+            raise TypeMismatch(f"pair {tuple(pair)} names unknown elements", witness=tuple(pair))
     return elements, index, pairs
 
 
@@ -231,13 +233,10 @@ def validate_omega_set(frame: Quantaloid, elements, eq) -> OmegaSet:
     for key in eq:
         if key not in names or tuple(map(str, key)) != names[key]:
             raise TypeMismatch(f"equality {key} names unknown elements", witness=key)
-    full = {}
-    for x in elements:
-        for y in elements:
-            e = eq.get((x, y), lat.bottom)
-            if type(e) is not int or not 0 <= e < lat.size:
-                raise TypeMismatch(f"[{x!r}={y!r}] = {e} out of range", witness=(x, y))
-            full[(x, y)] = e
+    full = {(x, y): eq.get((x, y), lat.bottom) for x in elements for y in elements}
+    for (x, y), e in full.items():
+        if e not in lat:
+            raise TypeMismatch(f"[{x!r}={y!r}] = {e} out of range", witness=(x, y))
     for x in elements:
         for y in elements:
             if full[(x, y)] != full[(y, x)]:

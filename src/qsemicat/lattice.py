@@ -39,6 +39,10 @@ class SupLattice:
             if self.join(y for y in range(size) if y != x and leq[y][x]) != x
         )
 
+    def __contains__(self, e) -> bool:
+        """``e`` is an element: an ``int`` in ``0..size-1`` (``True`` and ``1.0`` are not)."""
+        return type(e) is int and 0 <= e < self.size
+
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
 
@@ -72,20 +76,26 @@ class SupLattice:
         return f"SupLattice(size={self.size})"
 
 
+def is_pair(value) -> bool:
+    """True iff ``value`` is a tuple or list of two members (no str, set, dict or iterator)."""
+    return isinstance(value, (tuple, list)) and len(value) == 2
+
+
 def order_rows(size: int, pairs):
     """``(up, down, equivalent)`` for the reflexive-transitive closure of
     order pairs ``(i, j)``, i <= j: ``up[i]`` has bit j set iff i <= j,
     ``down[j]`` bit i, and ``equivalent`` is the first pair i < j with
     j <= i, in lexicographic order, or None.  Raises ``ValueError`` on a
-    size that is not a non-negative ``int``, and on a pair that is not two
-    ``int`` in range (``True`` and ``1.0`` are out of range)."""
+    size that is not a non-negative ``int``, and on an order pair that is not
+    an :func:`is_pair` of elements (``True`` and ``1.0`` are out of range)."""
     if type(size) is not int or size < 0:
         raise ValueError("size must be non-negative")
     up = [1 << i for i in range(size)]
     for pair in pairs:
-        i, j = pair if len(pair) == 2 else (None, None)
+        i, j = pair if is_pair(pair) else (None, None)
         if not (type(i) is type(j) is int and 0 <= i < size and 0 <= j < size):
-            raise ValueError(f"order pair {tuple(pair)} out of range for size {size}")
+            shown = tuple(pair) if isinstance(pair, (tuple, list)) else pair
+            raise ValueError(f"order pair {shown!r} out of range for size {size}")
         up[i] |= 1 << j
     # transitive closure: every element below k is below all that k is below
     for k in range(size):

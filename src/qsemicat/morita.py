@@ -278,12 +278,8 @@ def distributor_from_cocont(F, A: SemiCategory, B: SemiCategory, cap: int = DEFA
             or (image.carrier is not B and image.carrier != B)
             or image.variance != CONTRA
             or image.qtype != x
-            # Presheaf() does not range-check its values; a value whose type is
-            # not int is out of range
-            or not all(
-                type(e) is int and 0 <= e < q.hom_lat(x, t).size
-                for e, t in zip(image.values, B.types)
-            )
+            # Presheaf() does not range-check its values
+            or not all(e in q.hom_lat(x, t) for e, t in zip(image.values, B.types))
         ):
             raise TypeMismatch(
                 f"image of the representable at {a!r} is not a contravariant presheaf "

@@ -148,10 +148,9 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     unit laws on whole rows.  The other axioms are decided by
     :func:`_axioms_hold`, and only when that fails do the exhaustive loops
     run, to raise the first failure in their order with its witness.  An
-    entry or identity whose type is not ``int`` (``True``, ``1.0``) is out
-    of range.
+    entry or identity that is not an element (``e in lat``) is out of range.
 
-    When every table is present, every identity is an ``int`` and some
+    When every table is present, every identity is an element and some
     objects are interchangeable (:func:`_first_of_classes`), all of this
     runs on the first member of each class, and every key gets the
     interned table of the table it was given.
@@ -178,7 +177,7 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     missing = next(filterfalse(compose.__contains__, keys), None)
     present = keys[: keys.index(missing)] if missing is not None else keys
     raws = list(map(compose.__getitem__, present))
-    if missing is None and all(x in identities and type(identities[x]) is int for x in objects):
+    if missing is None and all(identities.get(x) in homs[(x, x)] for x in objects):
         firsts = _first_of_classes(objects, homs, identities, pairs, raws)
         if len(firsts) < len(objects):
             sub = validate_quantaloid(
@@ -210,14 +209,12 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
         raise TypeMismatch(f"missing composition table {missing}", witness=missing)
     tables = dict(zip(keys, map(table_of.__getitem__, instances)))
 
-    idents = {}
     for x in objects:
         if x not in identities:
             raise TypeMismatch(f"missing identity for {x!r}", witness=x)
-        e = identities[x]
-        if type(e) is not int or not 0 <= e < homs[(x, x)].size:
+        if identities[x] not in homs[(x, x)]:
             raise TypeMismatch(f"identity for {x!r} out of range", witness=x)
-        idents[x] = e
+    idents = {x: identities[x] for x in objects}
 
     q = Quantaloid(objects, homs, tables, idents)
 

@@ -26,6 +26,7 @@ from .errors import (
     SearchCapExceeded,
     TypeMismatch,
 )
+from .lattice import is_pair
 from .quantaloid import Quantaloid
 
 # the default bound on every matrix space and presheaf candidate space
@@ -265,9 +266,8 @@ def _dense_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> tuple:
     ``mat`` is either that tuple already (or a list), or a dict keyed
     (row, column) with bottom in every omitted entry, whose every key, in
     the caller's order, must then name a row and a column.  Entries are
-    range-checked in their hom-lattices in row-major order, before the
-    keys, and an entry whose type is not ``int`` (``True``, ``1.0``) is out
-    of range; ``what`` names the entries in errors.
+    checked to be elements of their hom-lattices (``e in lat``) in row-major
+    order, before the keys; ``what`` names the entries in errors.
     """
     cells = [(r, c, q.hom[(tc, tr)]) for r, tr in rows.elements for c, tc in cols.elements]
     keyed = not isinstance(mat, (tuple, list))
@@ -281,11 +281,11 @@ def _dense_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> tuple:
         get = mat.get
         flat = tuple(get((r, c), lat.bottom) for r, c, lat in cells)
     for (r, c, lat), e in zip(cells, flat):
-        if type(e) is not int or not 0 <= e < lat.size:
+        if e not in lat:
             raise TypeMismatch(f"{what} ({r!r}, {c!r}) = {e} out of range", witness=(r, c))
     if keyed:
         for key in mat:
-            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in rows and key[1] in cols):
+            if not (is_pair(key) and key[0] in rows and key[1] in cols):
                 raise TypeMismatch(f"{what} {key} names unknown objects", witness=key)
     return flat
 

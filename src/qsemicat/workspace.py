@@ -27,8 +27,8 @@ from collections import Counter
 
 from .errors import EnumerationCapExceeded, ParseError, QsError
 from .instances import validate_omega_set, validate_poset
-from .lattice import named_lattice, validate_sup_lattice
-from .quantaloid import Quantaloid, builtin_quantaloid, from_frame
+from .lattice import is_pair, named_lattice, validate_sup_lattice
+from .quantaloid import Quantaloid, builtin_quantaloid, from_frame, validate_quantaloid
 from .semicat import (
     DEFAULT_CAP,
     validate_semicategory,
@@ -63,7 +63,7 @@ def _pairs(doc, key, where):
     """The ``[x, y]`` entries listed under ``key``."""
     out = []
     for pair in _need_list(doc, key, where):
-        if not isinstance(pair, list) or len(pair) != 2:
+        if not (isinstance(pair, list) and is_pair(pair)):
             raise ParseError(f"{where}: bad {key} pair {pair!r}", witness=pair)
         out.append(tuple(pair))
     return out
@@ -160,8 +160,6 @@ def parse_quantaloid(spec, where="quantaloid", cap=DEFAULT_CAP) -> Quantaloid:
             raise ParseError(f"{where}: compose table {key!r} must be a list of rows", witness=key)
         compose[(parts[0], parts[1], parts[2])] = [[_elem(v, where) for v in row] for row in table]
     identities = {str(x): _elem(e, where) for x, e in _need_dict(spec, "id", where).items()}
-    from .quantaloid import validate_quantaloid
-
     return validate_quantaloid(objects, homs, compose, identities)
 
 

@@ -31,6 +31,7 @@ from qsemicat import (
     validate_poset,
     validate_semidistributor,
     validate_semifunctor,
+    validate_sup_lattice,
     way_below,
     yoneda,
 )
@@ -475,6 +476,45 @@ def test_relation_builders_read_pair_components_by_name(build):
         build([1, 2], [(True, 2)])
     want = ("pair (True, 2) names unknown elements", (True, 2))
     assert (str(exc.value), exc.value.witness) == want
+
+
+# (reader, its two valid elements, the class it refuses a value that is not a pair with)
+PAIR_READERS = [
+    pytest.param(lambda pairs: validate_sup_lattice(2, pairs), (0, 1), ValueError, id="lattice"),
+    *(pytest.param(lambda pairs, b=b: b(["a", "b"], pairs), ("a", "b"), TypeMismatch, id=b.__name__)
+      for b in RELATION_BUILDERS),
+]
+# values that are not pairs, each built from the two elements; unpacking misreads or crashes on each
+NOT_PAIRS = {
+    "int": lambda x, y: 5,
+    "str": lambda x, y: f"{x}{y}",
+    "triple": lambda x, y: (x, y, x),
+    "iterator": lambda x, y: iter((x, y)),
+    "dict": lambda x, y: {x: 1, y: 1},
+    "set": lambda x, y: {x, y},
+}
+
+
+@pytest.mark.parametrize("shape", NOT_PAIRS)
+@pytest.mark.parametrize("read, elements, refusal", PAIR_READERS)
+def test_a_value_that_is_not_a_pair_is_refused(read, elements, refusal, shape):
+    # no bare TypeError or ValueError, and no reading of "ab" as ("a", "b")
+    bad = NOT_PAIRS[shape](*elements)
+    with pytest.raises(Exception) as exc:
+        read([elements, bad])
+    assert type(exc.value) is refusal and repr(bad) in str(exc.value)
+    if refusal is TypeMismatch:
+        assert (str(exc.value), exc.value.witness) == (f"{bad!r} is not a pair", bad)
+
+
+@pytest.mark.parametrize("build", RELATION_BUILDERS)
+def test_relation_builders_refuse_the_first_bad_pair_in_pair_order(build):
+    unknown = (TypeMismatch, "pair ('a', 'c') names unknown elements", ("a", "c"))
+    assert outcome(lambda: build(["a", "b"], [("a", "c"), "ab"])) == unknown
+    assert outcome(lambda: build(["a", "b"], ["ab", ("a", "c")])) == (
+        TypeMismatch, "'ab' is not a pair", "ab"
+    )
+    build(["a", "b"], [["a", "b"]])  # a list of two is a pair
 
 
 def test_a_pair_naming_listed_elements_still_builds():

@@ -146,6 +146,10 @@ def test_random_pair_sets_agree_with_reference():
     assert outcomes == {"lattice", NotAPartialOrder, MissingJoin, ValueError}
 
 
+# refused unread, so one iterator serves every run
+_ITERATOR_PAIR = iter((0, 1))
+
+
 @pytest.mark.parametrize(
     "size, pairs, message",
     [
@@ -156,8 +160,16 @@ def test_random_pair_sets_agree_with_reference():
         (True, [], "size must be non-negative"),
         (2.0, [], "size must be non-negative"),
         (None, [], "size must be non-negative"),
+        (2, [[0, 1.0]], "order pair (0, 1.0) out of range for size 2"),
+        (2, [(0, 1, 1)], "order pair (0, 1, 1) out of range for size 2"),
+        (2, [5], "order pair 5 out of range for size 2"),
+        (2, ["01"], "order pair '01' out of range for size 2"),
+        (2, [_ITERATOR_PAIR], f"order pair {_ITERATOR_PAIR!r} out of range for size 2"),
+        (2, [{0: 1, 1: 1}], "order pair {0: 1, 1: 1} out of range for size 2"),
+        (2, [{0, 1}], "order pair {0, 1} out of range for size 2"),
     ],
-    ids=["bool-pair", "float-pair", "none-pair", "short-pair", "bool-size", "float-size", "none-size"],
+    ids=["bool-pair", "float-pair", "none-pair", "short-pair", "bool-size", "float-size", "none-size",
+         "list-pair", "long-pair", "int-pair", "str-pair", "iterator-pair", "dict-pair", "set-pair"],
 )
 def test_order_values_that_are_not_int_are_refused(size, pairs, message):
     # a bool or float is not an element index, however it compares

@@ -463,6 +463,22 @@ def test_distributor_from_cocont_refuses_values_outside_the_hom(values):
     assert exc.value.witness == "*"
 
 
+def test_distributor_from_cocont_checks_each_value_in_its_own_hom():
+    # u: X and v: Y over the relations quantaloid, where |hom(X, X)| = 2 and
+    # |hom(X, Y)| = 4: the value 3 is out of range at u and in range at v
+    R = rel_quantaloid()
+    assert (R.hom_lat("X", "X").size, R.hom_lat("X", "Y").size) == (2, 4)
+    A = validate_semicategory(R, [("a", "X")], (R.identity["X"],))
+    B = validate_semicategory(
+        R, [("u", "X"), ("v", "Y")], {("u", "u"): R.identity["X"], ("v", "v"): R.identity["Y"]}
+    )
+    phi = validate_semidistributor(A, B, (0, 3))
+    assert distributor_from_cocont(InducedFunctor(phi), A, B) == phi
+    with pytest.raises(TypeMismatch) as exc:
+        distributor_from_cocont(lambda theta: Presheaf(B, "X", CONTRA, (3, 0)), A, B)
+    assert exc.value.witness == "a"
+
+
 def test_order_reflection():
     A = chain3_A()
     lat = Q3.hom_lat("*", "*")
