@@ -203,7 +203,13 @@ def enumerate_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = 
 
 
 def _regular_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = DEFAULT_CAP):
-    """The regular presheaves of type x on A, in lexicographic value order.
+    """The regular presheaves of type x on A, in lexicographic value order."""
+    return _regular_closure(A, x, variance, cap)[0]
+
+
+def _regular_closure(A: SemiCategory, x, variance: str, cap: int):
+    """The regular presheaves of type x on A, in lexicographic value order,
+    and the join-closure they were found in.
 
     A regular φ is the join of the C(-, a)∘φ(a) over the objects a of the
     contravariant carrier C, so it lies in the join-closure of the
@@ -212,19 +218,26 @@ def _regular_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = D
     carrier every member is fixed, because C⊗C = C and ⊗ preserves joins,
     so no action is formed.  Each returned presheaf keeps its action.
     ``cap`` bounds the candidate space as for :func:`enumerate_presheaves`.
+
+    The closure is a dict from the values of each member, in the order
+    found, to its parent pair (s, gen) with member = s ∨ gen, both found
+    before it; the bottom and each generator new when reached map to None.
     """
     C, lats = _space(A, x, variance, cap)
     q, t, dense = C.base, C.types, C.dense
     n = len(t)
     joins = [lat._join2 for lat in lats]
-    found = {tuple(lat.bottom for lat in lats)}
+    closure = {tuple(lat.bottom for lat in lats): None}
     for a in range(n):
         tables = [q.compose_table[(x, t[a], t[b])][dense[b * n + a]] for b in range(n)]
         for f in range(lats[a].size):
             gen = tuple(table[f] for table in tables)
-            if gen not in found:
+            if gen not in closure:
                 # the closure so far is join-closed, so this adds its joins with gen
-                found |= {tuple(map(getitem, map(getitem, joins, s), gen)) for s in found}
+                closure[gen] = None
+                for s in list(closure):
+                    closure.setdefault(tuple(map(getitem, map(getitem, joins, s), gen)), (s, gen))
+    found = closure
     if not C.is_regular:
         found = [v for v in found if _product_is(q, t, t, (x,), dense, v, v)]
     out = []
@@ -232,7 +245,7 @@ def _regular_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = D
         phi = Presheaf(A, x, variance, values)
         phi._action = phi.values
         out.append(phi)
-    return out
+    return out, closure
 
 
 def _yoneda_presheaves(A: SemiCategory, x, variance: str = CONTRA, cap: int = DEFAULT_CAP):
@@ -310,7 +323,8 @@ def is_regular_via_liftings(phi: Presheaf, against) -> bool:
     :func:`is_regular_presheaf`; the two are independent routes to the same
     notion.  Callers sweeping one instance enumerate the pool once, so each
     residual is computed once; ``against`` may be any iterable, and its
-    presheaves must live in phi's presheaf category.
+    presheaves must live in phi's presheaf category.  A Yoneda ψ, whose
+    residual is its values, gives the same lifting both ways and is skipped.
     """
     A = phi.carrier
     against = list(against)
@@ -324,12 +338,15 @@ def is_regular_via_liftings(phi: Presheaf, against) -> bool:
     plans = {}  # the lifting plan of the entries hom(y, x), by the type y of psi
     for psi in against:
         # the hom from psi to phi, directly and through the representables
+        residual = _residual(psi)
+        if residual == psi.values:
+            continue
         y = psi.qtype
         plan = plans.get(y)
         if plan is None:
             plan = plans[y] = q._lift_plans.get((y, x, t)) or _lift_plan(q, y, x, t)
         if _lift_entry(q, x, t, y, values, psi.values, plan) != _lift_entry(
-            q, x, t, y, values, _residual(psi), plan
+            q, x, t, y, values, residual, plan
         ):
             return False
     return True
@@ -377,20 +394,48 @@ class QCategoryView(SemiCategory):
         return True
 
 
-def _build_view(A, variance, pools):
+def _columns(vectors) -> tuple:
+    """The flat row-major matrix whose column i holds the i-th vector."""
+    return tuple(e for row in zip(*vectors) for e in row)
+
+
+def _build_view(A, variance, pools, closures=None):
     """The view on the presheaves of ``pools``, a dict from each type x to a
     list of presheaves of type x on A of this variance, named x#i in list
     order.  Every hom comes from one block residual: column i of the matrix
     holds the values of object i, and [M, M](i, k) is the contravariant hom
-    from object k to object i."""
+    from object k to object i.
+
+    ``closures``, when given, maps each type to the join-closure of
+    :func:`_regular_closure` that its pool was kept from.  A lifting turns a
+    join in its first argument into a meet, so the row of a member s ∨ gen
+    is the entrywise meet of the rows of s and gen, and only the rows of the
+    members without a parent come from the block residual [R, M], column i
+    of R holding the values of the i-th of them."""
     objects = [(f"{x}#{i}", x, phi) for x, pool in pools.items() for i, phi in enumerate(pool)]
     C = _contra(A, variance)
+    q, n = C.base, len(objects)
     types = tuple(x for _, x, _ in objects)
-    M = tuple(e for row in zip(*(phi.values for _, _, phi in objects)) for e in row)
-    homs = _mat_lift(C.base, types, C.types, types, M, M)
+    M = _columns(phi.values for _, _, phi in objects)
+    if closures is None:
+        homs = _mat_lift(q, types, C.types, types, M, M)
+    else:
+        homs = []
+        for x, pool in pools.items():
+            closure = closures[x]
+            roots = [m for m, parent in closure.items() if parent is None]
+            block = _mat_lift(q, (x,) * len(roots), C.types, types, _columns(roots), M)
+            rows = {m: block[i * n : (i + 1) * n] for i, m in enumerate(roots)}
+            # the meet table of hom(y, x) for every column of type y
+            meets = [q.hom[(y, x)]._meet2 for y in types]
+            for m, parent in closure.items():
+                if parent is not None:
+                    s, gen = parent
+                    rows[m] = tuple(map(getitem, map(getitem, meets, rows[s]), rows[gen]))
+            for phi in pool:
+                homs += rows[phi.values]
     if variance == CO:
         # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
-        n = len(objects)
         homs = tuple(e for i in range(n) for e in homs[i::n])
     return QCategoryView(A.base, objects, homs)
 
@@ -403,10 +448,12 @@ def build_PA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) ->
 
 
 def build_RA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:
-    """The full subcategory of regular presheaves, found by join-closure."""
-    return _build_view(
-        A, variance, {x: _regular_presheaves(A, x, variance, cap) for x in A.base.objects}
-    )
+    """The full subcategory of regular presheaves, found by join-closure; its
+    rows are meets along the closure (see :func:`_build_view`)."""
+    pools, closures = {}, {}
+    for x in A.base.objects:
+        pools[x], closures[x] = _regular_closure(A, x, variance, cap)
+    return _build_view(A, variance, pools, closures)
 
 
 def build_YA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:

@@ -140,7 +140,9 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     ``objects`` is a sequence of names, ``homs`` maps object pairs to
     validated sup-lattices, ``compose`` maps object triples (x, y, z) to a
     table ``t[g][f]`` for f in hom(x,y) and g in hom(y,z), and ``identities``
-    maps each object to an element of its endo-hom.
+    maps each object to an element of its endo-hom.  An object name that is
+    not hashable, and a hom that is not a :class:`SupLattice`, are refused
+    with :class:`TypeMismatch`, the name or the key as witness.
 
     The unit laws, preservation of bottom and binary joins in each argument,
     and associativity are all verified.  Shape, range and interning are
@@ -156,6 +158,11 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     interned table of the table it was given.
     """
     objects = tuple(objects)
+    for x in objects:
+        try:
+            hash(x)
+        except TypeError:
+            raise TypeMismatch(f"object name {x!r} is not hashable", witness=x) from None
     if len(set(objects)) != len(objects):
         raise TypeMismatch("duplicate object names", witness=objects)
 
@@ -172,6 +179,9 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
         unknown = next(filterfalse(known.__contains__, given), None)
         if unknown is not None:
             raise TypeMismatch(f"{what} {unknown!r} names an unknown object", witness=unknown)
+    odd = next((key for key in pairs if not isinstance(homs[key], SupLattice)), None)
+    if odd is not None:
+        raise TypeMismatch(f"hom-lattice {odd!r} is not a SupLattice", witness=odd)
 
     # the keys before the first missing table are checked first
     missing = next(filterfalse(compose.__contains__, keys), None)

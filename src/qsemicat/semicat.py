@@ -34,11 +34,18 @@ DEFAULT_CAP = 10**6
 
 
 class TypedSet:
-    """A finite set of named elements, each typed by an object of the base."""
+    """A finite set of named elements, each typed by an object of the base.
+
+    Each element is an :func:`is_pair` (name, type); any other value is
+    refused with :class:`TypeMismatch`, the value as witness."""
 
     __slots__ = ("elements", "names", "types", "_pos")
 
     def __init__(self, elements):
+        elements = tuple(elements)
+        if not all(map(is_pair, elements)):
+            bad = next(e for e in elements if not is_pair(e))
+            raise TypeMismatch(f"{bad!r} is not a pair", witness=bad)
         self.elements = tuple((str(n), t) for n, t in elements)
         names = self.names = tuple(n for n, _ in self.elements)
         if len(set(names)) != len(names):

@@ -45,7 +45,9 @@ from qsemicat.presheaf import (
     DEFAULT_CAP,
     Presheaf,
     QCategoryView,
+    _build_view,
     _contra,
+    _regular_presheaves,
     presheaf_hom_elem,
 )
 from qsemicat.semicat import (
@@ -246,6 +248,29 @@ def semicat_from_rows(q, rows):
     names = NAMES[:n]
     hom = {(names[i], names[j]): rows[i][j] for i in range(n) for j in range(n)}
     return validate_semicategory(q, [(nm, obj) for nm in names], hom)
+
+
+def nine_object_carrier():
+    """A fixed regular semicategory with nine objects over ``3`` that is not
+    a category (three endo-homs are the middle element): 440 regular
+    contravariant and 415 regular covariant presheaves, so its RA is large
+    enough that rows made by meets and rows made by liftings differ in cost
+    by several times."""
+    rows = (
+        "200000000",
+        "011000010",
+        "002000000",
+        "000200000",
+        "002220020",
+        "121002111",
+        "100000101",
+        "002000020",
+        "100000202",
+    )
+    q = builtin_quantaloid("3")
+    names = "abcdefghi"
+    hom = {(a, b): int(rows[i][j]) for i, a in enumerate(names) for j, b in enumerate(names)}
+    return validate_semicategory(q, [(a, "*") for a in names], hom)
 
 
 def regular_semicats(qname, max_objects):
@@ -999,6 +1024,14 @@ def build_RA_by_lifting(A, cap=DEFAULT_CAP):
     sds = [phi.as_semidistributor() for phi in view.payloads]
     homs = tuple(lifting_rsdist(psi, phi).dense[0] for psi in sds for phi in sds)
     return QCategoryView(view.base, zip(view.names, view.types, view.payloads), homs)
+
+
+def reference_RA_block_residual(A, variance):
+    """RA with every hom from the one block residual [M, M] of
+    ``_build_view``, over the pools of ``_regular_presheaves``: the route
+    ``build_RA`` took before its rows became meets along the join-closure."""
+    pools = {x: _regular_presheaves(A, x, variance) for x in A.base.objects}
+    return _build_view(A, variance, pools)
 
 
 def reference_presheaves(A, x, variance):

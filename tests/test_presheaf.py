@@ -43,10 +43,12 @@ from helpers import (
     chain3_A,
     chain3_C,
     downsets,
+    nine_object_carrier,
     outcome,
     presheaf_families,
     reference_colimit_compatibility,
     reference_presheaf_ok,
+    reference_RA_block_residual,
     reference_presheaves,
     reference_regular_via_liftings,
     reference_view,
@@ -54,7 +56,13 @@ from helpers import (
     relations_family,
     two_object_quantaloid,
 )
-from qsemicat.presheaf import _contra, _regular_presheaves
+from qsemicat.presheaf import (
+    DEFAULT_CAP,
+    _contra,
+    _regular_closure,
+    _regular_presheaves,
+    _yoneda_presheaves,
+)
 
 Q3 = builtin_quantaloid("3")
 Q2 = builtin_quantaloid("2")
@@ -592,6 +600,111 @@ def test_views_match_pairwise_hom_reference(name, variance):
                 A.hom,
                 build.__name__,
             )
+
+
+@pytest.mark.parametrize("name, variance", SWEEPS)
+def test_build_RA_matches_the_block_residual(name, variance):
+    # rows made as meets along the join-closure against every hom lifted;
+    # all-2, all-3 and relations hold carriers that are not regular
+    for A in FAMILIES[name]:
+        view, want = build_RA(A, variance), reference_RA_block_residual(A, variance)
+        assert view.names == want.names and view.payloads == want.payloads, A.hom
+        assert view.dense == want.dense, A.hom
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_build_RA_matches_the_block_residual_on_nine_objects(variance):
+    A = nine_object_carrier()
+    assert A.is_regular and not A.is_category
+    view, want = build_RA(A, variance), reference_RA_block_residual(A, variance)
+    assert len(view) == {CONTRA: 440, CO: 415}[variance]
+    assert view.names == want.names and view.payloads == want.payloads
+    assert view.dense == want.dense
+
+
+def _generators(A, x, variance):
+    """The bottom presheaf of type x and every C(-, a)∘f, f in hom(x, t(a))."""
+    C = _contra(A, variance)
+    q, t, n = C.base, C.types, len(C.types)
+    out = {tuple(q.hom[(x, b)].bottom for b in t)}
+    for a in range(n):
+        for f in range(q.hom[(x, t[a])].size):
+            out.add(
+                tuple(q.compose_table[(x, t[a], t[b])][C.dense[b * n + a]][f] for b in range(n))
+            )
+    return out
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+@pytest.mark.parametrize("carrier", ["nine-objects", "relations"])
+def test_build_RA_lifts_only_the_closure_members_without_a_parent(monkeypatch, variance, carrier):
+    import qsemicat.presheaf as presheaf
+
+    if carrier == "nine-objects":
+        A = nine_object_carrier()
+    else:  # two types, not regular: some closure members are not kept
+        A = next(A for A in FAMILIES["relations"] if not A.is_regular and len(A) > 1)
+    C = _contra(A, variance)
+    lifted = []
+    real = presheaf._mat_lift
+
+    def spy(q, tr, tm, tc, L, R):
+        lifted.extend(L[i :: len(tr)] for i in range(len(tr)))
+        return real(q, tr, tm, tc, L, R)
+
+    monkeypatch.setattr(presheaf, "_mat_lift", spy)
+    view = build_RA(A, variance)
+    monkeypatch.undo()
+    roots = []
+    for x in A.base.objects:
+        closure = _regular_closure(A, x, variance, DEFAULT_CAP)[1]
+        joins = [C.base.hom_lat(x, t)._join2 for t in C.types]
+        order = {m: i for i, m in enumerate(closure)}
+        generators = _generators(A, x, variance)
+        for m, parent in closure.items():
+            if parent is None:
+                roots.append(m)
+                assert m in generators
+            else:
+                # m = s ∨ gen, gen has no parent, and both come before m
+                s, gen = parent
+                assert m == tuple(join[a][b] for join, a, b in zip(joins, s, gen))
+                assert closure[gen] is None and order[s] < order[m] and order[gen] < order[m]
+    assert lifted == roots
+    if carrier == "nine-objects":
+        # a bottom and 16 or 15 generators, of 440 or 415 rows
+        want = {CONTRA: (17, 440), CO: (16, 415)}[variance]
+        assert (len(lifted), len(view)) == want
+
+
+@pytest.mark.parametrize("name, variance", SWEEPS)
+def test_via_liftings_lifts_nothing_against_yoneda_presheaves(monkeypatch, name, variance):
+    # a Yoneda ψ has its values as residual, so the two liftings are one
+    import qsemicat.presheaf as presheaf
+
+    calls = []
+    real = presheaf._lift_entry
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    non_yoneda = 0
+    for A in FAMILIES[name]:
+        pool = [p for x in A.base.objects for p in enumerate_presheaves(A, x, variance)]
+        yon = [p for x in A.base.objects for p in _yoneda_presheaves(A, x, variance)]
+        monkeypatch.setattr(presheaf, "_lift_entry", spy)
+        assert all(is_regular_via_liftings(p, against=yon) for p in pool), A.hom
+        assert calls == [], A.hom
+        # the spy sees the liftings against a pool that is not all Yoneda
+        for p in pool:
+            is_regular_via_liftings(p, against=pool)
+        non_yoneda += len(pool) > len(yon)
+        assert bool(calls) == (len(pool) > len(yon)), A.hom
+        monkeypatch.undo()
+        calls.clear()
+        assert all(reference_regular_via_liftings(p, yon) for p in pool), A.hom
+    assert non_yoneda > 0
 
 
 @pytest.mark.parametrize("variance", [CONTRA, CO])

@@ -578,3 +578,26 @@ def test_an_element_that_is_not_an_int_is_out_of_range(name, slot, value):
     q = builtin_quantaloid("2") if name == "2" else build_idm(rel_quantaloid()).quantaloid
     identities, tables, want = _with_element(q, slot, value)
     assert outcome(lambda: validate_quantaloid(q.objects, q.hom, tables, identities)) == want
+
+
+@pytest.mark.parametrize("hom", [5, None, [[0]], chain(2).leq], ids=["int", "none", "list", "rows"])
+def test_a_hom_that_is_not_a_sup_lattice_is_refused(hom):
+    # a bare AttributeError or TypeError before the check
+    got = outcome(
+        lambda: validate_quantaloid(["X"], {("X", "X"): hom}, {("X", "X", "X"): [[0]]}, {"X": 0})
+    )
+    assert got == (TypeMismatch, "hom-lattice ('X', 'X') is not a SupLattice", ("X", "X"))
+
+
+def test_the_first_hom_that_is_not_a_sup_lattice_is_named():
+    q = two_object_quantaloid()
+    homs = {**q.hom, ("Y", "X"): 2, ("Y", "Y"): "2"}
+    got = outcome(lambda: validate_quantaloid(q.objects, homs, q.compose_table, q.identity))
+    assert got == (TypeMismatch, "hom-lattice ('Y', 'X') is not a SupLattice", ("Y", "X"))
+
+
+@pytest.mark.parametrize("name", [["X"], {"X"}, ("X", ["Y"])], ids=["list", "set", "tuple-of-list"])
+def test_an_object_name_that_is_not_hashable_is_refused(name):
+    # a bare TypeError ("unhashable type") before the check
+    got = outcome(lambda: validate_quantaloid(["X", name], {}, {}, {}))
+    assert got == (TypeMismatch, f"object name {name!r} is not hashable", name)

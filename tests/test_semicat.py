@@ -659,3 +659,19 @@ def test_an_entry_that_is_not_an_int_is_out_of_range(reader, value):
     # True and 1.0 equal the element 1, and "1" and None do not compare with it
     run, what, witness = ENTRY_READERS[reader]
     assert outcome(lambda: run(value)) == (TypeMismatch, f"{what} = {value} out of range", witness)
+
+
+@pytest.mark.parametrize(
+    "element",
+    ["a*", 5, ("a", "*", "b"), iter(("a", "*")), {"a": "*"}, None],
+    ids=["str", "int", "triple", "iterator", "dict", "none"],
+)
+def test_an_object_that_is_not_a_pair_is_refused(element):
+    # "a*" was read as the object a of type *, and 5 raised a bare TypeError
+    got = outcome(lambda: validate_semicategory(Q3, [element], (2,)))
+    assert got == (TypeMismatch, f"{element!r} is not a pair", element)
+
+
+def test_an_object_given_as_a_list_of_two_is_a_pair():
+    A = validate_semicategory(Q3, [["a", "*"]], (2,))
+    assert A.names == ("a",) and A.types == ("*",)
