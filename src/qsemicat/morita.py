@@ -65,7 +65,7 @@ def skeleton(view: QCategoryView):
     """Pick the lowest-index representative of every isomorphism class.
 
     Returns the report and the full subcategory on the representatives.
-    The view is validated first (once per view, see
+    The view is checked first (once per view, see
     :meth:`QCategoryView.check`): the classes are read off the unit
     inequalities, which mean isomorphism only in a category.  Any other
     argument raises :class:`TypeMismatch`.

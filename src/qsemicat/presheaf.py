@@ -12,7 +12,7 @@ maps j and k plus weighted colimits computed without units.
 from __future__ import annotations
 
 import math
-from operator import getitem
+from operator import eq, getitem
 
 from .errors import (
     ActionFailure,
@@ -363,11 +363,13 @@ class QCategoryView(SemiCategory):
     become the :class:`TypedSet` ``objects``, checked at construction, and
     the payloads ``payloads``, in the same order.  ``homs`` is the flat
     row-major tuple that :attr:`SemiCategory.dense` holds, whose length is
-    checked.  ``is_category`` is read off the diagonal; ``check`` validates
+    checked.  ``is_category`` is read off the diagonal; ``check`` decides
     the composition inequalities once, on first use, and keeps the verdict.
+    A view from :func:`build_RA` carries its derivation, (flipped,
+    closures), which ``check`` reads (see :meth:`_derivation_holds`).
     """
 
-    __slots__ = ("payloads", "_checked")
+    __slots__ = ("payloads", "_checked", "_derivation")
 
     def __init__(self, base, objects, homs):
         objects = tuple(objects)
@@ -380,18 +382,80 @@ class QCategoryView(SemiCategory):
         super().__init__(base, ts, tuple(homs), _has_units(base, ts.types, homs))
         self.payloads = tuple(p for _, _, p in objects)
         self._checked = False
+        self._derivation = None
 
     def check(self):
         """Assert the full Q-category axioms; raises on violation.
 
-        The composition inequalities are validated on the first call only.
+        The composition inequalities are decided on the first call only: by
+        the view's derivation when it is a category that carries one and
+        the derivation shows them, else by :func:`validate_semicategory`,
+        which raises the first failure with its witness.
         """
         if not self._checked:
-            self._regular = validate_semicategory(self.base, self.objects, self.dense).is_regular
+            if self.is_category and self._derivation_holds():
+                # in a category A(a, b) = 1∘A(a, b) ≤ (A⊗A)(a, b), so A⊗A ≤ A is A⊗A = A
+                self._regular = True
+            else:
+                self._regular = validate_semicategory(self.base, self.objects, self.dense).is_regular
             self._checked = True
         if not self.is_category:
             raise NotACategory("view violates a unit-inequality", witness=self)
         return True
+
+    def _derived_rows(self):
+        """The matrix M the derivation speaks of, the indices of its root
+        rows, and an (m, s, gen) triple for each of its other rows.
+
+        ``_derivation`` is (flipped, closures): ``closures`` maps each type
+        to the join-closure of :func:`_regular_closure` that its objects
+        were kept from, and a flipped (covariant) view holds its meets on
+        columns, so M is its ``op()``.  Object m is derived when its
+        closure parents s and gen, m = s ∨ gen, are objects of the view;
+        the bottom, the generators and a member with a parent that is not
+        regular are roots.
+        """
+        flipped, closures = self._derivation
+        objects = list(zip(self.types, (phi.values for phi in self.payloads)))
+        at = {key: i for i, key in enumerate(objects)}
+        roots, derived = [], []
+        for m, (x, values) in enumerate(objects):
+            parent = closures[x][values]
+            s, gen = (None, None) if parent is None else (at.get((x, v)) for v in parent)
+            if s is None or gen is None:
+                roots.append(m)
+            else:
+                derived.append((m, s, gen))
+        return (self.op() if flipped else self), roots, derived
+
+    def _derivation_holds(self) -> bool:
+        """True iff the view's derivation shows M⊗M ≤ M; False without one.
+
+        Composition is monotone, so a row m = row s ∧ row gen has
+        (M⊗M)(m, −) ≤ (M⊗M)(s, −) ∧ (M⊗M)(gen, −).  Hence if every derived
+        row equals the meet of its parents' rows (n meets each) and every
+        root row r has (M⊗M)(r, −) ≤ M(r, −) (one product of the g root
+        rows against M, g·n² steps), then M⊗M ≤ M, by induction in closure
+        order.  A failed row equality returns False, and the caller
+        validates the whole view.
+        """
+        if self._derivation is None:
+            return False
+        M, roots, derived = self._derived_rows()
+        q, t, dense, n = M.base, M.types, M.dense, len(M)
+        meets = {}  # by row type x: the meet table of hom(y, x) for every column of type y
+        for m, s, gen in derived:
+            x = t[m]
+            meet = meets.get(x) or meets.setdefault(x, [q.hom[(y, x)]._meet2 for y in t])
+            rs, rg = dense[s * n : (s + 1) * n], dense[gen * n : (gen + 1) * n]
+            if dense[m * n : (m + 1) * n] != tuple(map(getitem, map(getitem, meet, rs), rg)):
+                return False
+        tr = tuple(t[r] for r in roots)
+        L = tuple(e for r in roots for e in dense[r * n : (r + 1) * n])
+        joins = [q.hom[(y, x)]._join2 for x in tr for y in t]
+        product = _mat_compose(q, tr, t, t, L, dense)
+        # p ≤ v iff p ∨ v == v
+        return all(map(eq, map(getitem, map(getitem, joins, product), L), L))
 
 
 def _columns(vectors) -> tuple:
@@ -411,7 +475,9 @@ def _build_view(A, variance, pools, closures=None):
     join in its first argument into a meet, so the row of a member s ∨ gen
     is the entrywise meet of the rows of s and gen, and only the rows of the
     members without a parent come from the block residual [R, M], column i
-    of R holding the values of the i-th of them."""
+    of R holding the values of the i-th of them.  The view keeps
+    (variance == CO, closures) as its derivation, which
+    :meth:`QCategoryView.check` reads; nothing of it is resolved here."""
     objects = [(f"{x}#{i}", x, phi) for x, pool in pools.items() for i, phi in enumerate(pool)]
     C = _contra(A, variance)
     q, n = C.base, len(objects)
@@ -437,7 +503,10 @@ def _build_view(A, variance, pools, closures=None):
     if variance == CO:
         # dualising reverses homs: phi -> psi on A is psi -> phi on A^op
         homs = tuple(e for i in range(n) for e in homs[i::n])
-    return QCategoryView(A.base, objects, homs)
+    view = QCategoryView(A.base, objects, homs)
+    if closures is not None:
+        view._derivation = (variance == CO, closures)
+    return view
 
 
 def build_PA(A: SemiCategory, variance: str = CONTRA, cap: int = DEFAULT_CAP) -> QCategoryView:

@@ -205,8 +205,7 @@ def validate_quantaloid(objects, homs, compose, identities) -> Quantaloid:
     interned, table_of = {}, {}  # content -> the one tuple equal tables become; instance -> it
     for instance in dict.fromkeys(instances):
         raw, (_, nf, ng, nr) = raw_of[instance[0]], instance
-        # whole rows at a time; every hom has at least its bottom, so no row is empty
-        if len(raw) != ng or any(map(nf.__ne__, map(len, raw))):
+        if not _has_shape(raw, ng, nf):
             key = present[instances.index(instance)]
             raise TypeMismatch(f"composition table {key} has wrong shape", witness=key)
         table, flat = tuple(map(tuple, raw)), tuple(chain.from_iterable(raw))
@@ -276,6 +275,18 @@ def _first_of_classes(objects, homs, identities, pairs, raws):
         )
         firsts.setdefault((identities[name], slices), name)
     return tuple(firsts.values())
+
+
+def _has_shape(raw, ng, nf) -> bool:
+    """True iff the composition table ``raw`` has ng rows of nf entries.
+
+    Whole rows at a time; every hom has at least its bottom, so no row is
+    empty.  A table or row without a length (``5``, ``None``) has no shape.
+    """
+    try:
+        return len(raw) == ng and not any(map(nf.__ne__, map(len, raw)))
+    except TypeError:
+        return False
 
 
 def at_triples(values, n):

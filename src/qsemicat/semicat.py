@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from operator import eq, getitem
 
 from .errors import (
@@ -270,14 +271,20 @@ def _has_units(q, types, dense) -> bool:
 def _dense_matrix(q, rows: TypedSet, cols: TypedSet, mat, what) -> tuple:
     """``mat`` on rows × cols as a range-checked flat row-major tuple.
 
-    ``mat`` is either that tuple already (or a list), or a dict keyed
+    ``mat`` is either that tuple already (or a list), or a mapping keyed
     (row, column) with bottom in every omitted entry, whose every key, in
-    the caller's order, must then name a row and a column.  Entries are
-    checked to be elements of their hom-lattices (``e in lat``) in row-major
-    order, before the keys; ``what`` names the entries in errors.
+    the caller's order, must then name a row and a column; any other value
+    is refused with :class:`TypeMismatch`, the value as witness.  Entries
+    are checked to be elements of their hom-lattices (``e in lat``) in
+    row-major order, before the keys; ``what`` names the entries in errors.
     """
-    cells = [(r, c, q.hom[(tc, tr)]) for r, tr in rows.elements for c, tc in cols.elements]
     keyed = not isinstance(mat, (tuple, list))
+    if keyed and not isinstance(mat, Mapping):
+        raise TypeMismatch(
+            f"{what} matrix is a {type(mat).__name__}, not a tuple, a list or a mapping",
+            witness=mat,
+        )
+    cells = [(r, c, q.hom[(tc, tr)]) for r, tr in rows.elements for c, tc in cols.elements]
     if not keyed:
         if len(mat) != len(cells):
             raise TypeMismatch(

@@ -11,6 +11,7 @@ from qsemicat import (
     NotACategory,
     NotRegular,
     Presheaf,
+    QCategoryView,
     TypeMismatch,
     build_PA,
     build_RA,
@@ -58,6 +59,7 @@ from helpers import (
 )
 from qsemicat.presheaf import (
     DEFAULT_CAP,
+    _build_view,
     _contra,
     _regular_closure,
     _regular_presheaves,
@@ -675,6 +677,118 @@ def test_build_RA_lifts_only_the_closure_members_without_a_parent(monkeypatch, v
         # a bottom and 16 or 15 generators, of 440 or 415 rows
         want = {CONTRA: (17, 440), CO: (16, 415)}[variance]
         assert (len(lifted), len(view)) == want
+
+
+def _count_validations(monkeypatch):
+    """The list that gets the arguments of every later call of
+    ``validate_semicategory`` that the presheaf module makes."""
+    import qsemicat.presheaf as presheaf
+
+    calls = []
+    real = presheaf.validate_semicategory
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(presheaf, "validate_semicategory", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, variance", SWEEPS)
+def test_check_by_derivation_agrees_with_full_validation(monkeypatch, name, variance):
+    # RA is a category, so its check multiplies the root rows and validates nothing
+    views = [build_RA(A, variance) for A in FAMILIES[name]]
+    calls = _count_validations(monkeypatch)
+    for view in views:
+        assert view.check() and view.check()
+        full = validate_semicategory(view.base, view.objects, view.dense)
+        assert view.is_regular == full.is_regular, view.payloads[0].carrier.hom
+    assert calls == []
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_check_by_derivation_agrees_with_full_validation_on_nine_objects(monkeypatch, variance):
+    view = build_RA(nine_object_carrier(), variance)
+    calls = _count_validations(monkeypatch)
+    assert view.check()
+    assert calls == []
+    _, roots, derived = view._derived_rows()
+    # the bottom and 16 or 15 generators are the roots of 440 or 415 rows
+    assert (len(roots), len(roots) + len(derived)) == {CONTRA: (17, 440), CO: (16, 415)}[variance]
+    assert view.is_regular == validate_semicategory(view.base, view.objects, view.dense).is_regular
+
+
+@pytest.mark.parametrize("variance", [CONTRA, CO])
+def test_a_parent_outside_the_view_makes_a_root(monkeypatch, variance):
+    # RA without one parent s: the row of its child m is still the meet
+    # along the closure, but s has no row in the view, so m's is checked
+    # by the product; on a carrier that is not regular s would be filtered
+    A = nine_object_carrier()
+    x = A.base.objects[0]
+    pool, closure = _regular_closure(A, x, variance, DEFAULT_CAP)
+    m, (s, _) = next((m, parent) for m, parent in closure.items() if parent)
+    pool = [phi for phi in pool if phi.values != s]
+    view = _build_view(A, variance, {x: pool}, {x: closure})
+    _, roots, derived = view._derived_rows()
+    assert [view.payloads[r].values for r in roots].count(m) == 1
+    assert len(roots) + len(derived) == len(view) == len(closure) - 1
+    calls = _count_validations(monkeypatch)
+    assert view.check()
+    assert calls == []
+
+
+def _verdict(view):
+    """What ``check()`` and then ``is_regular`` give on ``view``, with the
+    view itself, as the witness of a refusal, written ``"view"``."""
+    got = outcome(lambda: (view.check(), view.is_regular))
+    if len(got) == 3 and got[2] is view:
+        return got[:2] + ("view",)
+    return got
+
+
+def _mutants(seed, count):
+    """``count`` single-entry mutants of RA views of the test families,
+    drawn with ``seed``: (mutant, plain, derived), where ``mutant`` keeps the
+    view's derivation, ``plain`` is the same matrix without one, and
+    ``derived`` tells whether the changed entry lies on a derived row of the
+    derivation's matrix (a column of a covariant view)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        name, variance = rng.choice(SWEEPS)
+        view = build_RA(rng.choice(FAMILIES[name]), variance)
+        n = len(view)
+        i, j = rng.randrange(n), rng.randrange(n)
+        lat = view.base.hom[(view.types[j], view.types[i])]
+        if lat.size < 2:
+            continue
+        homs = list(view.dense)
+        homs[i * n + j] = rng.choice([e for e in range(lat.size) if e != homs[i * n + j]])
+        objects = list(zip(view.names, view.types, view.payloads))
+        mutant, plain = QCategoryView(view.base, objects, homs), QCategoryView(view.base, objects, homs)
+        mutant._derivation = view._derivation
+        _, _, derived = view._derived_rows()
+        out.append((mutant, plain, (i if variance == CONTRA else j) in {m for m, _, _ in derived}))
+    return out
+
+
+def test_check_by_derivation_on_single_entry_mutants(monkeypatch):
+    mutants = _mutants(32, 1500)
+    calls = _count_validations(monkeypatch)
+    fast = full = refused = 0
+    for mutant, plain, derived in mutants:
+        calls.clear()
+        got = _verdict(mutant)
+        validations = len(calls)
+        # a fast accept is a full accept, and a refusal keeps class, message and witness
+        assert got == _verdict(plain), plain.dense
+        assert validations == 1 if derived else validations <= 1
+        fast += validations == 0
+        full += validations == 1 and got[0] is True
+        refused += got[0] is not True
+    # the sample holds accepts on both routes and refusals
+    assert fast and full and refused
 
 
 @pytest.mark.parametrize("name, variance", SWEEPS)

@@ -601,3 +601,23 @@ def test_an_object_name_that_is_not_hashable_is_refused(name):
     # a bare TypeError ("unhashable type") before the check
     got = outcome(lambda: validate_quantaloid(["X", name], {}, {}, {}))
     assert got == (TypeMismatch, f"object name {name!r} is not hashable", name)
+
+
+@pytest.mark.parametrize("table", [5, None, [5, 5], [[0, 0], 5], "ab"], ids=repr)
+def test_a_table_that_is_not_a_sequence_of_sequences_has_wrong_shape(table):
+    # all but "ab" raised a bare TypeError from len() before the check
+    got = outcome(
+        lambda: validate_quantaloid(
+            ["X"], {("X", "X"): chain(2)}, {("X", "X", "X"): table}, {"X": 1}
+        )
+    )
+    assert got == (TypeMismatch, "composition table ('X', 'X', 'X') has wrong shape", ("X", "X", "X"))
+
+
+@pytest.mark.parametrize("table", [5, None, [[0], 5]], ids=repr)
+def test_a_table_without_a_shape_is_named_by_its_key(table):
+    q = two_object_quantaloid()
+    key = ("X", "Y", "X")
+    tables = {**q.compose_table, key: table}
+    got = outcome(lambda: validate_quantaloid(q.objects, q.hom, tables, q.identity))
+    assert got == (TypeMismatch, f"composition table {key} has wrong shape", key)

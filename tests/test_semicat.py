@@ -675,3 +675,29 @@ def test_an_object_that_is_not_a_pair_is_refused(element):
 def test_an_object_given_as_a_list_of_two_is_a_pair():
     A = validate_semicategory(Q3, [["a", "*"]], (2,))
     assert A.names == ("a",) and A.types == ("*",)
+
+
+# each reader of a whole matrix: a call on one matrix of one entry, and the entries' name
+MATRIX_READERS = {
+    "semicategory": (lambda m: validate_semicategory(Q3, [("a", "*")], m), "hom entry"),
+    "semidistributor": (lambda m: validate_semidistributor(chain3_A(), chain3_A(), m), "entry"),
+}
+
+
+@pytest.mark.parametrize("mat", [5, None, {("a", "a")}, "2", iter([2])], ids=repr)
+@pytest.mark.parametrize("reader", list(MATRIX_READERS))
+def test_a_matrix_that_is_not_a_tuple_list_or_mapping_is_refused(reader, mat):
+    # each raised a bare AttributeError ("... has no attribute 'get'")
+    run, what = MATRIX_READERS[reader]
+    kind = type(mat).__name__
+    want = (TypeMismatch, f"{what} matrix is a {kind}, not a tuple, a list or a mapping", mat)
+    assert outcome(lambda: run(mat)) == want
+
+
+@pytest.mark.parametrize("reader", list(MATRIX_READERS))
+def test_a_matrix_may_be_any_mapping(reader):
+    from types import MappingProxyType
+
+    run, _ = MATRIX_READERS[reader]
+    key = ("a", "a") if reader == "semicategory" else ("*", "*")
+    assert run(MappingProxyType({key: 2})).dense == run({key: 2}).dense == (2,)
